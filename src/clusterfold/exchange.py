@@ -43,56 +43,72 @@ def _check_entry(value: int) -> int:
 def find_symmetrizer(entries) -> tuple[int, ...]:
     """Minimal positive integer diagonal d with d_i*b_ij == -d_j*b_ji.
 
-    Works by ratio propagation over the graph of nonzero entries; the
-    result is normalized so the gcd of each connected component is 1.
-    Raises :class:`NotSkewSymmetrizableError` with a witness pair.
+    Works by ratio propagation over the graph of nonzero entries, in
+    integers: a component whose values cannot carry the next ratio is
+    rescaled as a whole, and each component is finally divided by its gcd
+    so its entries are coprime.  Raises :class:`NotSkewSymmetrizableError`
+    with a witness pair.
     """
     n = len(entries)
+    # The pattern checks are symmetric in (i, j), so scanning j > i finds the
+    # same first failure as a scan of every pair in row-major order.
     for i in range(n):
-        if entries[i][i] != 0:
+        row = entries[i]
+        if row[i] != 0:
             raise NotSkewSymmetrizableError((i, i))
-        for j in range(n):
-            if (entries[i][j] == 0) != (entries[j][i] == 0):
+        for j in range(i + 1, n):
+            bij = row[j]
+            bji = entries[j][i]
+            if bij == 0:
+                if bji != 0:
+                    raise NotSkewSymmetrizableError((i, j))
+            elif bji == 0 or (bij > 0) == (bji > 0):
                 raise NotSkewSymmetrizableError((i, j))
-            if entries[i][j] != 0 and entries[i][j] * entries[j][i] > 0:
-                raise NotSkewSymmetrizableError((i, j))
-    d: list[Fraction | None] = [None] * n
+    d = [0] * n
     for root in range(n):
-        if d[root] is not None:
+        if d[root]:
             continue
-        d[root] = Fraction(1)
+        d[root] = 1
         component = [root]
         stack = [root]
         while stack:
             i = stack.pop()
-            for j in range(n):
-                if entries[i][j] == 0:
+            for j, bij in enumerate(entries[i]):
+                if bij == 0:
                     continue
-                ratio = Fraction(-entries[i][j], entries[j][i])
-                implied = d[i] * ratio
-                if d[j] is None:
-                    d[j] = implied
-                    component.append(j)
-                    stack.append(j)
-                elif d[j] != implied:
-                    raise NotSkewSymmetrizableError((i, j))
-        scale = 1
-        for i in component:
-            scale = scale * d[i].denominator // gcd(scale, d[i].denominator)
-        values = [int(d[i] * scale) for i in component]
+                bji = entries[j][i]
+                # d_j must equal d_i * (-b_ij) / b_ji, a positive ratio
+                implied = -d[i] * bij
+                if d[j]:
+                    if d[j] * bji != implied:
+                        raise NotSkewSymmetrizableError((i, j))
+                    continue
+                if implied % bji:
+                    scale = abs(bji) // gcd(implied, bji)
+                    for v in component:
+                        d[v] *= scale
+                    implied *= scale
+                d[j] = implied // bji
+                component.append(j)
+                stack.append(j)
         common = 0
-        for v in values:
-            common = gcd(common, v)
-        for i, v in zip(component, values):
-            d[i] = Fraction(v // common)
-    return tuple(int(x) for x in d)
+        for v in component:
+            common = gcd(common, d[v])
+        if common > 1:
+            for v in component:
+                d[v] //= common
+    return tuple(d)
 
 
 class ExchangeMatrix:
     """A skew-symmetrizable square integer matrix.
 
-    Immutable; construction verifies zero diagonal, sign coherence and
-    the existence of a (minimal, cached) symmetrizer.
+    Immutable.  External construction validates: entries are coerced to
+    int and range-checked, and the zero diagonal, sign coherence and the
+    (minimal, per-component normalised) symmetrizer are derived from the
+    entries.  :meth:`mutate` does not re-derive it: mutation preserves D
+    and the component partition, so the child carries the parent's D and
+    is checked against it in integers instead.
     """
 
     __slots__ = ("n", "entries", "labels", "_symmetrizer")
@@ -132,25 +148,47 @@ class ExchangeMatrix:
 
         b'_ij = -b_ij if i == k or j == k, else
         b_ij + (b_ik*|b_kj| + |b_ik|*b_kj)/2; the input is unmodified.
+        The result carries this matrix's symmetrizer D, which mutation
+        preserves (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), and is
+        checked against it: d_i*b'_ij == -d_j*b'_ji for all i <= j, else
+        :class:`NotSkewSymmetrizableError`.  Changed entries are
+        range-checked (:class:`EntryOverflowError`).
         """
         n = self.n
         if not 0 <= k < n:
             raise IndexError(f"mutation vertex {k} out of range")
         b = self.entries
-        new = []
+        row_k = b[k]
+        # the update adds |b_ik|*b_kj exactly where b_ik and b_kj share a sign
+        positive = [(j, x) for j, x in enumerate(row_k) if x > 0]
+        negative = [(j, x) for j, x in enumerate(row_k) if x < 0]
+        rows = []
+        for i, row in enumerate(b):
+            bik = row[k]
+            if i == k:
+                rows.append(tuple(-x for x in row))
+            elif bik == 0:
+                rows.append(row)
+            else:
+                new = list(row)
+                new[k] = -bik
+                weight = abs(bik)
+                for j, bkj in positive if bik > 0 else negative:
+                    new[j] = _check_entry(row[j] + weight * bkj)
+                rows.append(tuple(new))
+        d = self._symmetrizer
         for i in range(n):
-            row = []
-            for j in range(n):
-                if i == k or j == k:
-                    row.append(-b[i][j])
-                else:
-                    row.append(
-                        _check_entry(
-                            b[i][j] + (b[i][k] * abs(b[k][j]) + abs(b[i][k]) * b[k][j]) // 2
-                        )
-                    )
-            new.append(tuple(row))
-        return ExchangeMatrix(tuple(new), self.labels)
+            di = d[i]
+            row = rows[i]
+            for j in range(i, n):
+                if di * row[j] != -d[j] * rows[j][i]:
+                    raise NotSkewSymmetrizableError((i, j))
+        child = object.__new__(ExchangeMatrix)
+        child.n = n
+        child.entries = tuple(rows)
+        child.labels = self.labels
+        child._symmetrizer = d
+        return child
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):

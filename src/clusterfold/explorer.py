@@ -2,7 +2,10 @@
 
 Mutation classes use labeled-matrix identity: two matrices are the same
 class member only when equal entrywise.  Finite verdicts are re-verified
-by a full neighbor sweep over the closed set.
+by a full neighbor sweep over the closed set.  The sweep is the
+independent route: the BFS mutates matrices that carry their parent's
+symmetrizer, while the sweep rebuilds every member from its entries
+through the validating constructor, which re-derives D.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
-from .exchange import ExchangeMatrix, find_symmetrizer
+from .exchange import ExchangeMatrix
 from .seeds import Seed, initial_seed, is_invariant_seed, mutate_seed
 
 GROUP_ORDER_CAP = 10_080

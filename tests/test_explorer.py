@@ -14,7 +14,7 @@ from clusterfold.explorer import (
 )
 from clusterfold.laurent import parse_polynomial
 from clusterfold.seeds import LimitExceededError
-from clusterfold import catalog
+from clusterfold import catalog, cli
 from clusterfold.folding import quotient_matrix
 
 A3 = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
@@ -38,6 +38,10 @@ class TestMutationClass:
     def test_indefinite_does_not_close(self):
         report = mutation_class(INDEFINITE, limit=10_000)
         assert report.verdict in ("limit-exceeded", "overflow")
+
+    def test_indefinite_control_overflows_at_456(self):
+        report = is_mutation_finite(ExchangeMatrix(cli._INDEFINITE_CONTROL), 50_000)
+        assert (report.verdict, report.size) == ("overflow", 456)
 
     def test_limit(self):
         report = mutation_class(A3, limit=5)
