@@ -74,7 +74,6 @@ from .explorer import (
     find_variable_by_denominator,
     is_mutation_finite,
     mutation_class,
-    orbit_mutation_class,
     rank2_denominators_below,
     verify_monotonicity_chain,
 )

@@ -185,7 +185,7 @@ def _edges_of_cartan(cartan):
     return [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0]
 
 
-def orient_cartan(cartan, orientation="alternating", root: int = 0) -> ExchangeMatrix:
+def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
     """Build an exchange matrix from a symmetrizable Cartan matrix.
 
     ``alternating``: arrows from odd to even BFS layers (requires the
@@ -200,7 +200,7 @@ def orient_cartan(cartan, orientation="alternating", root: int = 0) -> ExchangeM
         for start in list(range(n)):
             if color[start] != -1:
                 continue
-            color[start] = 0 if start != root else 0
+            color[start] = 0
             stack = [start]
             while stack:
                 v = stack.pop()
@@ -322,7 +322,7 @@ def _d_to_b(n: int) -> CatalogEntry:
 
 
 def _e6_to_f4() -> CatalogEntry:
-    matrix = orient_cartan(_dynkin_cartan("E", 6), "alternating", root=2)
+    matrix = orient_cartan(_dynkin_cartan("E", 6), "alternating")
     g = _from_cycles(6, [[0, 4], [1, 3]])
     pair = _pair(matrix, [g], "E6toF4")
     return CatalogEntry("E6toF4", pair, "F4")
@@ -412,7 +412,7 @@ def _dt_to_ct(n: int) -> CatalogEntry:
         raise ValueError("Dt-Ct needs n >= 2")
     # forks 0,1 on 2; chain 2..n; forks n+1, n+2 on n
     edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n)] + [(n, n + 1), (n, n + 2)]
-    matrix = orient_cartan(_simply_laced(n + 3, edges), "alternating", root=2)
+    matrix = orient_cartan(_simply_laced(n + 3, edges), "alternating")
     gens = [_transposition(n + 3, 0, 1), _transposition(n + 3, n + 1, n + 2)]
     name = f"Dt-Ct{n}"
     pair = _pair(matrix, gens, name)
@@ -461,7 +461,7 @@ def _dt_to_cdt(n: int) -> CatalogEntry:
     # ambient ~D_{n+1}: forks 0,1 on 2; chain 2..n-1; forks n, n+1 on n-1
     edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 1)]
     edges += [(n - 1, n), (n - 1, n + 1)]
-    matrix = orient_cartan(_simply_laced(n + 2, edges), "alternating", root=2)
+    matrix = orient_cartan(_simply_laced(n + 2, edges), "alternating")
     name = f"Dt-CDt{n}"
     pair = _pair(matrix, [_transposition(n + 2, n, n + 1)], name)
     return CatalogEntry(name, pair, f"~CD{n}", rank=n)
@@ -470,7 +470,7 @@ def _dt_to_cdt(n: int) -> CatalogEntry:
 def _e6t_ambient() -> ExchangeMatrix:
     # a2=0, a1=1, z=2, b1=3, b2=4, c1=5, c2=6
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]
-    return orient_cartan(_simply_laced(7, edges), "alternating", root=2)
+    return orient_cartan(_simply_laced(7, edges), "alternating")
 
 
 def _e6t_to_f4t1() -> CatalogEntry:
@@ -483,7 +483,7 @@ def _e6t_to_f4t1() -> CatalogEntry:
 def _e7t_to_f4t2() -> CatalogEntry:
     # b=0, z=1, a-chain 2,3,4, c-chain 5,6,7
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7)]
-    matrix = orient_cartan(_simply_laced(8, edges), "alternating", root=1)
+    matrix = orient_cartan(_simply_laced(8, edges), "alternating")
     g = _from_cycles(8, [[2, 5], [3, 6], [4, 7]])
     pair = _pair(matrix, [g], "E7t-F4t2")
     return CatalogEntry("E7t-F4t2", pair, "~F4(2)")

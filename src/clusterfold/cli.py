@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 verified/success, 1 a verification found a witness,
-2 usage or input error, 3 a limit was exceeded.  ``--expect-fail``
-swaps 0 and 1 so expected counterexamples read as green in CI.
+2 usage or input error, 3 a limit was exceeded or an entry overflowed.
+``--expect-fail`` swaps 0 and 1 so expected counterexamples read as
+green in CI.
 Reports are plain ``key: value`` lines; ``--json`` mirrors the same
 data as a JSON object.
 """
@@ -87,15 +88,7 @@ def _read_text(path: str) -> str:
 
 
 def _parse_generators(spec: str, n: int):
-    """Inline generators like '(1 3)' or '(1 2)(3 4); (5 6)', or a file path."""
-    try:
-        text = _read_text(spec)
-        _, generators = io.parse_matrix_text(text)
-        if generators:
-            return generators
-        spec = text
-    except OSError:
-        pass
+    """Inline generators like '(1 3)' or '(1 2)(3 4); (5 6)'."""
     return [io.parse_permutation(part, n) for part in spec.split(";") if part.strip()]
 
 
@@ -198,14 +191,14 @@ def _cmd_enumerate(args, report: _Report) -> int:
     result = enumerate_cluster_variables(matrix, max_seeds=args.limit)
     if not result.complete:
         report.add("status", "limit-exceeded")
-        report.add("seeds", result.seeds_visited)
+        report.add("seeds", result.cluster_count)
         return EXIT_LIMIT
     report.add("variables", result.variable_count)
     report.add("clusters", result.cluster_count)
     for rendered in sorted(poly.render() for poly in result.variables):
         report.add("var", rendered)
     if args.emit_dot:
-        _write_file(args.emit_dot, explorer.exchange_graph_dot(matrix, args.limit))
+        _write_file(args.emit_dot, result.to_dot())
         report.add("dot", args.emit_dot)
     return EXIT_OK
 
@@ -254,6 +247,9 @@ def _verify_commutation(args, report: _Report) -> int:
     pair = _load_pair(args)
     verdict = check_stability(pair, max_nodes=args.limit)
     report.add("stability", verdict.status)
+    if verdict.status in ("limit-exceeded", "overflow"):
+        report.add("class size", verdict.class_size)
+        return EXIT_LIMIT
     if not verdict.stable:
         report.add("witness word", " ".join(str(i + 1) for i in verdict.witness_word))
         report.add("witness path", " -> ".join(str(v + 1) for v in verdict.witness_path))
@@ -356,6 +352,9 @@ def _verify_counterexamples(args, report: _Report) -> int:
     pair = entry.pair
     verdict = check_stability(pair, max_nodes=args.limit)
     report.add("stability", verdict.status)
+    if verdict.status in ("limit-exceeded", "overflow"):
+        report.add("class size", verdict.class_size)
+        return EXIT_LIMIT
     if verdict.stable:
         report.add("status", "counterexample-not-reproduced")
         return EXIT_WITNESS
@@ -398,7 +397,7 @@ def _add_common(parser, matrix=True, group=False, pair=True, word=False):
     if matrix:
         parser.add_argument("--matrix", help="matrix file (see io module format)")
     if group:
-        parser.add_argument("--group", help="generators, inline cycles or a file")
+        parser.add_argument("--group", help="inline generators, e.g. '(1 3)' or '(1 2); (3 4)'")
     if pair:
         parser.add_argument("--pair", help="catalog folding-pair name")
         parser.add_argument("--rank", type=int, help="rank parameter for parametric entries")
@@ -408,8 +407,6 @@ def _add_common(parser, matrix=True, group=False, pair=True, word=False):
     parser.add_argument("--depth", type=int, default=4, help="word depth where applicable")
     parser.add_argument("--emit-dot", help="write a DOT rendering to this file")
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; exploration is deterministic and single-threaded")
     parser.add_argument("--expect-fail", action="store_true",
                         help="swap exit codes 0 and 1 (expected counterexamples)")
 

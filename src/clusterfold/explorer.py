@@ -1,5 +1,6 @@
 """Mutation-class BFS, finiteness verdicts, exchange-graph export, searches.
 
+Every search here runs on the engine in :mod:`clusterfold.search`.
 Mutation classes use labeled-matrix identity: two matrices are the same
 class member only when equal entrywise.  Finite verdicts are re-verified
 by a full neighbor sweep over the closed set.  The sweep is the
@@ -10,28 +11,26 @@ through the validating constructor, which re-derives D.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .exchange import EntryOverflowError, ExchangeMatrix
-from .folding import FoldingPair, admissibility_witness, compose_orbit_mutations
-from .laurent import LaurentPolynomial
-from .seeds import enumerate_cluster_variables, initial_seed, mutate_seed
+from .exchange import ExchangeMatrix
+from .folding import FoldingPair, check_stability, quotient_matrix
+from .search import bfs
+from .seeds import Seed, enumerate_cluster_variables, initial_seed, mutate_seed
 
 
 @dataclass
 class MutationClassReport:
     """Outcome of a matrix mutation-class BFS.
 
-    verdict is "finite", "limit-exceeded", "overflow" or "unstable";
-    size counts distinct labeled matrices visited.
+    verdict is "finite", "limit-exceeded" or "overflow"; size counts
+    distinct labeled matrices visited.
     """
 
     verdict: str
     size: int
     limit: int
-    witness_word: tuple | None = None
-    witness_path: tuple | None = None
     members: frozenset | None = None
 
     @property
@@ -44,65 +43,16 @@ def mutation_class(
 ) -> MutationClassReport:
     """BFS over all single-vertex mutations, deduplicated entrywise."""
     n = matrix.n
-    visited = {matrix.entries}
-    queue = deque([matrix])
-    try:
-        while queue:
-            current = queue.popleft()
-            for k in range(n):
-                neighbor = current.mutate(k)
-                if neighbor.entries in visited:
-                    continue
-                if len(visited) >= limit:
-                    return MutationClassReport("limit-exceeded", len(visited), limit)
-                visited.add(neighbor.entries)
-                queue.append(neighbor)
-    except EntryOverflowError:
-        return MutationClassReport("overflow", len(visited), limit)
+    search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit)
+    if search.status != "closed":
+        return MutationClassReport(search.status, len(search.visited), limit)
+    visited = search.visited
     # closure sweep: every neighbor of every member must already be a member
     for entries in visited:
         member = ExchangeMatrix(entries)
         for k in range(n):
             if member.mutate(k).entries not in visited:
                 raise AssertionError("mutation-class closure sweep failed")
-    return MutationClassReport(
-        "finite", len(visited), limit, members=frozenset(visited) if keep_members else None
-    )
-
-
-def orbit_mutation_class(
-    pair: FoldingPair, limit: int = 10_000, keep_members: bool = True
-) -> MutationClassReport:
-    """BFS over orbit mutations with an admissibility check at every node.
-
-    An inadmissible node yields verdict "unstable" with the shortest
-    orbit word and the directed-path witness; this doubles as a
-    stability certificate when the class closes.
-    """
-    pair.require_admissible()
-    orbits = pair.orbits
-    visited = {pair.matrix.entries}
-    queue = deque([(pair.matrix, ())])
-    try:
-        while queue:
-            current, word = queue.popleft()
-            for idx in range(len(orbits)):
-                neighbor = compose_orbit_mutations(current, orbits, idx)
-                if neighbor.entries in visited:
-                    continue
-                new_word = word + (idx,)
-                witness = admissibility_witness(neighbor, orbits)
-                if witness is not None:
-                    return MutationClassReport(
-                        "unstable", len(visited), limit,
-                        witness_word=new_word, witness_path=witness,
-                    )
-                if len(visited) >= limit:
-                    return MutationClassReport("limit-exceeded", len(visited), limit)
-                visited.add(neighbor.entries)
-                queue.append((neighbor, new_word))
-    except EntryOverflowError:
-        return MutationClassReport("overflow", len(visited), limit)
     return MutationClassReport(
         "finite", len(visited), limit, members=frozenset(visited) if keep_members else None
     )
@@ -131,19 +81,17 @@ def verify_monotonicity_chain(pair: FoldingPair, limit: int = 10_000) -> Monoton
     ambient class may hit the limit, in which case its visited count is
     a lower bound and the right inequality is checked against it.
     """
-    from .folding import quotient_matrix
-
     quotient = mutation_class(quotient_matrix(pair), limit, keep_members=False)
-    orbit = orbit_mutation_class(pair, limit, keep_members=False)
-    if not quotient.finite or not orbit.finite:
+    orbit = check_stability(pair, limit)
+    if not quotient.finite or not orbit.stable:
         raise ValueError(
             f"quotient/orbit classes must close within the limit "
-            f"(got {quotient.verdict}/{orbit.verdict})"
+            f"(got {quotient.verdict}/{orbit.status})"
         )
     ambient = mutation_class(pair.matrix, limit, keep_members=False)
-    holds = quotient.size <= orbit.size and orbit.size <= ambient.size
+    holds = quotient.size <= orbit.class_size and orbit.class_size <= ambient.size
     return MonotonicityReport(
-        quotient.size, orbit.size, ambient.size, ambient.finite, holds
+        quotient.size, orbit.class_size, ambient.size, ambient.finite, holds
     )
 
 
@@ -152,14 +100,7 @@ def exchange_graph_dot(
 ) -> str:
     """DOT text of the exchange graph: vertices are clusters (as sets),
     edges are single mutations.  Requires the enumeration to close."""
-    result = enumerate_cluster_variables(matrix, max_seeds=max_seeds, strict=True)
-    lines = [f"graph {name} {{"]
-    for i in range(result.cluster_count):
-        lines.append(f'  s{i} [label="s{i}"];')
-    for a, b in result.dot_edges:
-        lines.append(f"  s{a} -- s{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return enumerate_cluster_variables(matrix, max_seeds=max_seeds, strict=True).to_dot(name)
 
 
 def find_variable_by_denominator(matrix: ExchangeMatrix, target, max_seeds: int = 100_000):
@@ -172,20 +113,16 @@ def find_variable_by_denominator(matrix: ExchangeMatrix, target, max_seeds: int 
     for x in start.cluster:
         if x.denominator_vector() == target:
             return x, ()
-    visited = {start.key()}
-    queue = deque([(start, ())])
-    while queue:
-        seed, word = queue.popleft()
-        for k in range(matrix.n):
-            neighbor = mutate_seed(seed, k)
-            if neighbor.cluster[k].denominator_vector() == target:
-                return neighbor.cluster[k], word + (k,)
-            key = neighbor.key()
-            if key in visited or len(visited) >= max_seeds:
-                continue
-            visited.add(key)
-            queue.append((neighbor, word + (k,)))
-    return None
+
+    # A variable first appears in a seed the search has not seen, so
+    # checking the new variable of each unseen neighbour misses none.
+    def new_variable_hit(seed, word):
+        x = seed.cluster[word[-1]]
+        return x if x.denominator_vector() == target else None
+
+    search = bfs(start, range(matrix.n), mutate_seed, Seed.key, max_seeds,
+                 drain=True, on_new=new_variable_hit)
+    return (search.witness, search.word) if search.status == "witness" else None
 
 
 def rank2_denominators_below(matrix: ExchangeMatrix, bound) -> set[tuple[int, int]]:

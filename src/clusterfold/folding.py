@@ -4,16 +4,19 @@ A folding pair is an exchange matrix together with a permutation group
 acting on its vertices by automorphisms.  The pair is admissible when no
 two distinct vertices of one orbit are joined by a directed path of
 length at most two; admissibility makes orbit mutation well defined and
-the quotient matrix skew-symmetrizable.
+the quotient matrix skew-symmetrizable.  Stability (every member of the
+orbit-mutation class stays admissible) and group closure run on the BFS
+engine in :mod:`clusterfold.search`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
+from operator import attrgetter
 
 from .exchange import ExchangeMatrix
+from .search import bfs
 from .seeds import Seed, initial_seed, is_invariant_seed, mutate_seed
 
 GROUP_ORDER_CAP = 10_080
@@ -85,21 +88,11 @@ class PermutationGroup:
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """All group elements (BFS closure over generators), capped."""
         if self._elements is None:
-            identity = tuple(range(self.n))
-            seen = {identity}
-            queue = deque([identity])
-            while queue:
-                h = queue.popleft()
-                for g in self.generators:
-                    e = compose(g, h)
-                    if e not in seen:
-                        if len(seen) >= GROUP_ORDER_CAP:
-                            raise ValueError(
-                                f"group order exceeds the cap of {GROUP_ORDER_CAP}"
-                            )
-                        seen.add(e)
-                        queue.append(e)
-            self._elements = tuple(sorted(seen))
+            search = bfs(tuple(range(self.n)), self.generators,
+                         lambda h, g: compose(g, h), tuple, GROUP_ORDER_CAP)
+            if search.status != "closed":
+                raise ValueError(f"group order exceeds the cap of {GROUP_ORDER_CAP}")
+            self._elements = tuple(sorted(search.visited))
         return self._elements
 
     def order(self) -> int:
@@ -140,7 +133,17 @@ def admissibility_witness(matrix: ExchangeMatrix, orbits):
 
 @dataclass
 class StabilityVerdict:
-    status: str  # "stable-exhaustive" | "stable-to-depth" | "unstable" | "limit-exceeded"
+    """Outcome of :func:`check_stability`.
+
+    status is "stable-exhaustive" (the orbit-mutation class closed with
+    every member admissible), "unstable" (with the shortest failing
+    orbit word and its directed-path witness), "limit-exceeded" or
+    "overflow"; the last two decide nothing.  class_size counts the
+    members visited; depth is the length of the witness word when
+    unstable, else of the longest orbit word expanded.
+    """
+
+    status: str
     depth: int
     class_size: int
     witness_word: tuple | None = None
@@ -148,7 +151,7 @@ class StabilityVerdict:
 
     @property
     def stable(self) -> bool:
-        return self.status.startswith("stable")
+        return self.status == "stable-exhaustive"
 
 
 class FoldingPair:
@@ -165,7 +168,6 @@ class FoldingPair:
         self.orbits = group.orbits()
         self._witness = admissibility_witness(matrix, self.orbits)
         self.admissible = self._witness is None
-        self.stability: StabilityVerdict | None = None
 
     @property
     def orbit_count(self) -> int:
@@ -318,54 +320,27 @@ def project_seed(pair: FoldingPair, seed: Seed, check: bool = True) -> Seed:
     return Seed(matrix, tuple(cluster))
 
 
-def check_stability(pair: FoldingPair, max_nodes: int = 10_000, max_depth: int = 64) -> StabilityVerdict:
+def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerdict:
     """BFS over the orbit-mutation class, testing admissibility at every node.
 
-    ``stable-exhaustive`` means the class closed within the limits with
-    every member admissible; a failure yields the shortest failing orbit
-    word and its witness path.
+    The search stops at the first inadmissible member, at the first
+    member refused by ``max_nodes``, or on entry overflow.
     """
     pair.require_admissible()
     orbits = pair.orbits
-    start = pair.matrix
-    visited = {start.entries}
-    queue = deque([(start, ())])
-    exhaustive = True
-    max_seen_depth = 0
-    while queue:
-        matrix, word = queue.popleft()
-        max_seen_depth = max(max_seen_depth, len(word))
-        if len(word) >= max_depth:
-            exhaustive = False
-            continue
-        for idx in range(len(orbits)):
-            neighbor = compose_orbit_mutations(matrix, orbits, idx)
-            if neighbor.entries in visited:
-                continue
-            new_word = word + (idx,)
-            witness = admissibility_witness(neighbor, orbits)
-            if witness is not None:
-                verdict = StabilityVerdict(
-                    status="unstable",
-                    depth=len(new_word),
-                    class_size=len(visited),
-                    witness_word=new_word,
-                    witness_path=witness,
-                )
-                pair.stability = verdict
-                return verdict
-            if len(visited) >= max_nodes:
-                exhaustive = False
-                continue
-            visited.add(neighbor.entries)
-            queue.append((neighbor, new_word))
-    verdict = StabilityVerdict(
-        status="stable-exhaustive" if exhaustive else "stable-to-depth",
-        depth=max_seen_depth,
-        class_size=len(visited),
+    search = bfs(
+        pair.matrix,
+        range(len(orbits)),
+        lambda matrix, idx: compose_orbit_mutations(matrix, orbits, idx),
+        attrgetter("entries"),
+        max_nodes,
+        on_new=lambda matrix, word: admissibility_witness(matrix, orbits),
     )
-    pair.stability = verdict
-    return verdict
+    size = len(search.visited)
+    if search.status == "witness":
+        return StabilityVerdict("unstable", len(search.word), size, search.word, search.witness)
+    status = "stable-exhaustive" if search.status == "closed" else search.status
+    return StabilityVerdict(status, search.depth, size)
 
 
 @dataclass

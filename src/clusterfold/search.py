@@ -1,0 +1,97 @@
+"""The breadth-first search engine behind every exhaustive search.
+
+Mutation classes, orbit-mutation classes (stability), seed enumeration,
+denominator searches and group closures all run through :func:`bfs`.
+The engine owns the visited map, the FIFO queue, shortest words, the
+node and depth limits and the mapping of entry overflow to a verdict;
+callers supply the moves, the step function and the deduplication key.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+
+from .exchange import EntryOverflowError
+
+
+@dataclass
+class Search:
+    """Outcome of one BFS.
+
+    status is "closed" (the queue drained with nothing refused),
+    "witness" (``on_new`` returned ``witness`` for the node reached by
+    ``word``), "limit-exceeded" or "overflow".  ``visited`` maps each
+    admitted key to its discovery index; ``depth`` is the word length of
+    the last node taken from the queue; ``refused`` counts the neighbours refused by
+    the node limit plus the nodes left unexpanded by the depth limit.
+    """
+
+    status: str
+    visited: dict
+    depth: int
+    refused: int
+    witness: object = None
+    word: tuple | None = None
+
+
+def bfs(
+    start,
+    moves,
+    step,
+    key,
+    limit: int,
+    *,
+    drain: bool = False,
+    max_depth: int | None = None,
+    on_new=None,
+    on_edge=None,
+) -> Search:
+    """Breadth-first search from ``start`` over ``step(node, move)`` for each move.
+
+    Nodes are deduplicated by ``key``; at most ``limit`` nodes are
+    admitted.  ``on_new(node, word)`` runs on every neighbour whose key
+    is unseen, before the limit test, and a non-None return stops the
+    search with that witness.  At the node limit the search stops unless
+    ``drain``, in which case refused neighbours are counted and the queue
+    is emptied.  Nodes at depth ``max_depth`` are admitted but not
+    expanded; each counts as refused.  ``on_edge(source, target)``
+    receives the discovery indices of every admitted edge.  An
+    EntryOverflowError from ``step`` ends the search with status
+    "overflow".
+    """
+    visited = {key(start): 0}
+    queue = deque([(start, (), 0)])
+    depth = refused = 0
+    try:
+        while queue:
+            node, word, source = queue.popleft()
+            depth = len(word)
+            if max_depth is not None and depth >= max_depth:
+                refused += 1
+                continue
+            for move in moves:
+                neighbour = step(node, move)
+                k = key(neighbour)
+                if k in visited:
+                    if on_edge is not None:
+                        on_edge(source, visited[k])
+                    continue
+                new_word = word + (move,)
+                if on_new is not None:
+                    witness = on_new(neighbour, new_word)
+                    if witness is not None:
+                        return Search("witness", visited, depth, refused, witness, new_word)
+                if len(visited) >= limit:
+                    refused += 1
+                    if not drain:
+                        return Search("limit-exceeded", visited, depth, refused)
+                    continue
+                target = len(visited)
+                visited[k] = target
+                if on_edge is not None:
+                    on_edge(source, target)
+                queue.append((neighbour, new_word, target))
+    except EntryOverflowError:
+        return Search("overflow", visited, depth, refused)
+    return Search("limit-exceeded" if refused else "closed", visited, depth, refused)

@@ -3,16 +3,17 @@
 A seed pairs an exchange matrix with a cluster of Laurent polynomials in
 the fixed initial variables u_1..u_n.  Every division performed during
 mutation must be exact (the Laurent phenomenon); a failed division is a
-library bug and raises LaurentPhenomenonError.
+library bug and raises LaurentPhenomenonError.  Enumeration runs on the
+BFS engine in :mod:`clusterfold.search`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .exchange import ExchangeMatrix
 from .laurent import LaurentPolynomial, NotDivisibleError, divide_exact
+from .search import bfs
 
 
 class LaurentPhenomenonError(RuntimeError):
@@ -138,7 +139,6 @@ class EnumerationResult:
 
     variables: dict  # LaurentPolynomial -> shortest provenance word (tuple of 0-based vertices)
     cluster_count: int
-    seeds_visited: int
     complete: bool
     frontier: int = 0
     dot_edges: list = field(default_factory=list)
@@ -146,6 +146,17 @@ class EnumerationResult:
     @property
     def variable_count(self) -> int:
         return len(self.variables)
+
+    def to_dot(self, name: str = "exchange") -> str:
+        """DOT text of the exchange graph: vertices are clusters in
+        discovery order, edges are single mutations."""
+        lines = [f"graph {name} {{"]
+        for i in range(self.cluster_count):
+            lines.append(f'  s{i} [label="s{i}"];')
+        for a, b in self.dot_edges:
+            lines.append(f"  s{a} -- s{b};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def enumerate_cluster_variables(
@@ -157,58 +168,38 @@ def enumerate_cluster_variables(
     """BFS over seeds from the initial seed, deduplicated by cluster-as-set.
 
     Returns every distinct cluster variable with a shortest mutation word
-    producing it.  ``complete`` is True when the BFS closed before the
+    producing it, including the variables of neighbours refused by the
+    seed limit.  ``complete`` is True when the BFS closed before the
     limits; with ``strict`` the limits raise LimitExceededError instead.
     """
     start = initial_seed(matrix)
-    n = matrix.n
-    visited = {start.key(): 0}
     variables: dict[LaurentPolynomial, tuple[int, ...]] = {
         x: () for x in start.cluster
     }
-    queue = deque([(start, ())])
     edge_set = set()
-    complete = True
-    blocked = 0
-    while queue:
-        seed, word = queue.popleft()
-        if len(word) >= max_depth:
-            complete = False
-            blocked += 1
-            continue
-        source = visited[seed.key()]
-        for k in range(n):
-            neighbor = mutate_seed(seed, k)
-            new_word = word + (k,)
-            var = neighbor.cluster[k]
-            if var not in variables:
-                variables[var] = new_word
-            key = neighbor.key()
-            if key in visited:
-                target = visited[key]
-                if source != target:
-                    edge_set.add((min(source, target), max(source, target)))
-                continue
-            if len(visited) >= max_seeds:
-                complete = False
-                blocked += 1
-                continue
-            index = len(visited)
-            visited[key] = index
-            edge_set.add((source, index))
-            queue.append((neighbor, new_word))
-    dot_edges = sorted(edge_set)
+
+    # A variable first appears in a seed the search has not seen, so the
+    # new variable of each unseen neighbour is all there is to record.
+    def record(seed, word):
+        variables.setdefault(seed.cluster[word[-1]], word)
+
+    def link(source, target):
+        if source != target:
+            edge_set.add((min(source, target), max(source, target)))
+
+    search = bfs(start, range(matrix.n), mutate_seed, Seed.key, max_seeds,
+                 drain=True, max_depth=max_depth, on_new=record, on_edge=link)
+    complete = search.status == "closed"
     if not complete and strict:
         raise LimitExceededError(
-            f"enumeration exceeded limits after {len(visited)} seeds",
+            f"enumeration exceeded limits after {len(search.visited)} seeds",
             partial=variables,
-            frontier=blocked,
+            frontier=search.refused,
         )
     return EnumerationResult(
         variables=variables,
-        cluster_count=len(visited),
-        seeds_visited=len(visited),
+        cluster_count=len(search.visited),
         complete=complete,
-        frontier=blocked,
-        dot_edges=dot_edges,
+        frontier=search.refused,
+        dot_edges=sorted(edge_set),
     )

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from clusterfold import cli, explorer, seeds
 from clusterfold.cli import main
 
 A3_FILE = """\
@@ -29,6 +30,42 @@ KRONECKER = """\
 n = 2
 0 2
 -2 0
+"""
+
+B2_FILE = """\
+n = 2
+0 -2
+1 0
+"""
+
+B2_EXCHANGE_GRAPH_DOT = """\
+graph exchange {
+  s0 [label="s0"];
+  s1 [label="s1"];
+  s2 [label="s2"];
+  s3 [label="s3"];
+  s4 [label="s4"];
+  s5 [label="s5"];
+  s0 -- s1;
+  s0 -- s2;
+  s1 -- s3;
+  s2 -- s4;
+  s3 -- s5;
+  s4 -- s5;
+}
+"""
+
+# two disjoint copies of the indefinite 3-vertex matrix, swapped by the group:
+# the orbit-mutation class overflows 64-bit entries after 456 members
+INDEFINITE_PAIR = """\
+n = 6
+0 2 0 0 0 0
+-2 0 2 0 0 0
+0 -2 0 0 0 0
+0 0 0 0 2 0
+0 0 0 -2 0 2
+0 0 0 0 -2 0
+group: (1 4)(2 5)(3 6)
 """
 
 
@@ -86,6 +123,15 @@ class TestFold:
     def test_inline_group_overrides(self, capsys, tmp_path):
         path = tmp_path / "a3.txt"
         path.write_text(A3_FILE)
+        code, out = run_cli(capsys, "fold", "--matrix", str(path), "--group", "(1 3)")
+        assert code == 0
+        assert "orbits: {1 3} {2}" in out
+
+    def test_inline_group_is_never_read_as_a_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "a3.txt"
+        path.write_text(A3_FILE)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "(1 3)").write_text(A3_FILE)
         code, out = run_cli(capsys, "fold", "--matrix", str(path), "--group", "(1 3)")
         assert code == 0
         assert "orbits: {1 3} {2}" in out
@@ -173,6 +219,23 @@ class TestEnumerate:
         text = target.read_text()
         assert text.count("--") == 21
 
+    def test_emit_dot_enumerates_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return seeds.enumerate_cluster_variables(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_cluster_variables", counting)
+        monkeypatch.setattr(explorer, "enumerate_cluster_variables", counting)
+        path = tmp_path / "b2.txt"
+        path.write_text(B2_FILE)
+        target = tmp_path / "graph.dot"
+        code, out = run_cli(capsys, "enumerate", "--matrix", str(path), "--emit-dot", str(target))
+        assert code == 0
+        assert len(calls) == 1
+        assert target.read_text() == B2_EXCHANGE_GRAPH_DOT
+
 
 class TestExplore:
     def test_finite(self, capsys, tmp_path):
@@ -235,6 +298,24 @@ class TestVerify:
         assert code == 1
         assert "stability: unstable" in out
         assert "witness word:" in out
+
+    def test_commutation_overflow_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "indefinite-pair.txt"
+        path.write_text(INDEFINITE_PAIR)
+        code, out = run_cli(capsys, "verify", "commutation", "--matrix", str(path))
+        assert code == 3
+        assert "stability: overflow" in out
+        assert "class size: 456" in out
+        assert "witness" not in out
+
+    def test_commutation_limit_is_not_verified(self, capsys):
+        # the E6toF4 orbit-mutation class has 120 members
+        code, out = run_cli(capsys, "verify", "commutation", "--pair", "E6toF4", "--limit", "5")
+        assert code == 3
+        assert "stability: limit-exceeded" in out
+        assert "class size: 5" in out
+        assert "verified" not in out
+        assert "witness" not in out
 
     def test_roots(self, capsys):
         code, out = run_cli(capsys, "verify", "roots", "--pair", "A3toB2")

@@ -8,14 +8,13 @@ from clusterfold.explorer import (
     find_variable_by_denominator,
     is_mutation_finite,
     mutation_class,
-    orbit_mutation_class,
     rank2_denominators_below,
     verify_monotonicity_chain,
 )
 from clusterfold.laurent import parse_polynomial
 from clusterfold.seeds import LimitExceededError
 from clusterfold import catalog, cli
-from clusterfold.folding import quotient_matrix
+from clusterfold.folding import FoldingPair, PermutationGroup, check_stability, quotient_matrix
 
 A3 = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
 A2 = ExchangeMatrix([[0, 1], [-1, 0]])
@@ -50,24 +49,26 @@ class TestMutationClass:
 
 
 class TestOrbitMutationClass:
+    """The orbit-mutation class as searched by check_stability."""
+
     def test_a3_pair(self):
         pair = catalog.folding_pair("A3toB2").pair
-        report = orbit_mutation_class(pair)
-        assert report.finite
-        assert report.size <= mutation_class(pair.matrix).size
+        verdict = check_stability(pair)
+        assert verdict.status == "stable-exhaustive"
+        assert verdict.class_size <= mutation_class(pair.matrix).size
 
     def test_trivial_group_equals_mutation_class(self):
-        from clusterfold.folding import FoldingPair, PermutationGroup
-
         pair = FoldingPair(A3, PermutationGroup(3, []))
-        assert orbit_mutation_class(pair).members == mutation_class(A3).members
+        verdict = check_stability(pair)
+        assert verdict.status == "stable-exhaustive"
+        assert verdict.class_size == mutation_class(A3).size
 
     def test_unstable_witness(self):
         pair = catalog.folding_pair("remark-stabilite").pair
-        report = orbit_mutation_class(pair)
-        assert report.verdict == "unstable"
-        assert len(report.witness_word) == 1
-        assert report.witness_path is not None
+        verdict = check_stability(pair)
+        assert verdict.status == "unstable"
+        assert len(verdict.witness_word) == 1
+        assert verdict.witness_path is not None
 
 
 class TestFiniteness:

@@ -183,20 +183,38 @@ class TestProjection:
 
 class TestStability:
     def test_finite_pairs_stable(self):
-        for name in ["A3toB2", "A5toC3", "D4toB3", "E6toF4", "D4toG2"]:
+        sizes = {"A3toB2": 2, "A5toC3": 20, "D4toB3": 10, "E6toF4": 120, "D4toG2": 2}
+        for name, size in sizes.items():
             verdict = check_stability(catalog.folding_pair(name).pair)
-            assert verdict.status == "stable-exhaustive", name
+            assert (verdict.status, verdict.class_size) == ("stable-exhaustive", size), name
+            assert verdict.stable
 
     def test_affine_pairs_stable(self):
-        for name in ["D4t-A1t2", "D4t-G2t1", "squaretoK2", "hexagontoK2"]:
+        sizes = {"D4t-A1t2": 2, "D4t-G2t1": 12, "squaretoK2": 2, "hexagontoK2": 2}
+        for name, size in sizes.items():
             verdict = check_stability(catalog.folding_pair(name).pair)
-            assert verdict.status == "stable-exhaustive", name
+            assert (verdict.status, verdict.class_size) == ("stable-exhaustive", size), name
 
     def test_six_cycle_unstable_at_depth_one(self):
         verdict = check_stability(six_cycle_pair())
         assert verdict.status == "unstable"
-        assert len(verdict.witness_word) == 1
-        assert verdict.witness_path is not None
+        assert not verdict.stable
+        assert verdict.witness_word == (0,)
+        assert verdict.witness_path == (1, 2, 4)
+        assert verdict.depth == 1
+
+    def test_limit_is_not_stable(self):
+        verdict = check_stability(catalog.folding_pair("E6toF4").pair, max_nodes=5)
+        assert (verdict.status, verdict.class_size) == ("limit-exceeded", 5)
+        assert not verdict.stable
+
+    def test_indefinite_copies_overflow_at_456(self):
+        b = ((0, 2, 0), (-2, 0, 2), (0, -2, 0))
+        entries = [row + (0, 0, 0) for row in b] + [(0, 0, 0) + row for row in b]
+        pair = FoldingPair(ExchangeMatrix(entries), PermutationGroup(6, [(3, 4, 5, 0, 1, 2)]))
+        verdict = check_stability(pair)
+        assert (verdict.status, verdict.class_size) == ("overflow", 456)
+        assert not verdict.stable
 
     def test_six_cycle_witness_after_second_orbit(self):
         # mutating the orbit {2, 5} creates the directed 2-path 1 -> 3 -> 4
