@@ -49,6 +49,7 @@ from .folding import (
     is_automorphism_group,
     orbit_mutate_matrix,
     orbit_mutate_seed,
+    orbit_mutate_word,
     project_seed,
     project_vector,
     quotient_matrix,

@@ -23,7 +23,7 @@ from .folding import (
     NotAdmissibleError,
     PermutationGroup,
     check_stability,
-    orbit_mutate_seed,
+    orbit_mutate_word,
     quotient_matrix,
     quotient_symmetrizer,
     verify_commutation,
@@ -167,18 +167,12 @@ def _cmd_fold(args, report: _Report) -> int:
 def _cmd_orbit_mutate(args, report: _Report) -> int:
     pair = _load_pair(args)
     word = _parse_word(args.word) if args.word else ()
-    seed = initial_seed(pair.matrix)
-    current = pair
-    for idx in word:
-        if not 0 <= idx < pair.orbit_count:
-            raise ValueError(f"orbit index {idx + 1} out of range")
-        try:
-            seed = orbit_mutate_seed(current, seed, idx, check=False)
-        except NotAdmissibleError as exc:
-            report.add("status", "not-admissible")
-            report.add("witness", " -> ".join(str(v + 1) for v in exc.witness))
-            return EXIT_WITNESS
-        current = current.with_matrix(seed.matrix)
+    try:
+        seed, _ = orbit_mutate_word(pair, initial_seed(pair.matrix), word)
+    except NotAdmissibleError as exc:
+        report.add("status", "not-admissible")
+        report.add("witness", " -> ".join(str(v + 1) for v in exc.witness))
+        return EXIT_WITNESS
     report.add("word", " ".join(str(i + 1) for i in word) or "(empty)")
     _matrix_lines(report, seed.matrix)
     for i, poly in enumerate(seed.cluster):

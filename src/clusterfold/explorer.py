@@ -17,7 +17,7 @@ from operator import attrgetter
 from .exchange import ExchangeMatrix
 from .folding import FoldingPair, check_stability, quotient_matrix
 from .search import bfs
-from .seeds import Seed, enumerate_cluster_variables, initial_seed, mutate_seed
+from .seeds import enumerate_cluster_variables, initial_seed, mutate_seed, search_seeds
 
 
 @dataclass
@@ -120,8 +120,7 @@ def find_variable_by_denominator(matrix: ExchangeMatrix, target, max_seeds: int 
         x = seed.cluster[word[-1]]
         return x if x.denominator_vector() == target else None
 
-    search = bfs(start, range(matrix.n), mutate_seed, Seed.key, max_seeds,
-                 drain=True, on_new=new_variable_hit)
+    search = search_seeds(start, max_seeds, on_new=new_variable_hit)
     return (search.witness, search.word) if search.status == "witness" else None
 
 

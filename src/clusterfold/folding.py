@@ -186,9 +186,6 @@ class FoldingPair:
                 return idx
         raise IndexError(f"vertex {i} out of range")
 
-    def with_matrix(self, matrix: ExchangeMatrix) -> "FoldingPair":
-        return FoldingPair(matrix, self.group, self.name)
-
 
 def quotient_entries(matrix: ExchangeMatrix, orbits) -> tuple[tuple[int, ...], ...]:
     """Raw quotient entries b_{I,J} = sum over k in I of b[k][min J].
@@ -285,6 +282,29 @@ def orbit_mutate_seed(pair: FoldingPair, seed: Seed, orbit_index: int, check: bo
     return seed
 
 
+def orbit_mutate_word(pair: FoldingPair, seed: Seed, word) -> tuple[Seed, tuple | None]:
+    """Orbit-mutate a G-invariant seed of the pair along an orbit word.
+
+    Each step needs an admissible current matrix (else
+    NotAdmissibleError with its witness) and must leave a matrix the
+    group preserves (else ValueError).  The group's orbits do not depend
+    on the matrix, so the pair's orbits serve every step.  Returns the
+    final seed and the admissibility witness of its matrix (None when
+    admissible).
+    """
+    witness = pair._witness
+    for idx in word:
+        if not 0 <= idx < pair.orbit_count:
+            raise ValueError(f"orbit index {idx + 1} out of range")
+        if witness is not None:
+            raise NotAdmissibleError(witness)
+        seed = orbit_mutate_seed(pair, seed, idx, check=False)
+        if not is_automorphism_group(seed.matrix, pair.group):
+            raise ValueError("group generators must preserve the matrix")
+        witness = admissibility_witness(seed.matrix, pair.orbits)
+    return seed, witness
+
+
 def compose_orbit_mutations(matrix: ExchangeMatrix, orbits, orbit_index: int) -> ExchangeMatrix:
     """Plain composition of mutations over an orbit with no admissibility check.
 
@@ -369,19 +389,15 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
         quotient_seed = mutate_seed(quotient_seed, idx)
     # ambient side: orbit mutations, then project
     ambient = initial_seed(pair.matrix)
-    current = pair
-    for step, idx in enumerate(word):
-        if require_stable:
-            current.require_admissible()
-            ambient = orbit_mutate_seed(current, ambient, idx, check=False)
-            current = current.with_matrix(ambient.matrix)
-        else:
+    if require_stable:
+        ambient, witness = orbit_mutate_word(pair, ambient, word)
+        if witness is not None:
+            raise NotAdmissibleError(witness)
+        projected = project_seed(pair, ambient, check=False)
+    else:
+        for idx in word:
             for k in pair.orbits[idx]:
                 ambient = mutate_seed(ambient, k)
-    if require_stable:
-        current.require_admissible()
-        projected = project_seed(pair.with_matrix(ambient.matrix), ambient, check=False)
-    else:
         matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits), pair.orbit_labels())
         cluster = tuple(
             ambient.cluster[orbit[0]].project(pair.orbits) for orbit in pair.orbits

@@ -4,33 +4,78 @@ A Laurent polynomial in n variables is a finitely supported map from
 integer exponent vectors (length n, entries may be negative) to nonzero
 integer coefficients.  Coefficients are plain Python ints, so there is
 no overflow; all operations are exact.
+
+Packed exponents.  Each term's exponent vector e is stored as one Python
+int, its key
+
+    P(e) = sum over i of (e_i + 2**(w-1)) << (w * (n - 1 - i)),
+
+a biased field of w bits per variable with variable 1 in the most
+significant field.  While every field holds a value in [0, 2**w), that
+is |e_i| < 2**(w-1), no field spills into the next, so comparing two keys
+as integers compares their fields from variable 1 down: integer order on
+keys is lexicographic order on exponent vectors.  Rendering and the
+leading terms of :func:`divide_exact` therefore see the same order as on
+tuples.  P is affine on Z^n, so P(a + b) = P(a) + P(b) - P(0): a
+monomial product is one integer addition and a monomial quotient one
+subtraction.  Public signatures still take and return tuple exponents.
+
+The exponent-range rule.  A polynomial carries its field width w and an
+upper bound m on the magnitude of its exponents.  An operation works at
+the common width 16 only when both operands have it and the bounds keep
+every field it forms in range (|exponent| < 2**15: for a product or a
+quotient, m_1 + m_2 < 2**15).  Otherwise it repacks the operands at the
+first width of the ladder 16, 32, 64, ... that holds the bound, and
+packs the result at the first width that holds its exact largest
+exponent.  The width is thus a function of the polynomial alone, so
+equal polynomials have equal keys, and no field wraps for any exponent.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Mapping
+
+_WIDTH = 16  # the common field width; wider fields only for larger exponents
 
 
 class NotDivisibleError(ArithmeticError):
     """Raised by :func:`divide_exact` when the quotient is not a Laurent polynomial."""
 
 
+def _width(bound: int) -> int:
+    """The first field width of the ladder 16, 32, 64, ... holding |exponent| <= bound."""
+    w = _WIDTH
+    while bound >> (w - 1):
+        w *= 2
+    return w
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, w: int) -> tuple[tuple[int, ...], int, int]:
+    """(shifts, P(0), field mask) of n fields of w bits, variable 1 first."""
+    shifts = tuple(w * (n - 1 - i) for i in range(n))
+    half = 1 << (w - 1)
+    return shifts, sum(half << s for s in shifts), (1 << w) - 1
+
+
 class LaurentPolynomial:
     """An immutable Laurent polynomial with integer coefficients.
 
-    Terms are stored in a dict mapping exponent tuples to coefficients;
-    zero coefficients are never stored, so equality of the term maps is
-    equality of polynomials.  The canonical term order used for printing
-    and hashing is lexicographic on exponent vectors, largest first.
+    Terms are stored in a dict mapping packed exponent keys (see the
+    module docstring) to coefficients; zero coefficients are never
+    stored, and the field width is a function of the polynomial, so
+    equality of the term maps is equality of polynomials.  The canonical
+    term order used for printing is lexicographic on exponent vectors,
+    largest first, which is decreasing key order.
     """
 
-    __slots__ = ("n", "_terms", "_hash")
+    __slots__ = ("n", "_w", "_m", "_terms", "_box", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if n < 0:
             raise ValueError("variable count must be non-negative")
-        self.n = n
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -38,8 +83,52 @@ class LaurentPolynomial:
                     raise ValueError(f"exponent vector {exps} has wrong length (expected {n})")
                 if coeff != 0:
                     clean[tuple(exps)] = coeff
-        self._terms = clean
-        self._hash: int | None = None
+        bound = max((abs(e) for exps in clean for e in exps), default=0)
+        w = _width(bound)
+        self._set(n, w, bound, _packed(n, w, clean))
+
+    def _set(self, n: int, w: int, bound: int, terms: dict[int, int]) -> None:
+        self.n = n
+        self._w = w
+        self._m = bound
+        self._terms = terms
+        self._box = None
+        self._hash = None
+
+    @classmethod
+    def _from_keys(cls, n: int, w: int, bound: int, terms: dict[int, int]) -> "LaurentPolynomial":
+        """A polynomial from keys of its own (canonical) width w."""
+        poly = cls.__new__(cls)
+        poly._set(n, w, bound, terms)
+        return poly
+
+    @classmethod
+    def _result(cls, n: int, w: int, bound: int, terms: dict[int, int]) -> "LaurentPolynomial":
+        """An operation's result from keys of width w, where bound < 2**(w-1).
+
+        At the narrowest width that is already the canonical width; a
+        wider result is repacked at the width of its exact exponents.
+        """
+        if w == _WIDTH:
+            return cls._from_keys(n, w, bound, terms)
+        return cls(n, _unpacked(n, w, terms))
+
+    def _keys(self, w: int) -> dict[int, int]:
+        """The term map with keys at a width w no smaller than this one's."""
+        return self._terms if w == self._w else _packed(self.n, w, self.terms)
+
+    def _bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-variable minimal and maximal exponents (cached); needs a nonzero polynomial."""
+        if self._box is None:
+            shifts, _, mask = _layout(self.n, self._w)
+            half = 1 << (self._w - 1)
+            lo, hi = [], []
+            for s in shifts:
+                fields = [(key >> s) & mask for key in self._terms]
+                lo.append(min(fields) - half)
+                hi.append(max(fields) - half)
+            self._box = (tuple(lo), tuple(hi))
+        return self._box
 
     # -- constructors ------------------------------------------------
 
@@ -49,7 +138,9 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls, n: int) -> "LaurentPolynomial":
-        return cls(n, {(0,) * n: 1})
+        if n < 0:
+            raise ValueError("variable count must be non-negative")
+        return cls._from_keys(n, _WIDTH, 0, {_layout(n, _WIDTH)[1]: 1})
 
     @classmethod
     def constant(cls, n: int, c: int) -> "LaurentPolynomial":
@@ -73,7 +164,7 @@ class LaurentPolynomial:
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
-        return dict(self._terms)
+        return _unpacked(self.n, self._w, self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -91,11 +182,11 @@ class LaurentPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._w == other._w and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, tuple(sorted(self._terms.items()))))
+            self._hash = hash((self.n, self._w, frozenset(self._terms.items())))
         return self._hash
 
     # -- ring operations ---------------------------------------------
@@ -106,45 +197,60 @@ class LaurentPolynomial:
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_compatible(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            new = terms.get(exps, 0) + coeff
+        w = max(self._w, other._w)
+        terms = dict(self._keys(w))
+        for key, coeff in other._keys(w).items():
+            new = terms.get(key, 0) + coeff
             if new:
-                terms[exps] = new
+                terms[key] = new
             else:
-                terms.pop(exps, None)
-        return LaurentPolynomial(self.n, terms)
+                del terms[key]
+        return LaurentPolynomial._result(self.n, w, max(self._m, other._m), terms)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.n, {e: -c for e, c in self._terms.items()})
+        negated = {key: -c for key, c in self._terms.items()}
+        return LaurentPolynomial._from_keys(self.n, self._w, self._m, negated)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_compatible(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(e, 0) + c1 * c2
-                if new:
-                    terms[e] = new
-                else:
-                    terms.pop(e, None)
-        return LaurentPolynomial(self.n, terms)
+        bound = self._m + other._m
+        w = _width(bound)
+        a, b = self._keys(w), other._keys(w)
+        if len(a) < len(b):
+            a, b = b, a
+        zero = _layout(self.n, w)[1]
+        if len(b) == 1:
+            # a monomial factor: one key shift per term
+            ((key, coeff),) = b.items()
+            shift = key - zero
+            terms = {k + shift: c * coeff for k, c in a.items()}
+        else:
+            terms = {}
+            get = terms.get
+            shifted = [(key - zero, coeff) for key, coeff in b.items()]
+            for k1, c1 in a.items():
+                for shift, c2 in shifted:
+                    key = k1 + shift
+                    terms[key] = get(key, 0) + c1 * c2
+            for key in [key for key, c in terms.items() if not c]:
+                del terms[key]
+        return LaurentPolynomial._result(self.n, w, bound, terms)
 
     def __pow__(self, k: int) -> "LaurentPolynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = LaurentPolynomial.one(self.n)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return LaurentPolynomial.one(self.n) if result is None else result
 
     # -- structural operations ---------------------------------------
 
@@ -156,20 +262,23 @@ class LaurentPolynomial:
         """
         if not self._terms:
             raise ValueError("denominator vector of the zero polynomial is undefined")
-        mins = [min(e[i] for e in self._terms) for i in range(self.n)]
-        return tuple(-m for m in mins)
+        return tuple(-m for m in self._bounds()[0])
 
     def permute_variables(self, g: tuple[int, ...]) -> "LaurentPolynomial":
         """Relabel variables u_j -> u_{g[j]} for a permutation g of 0..n-1."""
         if len(g) != self.n:
             raise ValueError("permutation length mismatch")
+        if sorted(g) != list(range(self.n)):
+            raise ValueError(f"{tuple(g)} is not a permutation of the variable indices")
+        shifts, _, mask = _layout(self.n, self._w)
+        moves = [(s, shifts[gj]) for s, gj in zip(shifts, g)]
         terms = {}
-        for exps, coeff in self._terms.items():
-            new = [0] * self.n
-            for j, e in enumerate(exps):
-                new[g[j]] = e
-            terms[tuple(new)] = coeff
-        return LaurentPolynomial(self.n, terms)
+        for key, coeff in self._terms.items():
+            new = 0
+            for source, target in moves:
+                new |= ((key >> source) & mask) << target
+            terms[new] = coeff
+        return LaurentPolynomial._from_keys(self.n, self._w, self._m, terms)
 
     def project(self, orbits: Iterable[Iterable[int]]) -> "LaurentPolynomial":
         """Apply the orbit projection u_i -> v_{orbit of i}.
@@ -182,16 +291,23 @@ class LaurentPolynomial:
         covered = sorted(i for o in orbit_list for i in o)
         if covered != list(range(self.n)):
             raise ValueError("orbits must partition the variable indices")
-        m = len(orbit_list)
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self._terms.items():
-            e = tuple(sum(exps[i] for i in orbit) for orbit in orbit_list)
-            new = terms.get(e, 0) + coeff
-            if new:
-                terms[e] = new
-            else:
-                terms.pop(e, None)
-        return LaurentPolynomial(m, terms)
+        # each field moves, unbiased, to its orbit's field and adds there
+        size = len(orbit_list)
+        bound = self._m * max((len(o) for o in orbit_list), default=0)
+        w = _width(bound)
+        shifts, _, mask = _layout(self.n, self._w)
+        targets, zero, _ = _layout(size, w)
+        moves = [(shifts[i], t) for t, orbit in zip(targets, orbit_list) for i in orbit]
+        offset = zero - sum((1 << (self._w - 1)) << t for _, t in moves)
+        terms: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            new = offset
+            for source, target in moves:
+                new += ((key >> source) & mask) << target
+            terms[new] = terms.get(new, 0) + coeff
+        for key in [key for key, c in terms.items() if not c]:
+            del terms[key]
+        return LaurentPolynomial._result(size, w, bound, terms)
 
     # -- rendering and parsing ---------------------------------------
 
@@ -201,9 +317,10 @@ class LaurentPolynomial:
             return "0"
         if names is None:
             names = [f"u{i + 1}" for i in range(self.n)]
+        terms = self.terms
         pieces = []
-        for exps in sorted(self._terms, reverse=True):
-            coeff = self._terms[exps]
+        for exps in sorted(terms, reverse=True):
+            coeff = terms[exps]
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(names, exps)
@@ -224,6 +341,28 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.render()!r})"
+
+
+def _packed(n: int, w: int, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+    """The term map with exponent tuples as keys of width w."""
+    shifts, zero, _ = _layout(n, w)
+    packed = {}
+    for exps, coeff in terms.items():
+        key = zero
+        for e, s in zip(exps, shifts):
+            key += e << s
+        packed[key] = coeff
+    return packed
+
+
+def _unpacked(n: int, w: int, terms: dict[int, int]) -> dict[tuple[int, ...], int]:
+    """The term map with keys of width w as exponent tuples."""
+    shifts, _, mask = _layout(n, w)
+    half = 1 << (w - 1)
+    return {
+        tuple(((key >> s) & mask) - half for s in shifts): coeff
+        for key, coeff in terms.items()
+    }
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
@@ -273,7 +412,8 @@ def parse_polynomial(text: str, names: list[str]) -> LaurentPolynomial:
 def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
     """Return r with r*q == p exactly, or raise :class:`NotDivisibleError`.
 
-    Uses leading-term elimination in lexicographic order.  When the
+    Division by a monomial is one checked key shift per term.  Otherwise
+    it uses leading-term elimination in lexicographic order.  When the
     quotient exists, its support lies in the coordinatewise box
     [min(p)-min(q), max(p)-max(q)] because extreme terms of a product
     cannot cancel; any candidate term outside that box proves
@@ -282,36 +422,53 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     p._check_compatible(q)
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return LaurentPolynomial.zero(p.n)
     n = p.n
-    lo = tuple(
-        min(e[i] for e in p._terms) - min(e[i] for e in q._terms) for i in range(n)
-    )
-    hi = tuple(
-        max(e[i] for e in p._terms) - max(e[i] for e in q._terms) for i in range(n)
-    )
+    if p.is_zero():
+        return LaurentPolynomial.zero(n)
+    # Every remainder term stays in p's box and every candidate quotient
+    # term lies within p_m + q_m of the origin, so at this width no field
+    # of any key formed below leaves its range.
+    bound = p._m + q._m
+    w = _width(bound)
+    dividend, divisor = p._keys(w), q._keys(w)
+    shifts, zero, mask = _layout(n, w)
+    lead_q = max(divisor)
+    cq = divisor[lead_q]
+    quotient: dict[int, int] = {}
+    if len(divisor) == 1:
+        shift = lead_q - zero
+        for key, cp in dividend.items():
+            if cp % cq != 0:
+                raise NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
+            quotient[key - shift] = cp // cq
+        return LaurentPolynomial._result(n, w, bound, quotient)
+    (p_lo, p_hi), (q_lo, q_hi) = p._bounds(), q._bounds()
+    lo = tuple(a - b for a, b in zip(p_lo, q_lo))
+    hi = tuple(a - b for a, b in zip(p_hi, q_hi))
     if any(l > h for l, h in zip(lo, hi)):
         raise NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
-    lead_q = max(q._terms)
-    cq = q._terms[lead_q]
-    remainder = dict(p._terms)
-    quotient: dict[tuple[int, ...], int] = {}
+    half = 1 << (w - 1)
+    box = [(s, l + half, h + half) for s, l, h in zip(shifts, lo, hi)]
+    steps = [(key - lead_q, coeff) for key, coeff in divisor.items() if key != lead_q]
+    remainder = dict(dividend)
+    get = remainder.get
     while remainder:
         lead_p = max(remainder)
-        cp = remainder[lead_p]
+        cp = remainder.pop(lead_p)
         if cp % cq != 0:
             raise NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
-        t = tuple(a - b for a, b in zip(lead_p, lead_q))
-        if any(e < l or e > h for e, l, h in zip(t, lo, hi)):
-            raise NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
+        t = lead_p - lead_q + zero
+        for s, l, h in box:
+            if not l <= (t >> s) & mask <= h:
+                raise NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
         c = cp // cq
         quotient[t] = c
-        for eq, coeff_q in q._terms.items():
-            e = tuple(a + b for a, b in zip(t, eq))
-            new = remainder.get(e, 0) - c * coeff_q
+        for step, coeff_q in steps:
+            key = lead_p + step
+            new = get(key, 0) - c * coeff_q
             if new:
-                remainder[e] = new
+                remainder[key] = new
             else:
-                remainder.pop(e, None)
-    return LaurentPolynomial(n, quotient)
+                del remainder[key]
+    bound = max(max(-l, h) for l, h in zip(lo, hi))
+    return LaurentPolynomial._result(n, w, bound, quotient)

@@ -3,8 +3,15 @@
 A seed pairs an exchange matrix with a cluster of Laurent polynomials in
 the fixed initial variables u_1..u_n.  Every division performed during
 mutation must be exact (the Laurent phenomenon); a failed division is a
-library bug and raises LaurentPhenomenonError.  Enumeration runs on the
-BFS engine in :mod:`clusterfold.search`.
+library bug and raises LaurentPhenomenonError.  Enumeration and the
+denominator search run on the BFS engine in :mod:`clusterfold.search`
+through :func:`search_seeds`, which divides each exchange edge between
+admitted seeds once: mutation is an involution, so the way back along an
+edge already computed returns the seed it came from with no arithmetic.
+Every new cluster variable still comes from an exact, checked division.
+Reusing an edge relies on the assumption that the deduplication key
+:meth:`Seed.key` already makes: a cluster determines its seed, so the
+seed the search keeps for a cluster is the one the edge leads to.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .exchange import ExchangeMatrix
 from .laurent import LaurentPolynomial, NotDivisibleError, divide_exact
-from .search import bfs
+from .search import Search, bfs
 
 
 class LaurentPhenomenonError(RuntimeError):
@@ -133,6 +140,44 @@ def is_invariant_seed(seed: Seed, generators) -> bool:
     return all(permute_seed(g, seed) == seed for g in generators)
 
 
+def search_seeds(start: Seed, limit: int, *, max_depth: int | None = None,
+                 on_new=None, on_edge=None) -> Search:
+    """Drained BFS over seeds from ``start``, deduplicated by :meth:`Seed.key`,
+    that divides each exchange edge between admitted seeds once.
+
+    Mutation is an involution: when S' = mu_k(S) exchanges x for y,
+    mutating S' at y gives S back.  So after a division S -> S' whose
+    edge the engine admits (``on_edge``), the step remembers S under
+    (cluster of S', y) and returns it, with no arithmetic, when the
+    search expands S' at y.  A seed refused at the limit leaves nothing
+    behind.  ``on_new`` and ``on_edge`` are passed on to :func:`bfs`.
+    """
+    back: dict = {}  # (cluster set, variable) -> the seed that exchanging it returns to
+    last = None  # the latest division (source, target, k), until its edge is admitted
+
+    def step(seed, k):
+        nonlocal last
+        source = back.pop((seed.key(), seed.cluster[k]), None)
+        if source is not None:
+            last = None
+            return source
+        target = mutate_seed(seed, k)
+        last = (seed, target, k)
+        return target
+
+    def admit(source, target):
+        nonlocal last
+        if last is not None:
+            seed, new, k = last
+            back[new.key(), new.cluster[k]] = seed
+            last = None
+        if on_edge is not None:
+            on_edge(source, target)
+
+    return bfs(start, range(start.matrix.n), step, Seed.key, limit, drain=True,
+               max_depth=max_depth, on_new=on_new, on_edge=admit)
+
+
 @dataclass
 class EnumerationResult:
     """Outcome of a cluster-variable BFS."""
@@ -187,8 +232,7 @@ def enumerate_cluster_variables(
         if source != target:
             edge_set.add((min(source, target), max(source, target)))
 
-    search = bfs(start, range(matrix.n), mutate_seed, Seed.key, max_seeds,
-                 drain=True, max_depth=max_depth, on_new=record, on_edge=link)
+    search = search_seeds(start, max_seeds, max_depth=max_depth, on_new=record, on_edge=link)
     complete = search.status == "closed"
     if not complete and strict:
         raise LimitExceededError(

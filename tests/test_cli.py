@@ -183,6 +183,21 @@ class TestOrbitMutate:
         )
         assert code == 2
 
+    def test_inadmissible_step_is_a_witness(self, capsys):
+        code, out = run_cli(
+            capsys, "orbit-mutate", "--pair", "remark-stabilite", "--word", "2 1"
+        )
+        assert code == 1
+        assert out.splitlines() == ["status: not-admissible", "witness: 1 -> 3 -> 4", "exit: 1"]
+
+    def test_inadmissible_result_is_printed(self, capsys):
+        # only a step taken from an inadmissible matrix is refused
+        code, out = run_cli(
+            capsys, "orbit-mutate", "--pair", "remark-stabilite", "--word", "2"
+        )
+        assert code == 0
+        assert "word: 2" in out
+
 
 class TestEnumerate:
     def test_a3_has_nine_variables(self, capsys):

@@ -18,6 +18,7 @@ from clusterfold.folding import (
     is_automorphism_group,
     orbit_mutate_matrix,
     orbit_mutate_seed,
+    orbit_mutate_word,
     project_seed,
     project_vector,
     quotient_matrix,
@@ -231,8 +232,54 @@ class TestCommutation:
             assert verify_commutation(pair, word).ok, (name, word)
 
     def test_commutation_raises_on_unstable_prefix(self):
-        with pytest.raises(NotAdmissibleError):
+        with pytest.raises(NotAdmissibleError) as info:
             verify_commutation(six_cycle_pair(), (1, 0))
+        assert info.value.witness == (0, 2, 3)
+
+    def test_commutation_raises_on_inadmissible_result(self):
+        with pytest.raises(NotAdmissibleError) as info:
+            verify_commutation(six_cycle_pair(), (1,))
+        assert info.value.witness == (0, 2, 3)
+
+    def test_words_build_no_folding_pair(self, monkeypatch):
+        pair = catalog.folding_pair("E6toF4").pair
+        built = []
+        init = FoldingPair.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FoldingPair, "__init__", counted)
+        for word in [(0, 1, 2, 3), (3, 2, 1, 0, 1, 2), (1, 1, 2)]:
+            assert verify_commutation(pair, word).ok
+        assert built == []
+
+
+class TestOrbitMutateWord:
+    def test_matches_step_by_step(self):
+        pair = catalog.folding_pair("D4toG2").pair
+        word = (0, 1, 0, 1, 1)
+        expected = initial_seed(pair.matrix)
+        for idx in word:
+            expected = orbit_mutate_seed(pair, expected, idx)
+        assert orbit_mutate_word(pair, initial_seed(pair.matrix), word) == (expected, None)
+
+    def test_returns_the_witness_of_the_result(self):
+        pair = six_cycle_pair()
+        seed, witness = orbit_mutate_word(pair, initial_seed(pair.matrix), (1,))
+        assert seed.matrix == compose_orbit_mutations(pair.matrix, pair.orbits, 1)
+        assert witness == (0, 2, 3)
+
+    def test_inadmissible_step_raises_before_mutating(self):
+        with pytest.raises(NotAdmissibleError) as info:
+            orbit_mutate_word(six_cycle_pair(), initial_seed(six_cycle_pair().matrix), (1, 0))
+        assert info.value.witness == (0, 2, 3)
+
+    def test_orbit_index_out_of_range(self):
+        pair = a3_pair()
+        with pytest.raises(ValueError, match="orbit index 3 out of range"):
+            orbit_mutate_word(pair, initial_seed(A3), (0, 2))
 
 
 class TestNonStableGolden:

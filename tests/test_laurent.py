@@ -1,5 +1,7 @@
 """Exact Laurent-polynomial arithmetic: unit and property tests."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +188,247 @@ class TestRendering:
             parse_polynomial("u9", ["u1", "u2"])
         with pytest.raises(ValueError):
             parse_polynomial("", ["u1"])
+
+
+class TestPermuteRejectsNonPermutation:
+    def test_repeated_index(self):
+        with pytest.raises(ValueError):
+            (poly("u1", n=2) + poly("u2", n=2)).permute_variables((0, 0))
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError):
+            poly("u1", n=2).permute_variables((0, 2))
+
+
+class TestWideExponents:
+    def test_field_width_follows_the_exponents(self):
+        big = LaurentPolynomial.monomial((2**70, -3))
+        assert big.terms == {(2**70, -3): 1}
+        assert big.render(["x", "y"]) == f"x^{2**70}*y^-3"
+        back = big * LaurentPolynomial.monomial((-(2**70), 3))
+        assert back == LaurentPolynomial.one(2)
+        assert hash(back) == hash(LaurentPolynomial.one(2))
+
+    def test_field_boundary_is_exact(self):
+        # |exponent| 2**15 - 1 fits the narrowest field; their sum does not
+        edge = LaurentPolynomial.monomial((2**15 - 1, -(2**15 - 1))) + LaurentPolynomial.one(2)
+        square = edge * edge
+        assert square.terms == {
+            (2**16 - 2, -(2**16 - 2)): 1, (2**15 - 1, -(2**15 - 1)): 2, (0, 0): 1
+        }
+        assert divide_exact(square, edge) == edge
+        assert (square - edge * edge).is_zero()
+
+    def test_bounds_carry_through_products_and_quotients(self):
+        # (u1^(2**13)*u2^-1 + 1)^k crosses the narrowest field's range at k = 4
+        x = LaurentPolynomial.monomial((2**13, -1)) + LaurentPolynomial.one(2)
+        for k in range(5):
+            assert (x ** k).terms == {(2**13 * i, -i): comb(k, i) for i in range(k + 1)}
+        half = divide_exact(x ** 4, x ** 2)
+        assert half == x ** 2
+        assert half * half == x ** 4
+
+
+# -- differential tests against the tuple-keyed kernel -----------------
+
+
+class TupleLaurent:
+    """The tuple-keyed kernel the packed one replaced, kept as a reference."""
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c}
+
+    def __eq__(self, other):
+        return self.n == other.n and self.terms == other.terms
+
+    def _accumulate(self, pairs, n=None):
+        terms = {}
+        for e, c in pairs:
+            terms[e] = terms.get(e, 0) + c
+        return TupleLaurent(self.n if n is None else n, terms)
+
+    def __add__(self, other):
+        return self._accumulate(list(self.terms.items()) + list(other.terms.items()))
+
+    def __neg__(self):
+        return TupleLaurent(self.n, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return self._accumulate(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+
+    def __pow__(self, k):
+        result = TupleLaurent(self.n, {(0,) * self.n: 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def denominator_vector(self):
+        return tuple(-min(e[i] for e in self.terms) for i in range(self.n))
+
+    def permute_variables(self, g):
+        terms = {}
+        for exps, coeff in self.terms.items():
+            new = [0] * self.n
+            for j, e in enumerate(exps):
+                new[g[j]] = e
+            terms[tuple(new)] = coeff
+        return TupleLaurent(self.n, terms)
+
+    def project(self, orbits):
+        return self._accumulate(
+            ((tuple(sum(e[i] for i in o) for o in orbits), c) for e, c in self.terms.items()),
+            n=len(orbits),
+        )
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        pieces = []
+        for exps in sorted(self.terms, reverse=True):
+            coeff = self.terms[exps]
+            factors = [
+                f"u{i + 1}" if e == 1 else f"u{i + 1}^{e}" for i, e in enumerate(exps) if e != 0
+            ]
+            mag = abs(coeff)
+            body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+            if not pieces:
+                pieces.append(body if coeff > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        return " ".join(pieces)
+
+
+def tuple_divide_exact(p, q):
+    """The seed's leading-term division with the coordinatewise box check."""
+    if not p.terms:
+        return TupleLaurent(p.n)
+    n = p.n
+    lo = [min(e[i] for e in p.terms) - min(e[i] for e in q.terms) for i in range(n)]
+    hi = [max(e[i] for e in p.terms) - max(e[i] for e in q.terms) for i in range(n)]
+    if any(l > h for l, h in zip(lo, hi)):
+        raise NotDivisibleError("box")
+    lead_q = max(q.terms)
+    cq = q.terms[lead_q]
+    remainder = dict(p.terms)
+    quotient = {}
+    while remainder:
+        lead_p = max(remainder)
+        cp = remainder[lead_p]
+        t = tuple(a - b for a, b in zip(lead_p, lead_q))
+        if cp % cq or any(e < l or e > h for e, l, h in zip(t, lo, hi)):
+            raise NotDivisibleError("term")
+        c = cp // cq
+        quotient[t] = c
+        for eq, coeff_q in q.terms.items():
+            e = tuple(a + b for a, b in zip(t, eq))
+            new = remainder.get(e, 0) - c * coeff_q
+            if new:
+                remainder[e] = new
+            else:
+                remainder.pop(e)
+    return TupleLaurent(n, quotient)
+
+
+# Exponents straddle the narrowest field's range (|e| < 2**15) and go far
+# beyond it, so the widening and the repacking of results are exercised.
+EXPONENTS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**14, 2**15 - 1, -(2**15 - 1), 2**15, -(2**15), 2**40, -(2**63 - 1), 2**70]),
+)
+
+
+@st.composite
+def poly_pairs(draw, max_terms=4):
+    """(packed, reference) polynomials in n variables, n drawn once per example."""
+    n = draw(st.shared(st.integers(1, 3), key="n"))
+    terms = draw(st.dictionaries(
+        st.tuples(*[EXPONENTS] * n), st.integers(-4, 4), max_size=max_terms))
+    return LaurentPolynomial(n, terms), TupleLaurent(n, terms)
+
+
+def same(packed, reference):
+    """The packed result equals the reference and hashes like a fresh copy,
+    and so does its square, which relies on the exponent bound it carries."""
+    fresh = LaurentPolynomial(reference.n, reference.terms)
+    square = packed * packed
+    return (
+        packed.terms == reference.terms
+        and packed == fresh
+        and hash(packed) == hash(fresh)
+        and square.terms == (reference * reference).terms
+        and square == fresh * fresh
+    )
+
+
+DIFFERENTIAL = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestAgainstTupleKernel:
+    @given(poly_pairs(), poly_pairs())
+    @DIFFERENTIAL
+    def test_ring_operations(self, a, b):
+        (p, rp), (q, rq) = a, b
+        assert same(p + q, rp + rq)
+        assert same(p - q, rp - rq)
+        assert same(-p, -rp)
+        assert same(p * q, rp * rq)
+        assert (p == q) == (rp == rq)
+
+    @given(poly_pairs(max_terms=3), st.integers(0, 3))
+    @DIFFERENTIAL
+    def test_power(self, a, k):
+        p, rp = a
+        assert same(p ** k, rp ** k)
+
+    @given(poly_pairs(), poly_pairs(), st.booleans())
+    @DIFFERENTIAL
+    def test_divide_exact(self, a, b, exact):
+        (p, rp), (q, rq) = a, b
+        if q.is_zero():
+            return
+        if exact:
+            p, rp = p * q, rp * rq
+        try:
+            expected = tuple_divide_exact(rp, rq)
+        except NotDivisibleError:
+            with pytest.raises(NotDivisibleError):
+                divide_exact(p, q)
+            return
+        assert same(divide_exact(p, q), expected)
+
+    @given(poly_pairs(), st.tuples(*[EXPONENTS] * 3), st.integers(1, 3))
+    @DIFFERENTIAL
+    def test_divide_by_monomial(self, a, exps, coeff):
+        p, rp = a
+        exps = exps[:p.n]
+        q, rq = LaurentPolynomial(p.n, {exps: coeff}), TupleLaurent(p.n, {exps: coeff})
+        try:
+            expected = tuple_divide_exact(rp, rq)
+        except NotDivisibleError:
+            with pytest.raises(NotDivisibleError):
+                divide_exact(p, q)
+            return
+        assert same(divide_exact(p, q), expected)
+
+    @given(poly_pairs(), st.data())
+    @DIFFERENTIAL
+    def test_structure(self, a, data):
+        p, rp = a
+        n = p.n
+        g = tuple(data.draw(st.permutations(range(n))))
+        assert same(p.permute_variables(g), rp.permute_variables(g))
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        orbits = [tuple(i for i in range(n) if labels[i] == o) for o in sorted(set(labels))]
+        assert same(p.project(orbits), rp.project(orbits))
+        if rp.terms:
+            assert p.denominator_vector() == rp.denominator_vector()
+        assert p.render() == rp.render()
+        assert parse_polynomial(rp.render(), [f"u{i + 1}" for i in range(n)]) == p

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterfold import catalog, seeds
 from clusterfold.exchange import ExchangeMatrix
+from clusterfold.explorer import find_variable_by_denominator
 from clusterfold.laurent import LaurentPolynomial, parse_polynomial
 from clusterfold.seeds import (
     LimitExceededError,
@@ -178,3 +180,53 @@ class TestEnumeration:
         assert result.variable_count == 2
         assert result.cluster_count == 2
         assert result.dot_edges == [(0, 1)]
+
+
+class TestHugeEntries:
+    def test_exponents_past_64_bits_stay_exact(self):
+        seed = apply_mutation_word(initial_seed(ExchangeMatrix([[0, 2**63 - 1], [-1, 0]])), (1, 0))
+        assert [x.render() for x in seed.cluster] == [
+            "u1^9223372036854775806*u2^-1 + u1^-1 + u1^-1*u2^-1",
+            "u1^9223372036854775807*u2^-1 + u2^-1",
+        ]
+
+
+def counting_divisions(monkeypatch):
+    calls = []
+    divide = seeds.divide_exact
+
+    def counted(p, q):
+        calls.append(1)
+        return divide(p, q)
+
+    monkeypatch.setattr(seeds, "divide_exact", counted)
+    return calls
+
+
+class TestOneDivisionPerEdge:
+    @pytest.mark.parametrize("family, n, edges", [
+        ("A", 3, 21), ("A", 5, 330), ("B", 2, 6), ("D", 4, 100), ("G", 2, 8),
+    ])
+    def test_closed_enumeration(self, monkeypatch, family, n, edges):
+        calls = counting_divisions(monkeypatch)
+        result = enumerate_cluster_variables(catalog.dynkin(family, n))
+        assert result.complete
+        assert len(result.dot_edges) == edges
+        assert len(calls) == edges
+
+    def test_drained_affine_run(self, monkeypatch):
+        # every admitted edge once, plus one division per refused neighbour
+        calls = counting_divisions(monkeypatch)
+        matrix = catalog.folding_pair("D4t-A1t2").pair.matrix
+        result = enumerate_cluster_variables(matrix, max_seeds=450)
+        assert (result.variable_count, result.cluster_count, result.frontier) == (98, 450, 240)
+        assert len(result.dot_edges) == 1005
+        assert len(calls) == 1005 + 240
+        assert max(len(x.terms) for x in result.variables) == 133
+        assert all(x.is_positive() for x in result.variables)
+
+    def test_denominator_search_divides_each_edge_once(self, monkeypatch):
+        # the target is never found, so the search visits the whole A5 graph
+        calls = counting_divisions(monkeypatch)
+        assert find_variable_by_denominator(catalog.dynkin("A", 5), (9, 9, 9, 9, 9)) is None
+        assert len(calls) == 330
