@@ -199,7 +199,7 @@ def _cmd_enumerate(args, report: _Report) -> int:
 
 def _cmd_explore(args, report: _Report) -> int:
     matrix = _load_matrix(args)
-    outcome = explorer.mutation_class(matrix, args.limit, keep_members=False)
+    outcome = explorer.mutation_class(matrix, args.limit)
     report.add("verdict", outcome.verdict)
     report.add("size", outcome.size)
     if args.emit_dot:

@@ -150,9 +150,12 @@ class ExchangeMatrix:
         b_ij + (b_ik*|b_kj| + |b_ik|*b_kj)/2; the input is unmodified.
         The result carries this matrix's symmetrizer D, which mutation
         preserves (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), and is
-        checked against it: d_i*b'_ij == -d_j*b'_ji for all i <= j, else
-        :class:`NotSkewSymmetrizableError`.  Changed entries are
-        range-checked (:class:`EntryOverflowError`).
+        checked against it: d_i*b'_ij == -d_j*b'_ji for i <= j with both
+        rows rebuilt (row k and every row i with b_ik != 0), in ascending
+        order, else :class:`NotSkewSymmetrizableError`.  Every other pair
+        keeps both its entries, because b_ik == 0 iff b_ki == 0 in a matrix
+        that satisfies D, so the result satisfies D whenever this matrix
+        does.  Changed entries are range-checked (:class:`EntryOverflowError`).
         """
         n = self.n
         if not 0 <= k < n:
@@ -163,12 +166,14 @@ class ExchangeMatrix:
         positive = [(j, x) for j, x in enumerate(row_k) if x > 0]
         negative = [(j, x) for j, x in enumerate(row_k) if x < 0]
         rows = []
+        rebuilt = []
         for i, row in enumerate(b):
             bik = row[k]
             if i == k:
                 rows.append(tuple(-x for x in row))
             elif bik == 0:
                 rows.append(row)
+                continue
             else:
                 new = list(row)
                 new[k] = -bik
@@ -176,11 +181,12 @@ class ExchangeMatrix:
                 for j, bkj in positive if bik > 0 else negative:
                     new[j] = _check_entry(row[j] + weight * bkj)
                 rows.append(tuple(new))
+            rebuilt.append(i)
         d = self._symmetrizer
-        for i in range(n):
+        for a, i in enumerate(rebuilt):
             di = d[i]
             row = rows[i]
-            for j in range(i, n):
+            for j in rebuilt[a:]:
                 if di * row[j] != -d[j] * rows[j][i]:
                     raise NotSkewSymmetrizableError((i, j))
         child = object.__new__(ExchangeMatrix)

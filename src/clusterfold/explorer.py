@@ -2,19 +2,21 @@
 
 Every search here runs on the engine in :mod:`clusterfold.search`.
 Mutation classes use labeled-matrix identity: two matrices are the same
-class member only when equal entrywise.  Finite verdicts are re-verified
-by a full neighbor sweep over the closed set.  The sweep is the
-independent route: the BFS mutates matrices that carry their parent's
-symmetrizer, while the sweep rebuilds every member from its entries
-through the validating constructor, which re-derives D.
+class member only when equal entrywise.  A finite verdict is checked
+twice.  The search must report n lookups per member, each a hit or an
+admitted node, so every neighbour of every member was found in the
+class.  And every member's symmetrizer is re-derived from its entries by
+:func:`find_symmetrizer` and must equal the one the BFS carried through
+mutation: that is the independent route to D.
 """
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .exchange import ExchangeMatrix
+from .exchange import ExchangeMatrix, find_symmetrizer
 from .folding import FoldingPair, check_stability, quotient_matrix
 from .search import bfs
 from .seeds import enumerate_cluster_variables, initial_seed, mutate_seed, search_seeds
@@ -25,42 +27,46 @@ class MutationClassReport:
     """Outcome of a matrix mutation-class BFS.
 
     verdict is "finite", "limit-exceeded" or "overflow"; size counts
-    distinct labeled matrices visited.
+    distinct labeled matrices visited; members holds their entries when
+    the verdict is finite.
     """
 
     verdict: str
     size: int
     limit: int
-    members: frozenset | None = None
+    members: KeysView | None = None
 
     @property
     def finite(self) -> bool:
         return self.verdict == "finite"
 
 
-def mutation_class(
-    matrix: ExchangeMatrix, limit: int = 10_000, keep_members: bool = True
-) -> MutationClassReport:
+def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClassReport:
     """BFS over all single-vertex mutations, deduplicated entrywise."""
     n = matrix.n
-    search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit)
-    if search.status != "closed":
-        return MutationClassReport(search.status, len(search.visited), limit)
+    lookups = 0
+
+    def count_lookup(source, target):
+        nonlocal lookups
+        lookups += 1
+
+    search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit,
+                 on_edge=count_lookup)
     visited = search.visited
-    # closure sweep: every neighbor of every member must already be a member
+    if search.status != "closed":
+        return MutationClassReport(search.status, len(visited), limit)
+    if lookups != n * len(visited):
+        raise AssertionError("mutation-class BFS missed a neighbour lookup")
+    d = matrix.symmetrizer
     for entries in visited:
-        member = ExchangeMatrix(entries)
-        for k in range(n):
-            if member.mutate(k).entries not in visited:
-                raise AssertionError("mutation-class closure sweep failed")
-    return MutationClassReport(
-        "finite", len(visited), limit, members=frozenset(visited) if keep_members else None
-    )
+        if find_symmetrizer(entries) != d:
+            raise AssertionError("class member's symmetrizer differs from the carried one")
+    return MutationClassReport("finite", len(visited), limit, members=visited.keys())
 
 
 def is_mutation_finite(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClassReport:
     """Finiteness verdict for Mut(B) within the node limit."""
-    return mutation_class(matrix, limit, keep_members=False)
+    return mutation_class(matrix, limit)
 
 
 @dataclass
@@ -81,14 +87,14 @@ def verify_monotonicity_chain(pair: FoldingPair, limit: int = 10_000) -> Monoton
     ambient class may hit the limit, in which case its visited count is
     a lower bound and the right inequality is checked against it.
     """
-    quotient = mutation_class(quotient_matrix(pair), limit, keep_members=False)
+    quotient = mutation_class(quotient_matrix(pair), limit)
     orbit = check_stability(pair, limit)
     if not quotient.finite or not orbit.stable:
         raise ValueError(
             f"quotient/orbit classes must close within the limit "
             f"(got {quotient.verdict}/{orbit.status})"
         )
-    ambient = mutation_class(pair.matrix, limit, keep_members=False)
+    ambient = mutation_class(pair.matrix, limit)
     holds = quotient.size <= orbit.class_size and orbit.class_size <= ambient.size
     return MonotonicityReport(
         quotient.size, orbit.class_size, ambient.size, ambient.finite, holds

@@ -168,6 +168,7 @@ class FoldingPair:
         self.orbits = group.orbits()
         self._witness = admissibility_witness(matrix, self.orbits)
         self.admissible = self._witness is None
+        self._quotient: ExchangeMatrix | None = None
 
     @property
     def orbit_count(self) -> int:
@@ -211,9 +212,13 @@ def quotient_entries(matrix: ExchangeMatrix, orbits) -> tuple[tuple[int, ...], .
 
 
 def quotient_matrix(pair: FoldingPair) -> ExchangeMatrix:
-    """The folded exchange matrix of an admissible pair."""
+    """The folded exchange matrix of an admissible pair, built once per pair."""
     pair.require_admissible()
-    return ExchangeMatrix(quotient_entries(pair.matrix, pair.orbits), pair.orbit_labels())
+    if pair._quotient is None:
+        pair._quotient = ExchangeMatrix(
+            quotient_entries(pair.matrix, pair.orbits), pair.orbit_labels()
+        )
+    return pair._quotient
 
 
 def quotient_symmetrizer(pair: FoldingPair) -> tuple[int, ...]:
@@ -235,41 +240,10 @@ def quotient_symmetrizer(pair: FoldingPair) -> tuple[int, ...]:
     return delta
 
 
-def _orbit_mutate_closed_form(matrix: ExchangeMatrix, orbit) -> tuple[tuple[int, ...], ...]:
-    """b'_ij = -b_ij if i or j in the orbit, else b_ij + sum over the orbit
-    of the usual path contribution; valid when the orbit is mutually
-    non-adjacent (admissibility)."""
-    b = matrix.entries
-    n = matrix.n
-    members = set(orbit)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i in members or j in members:
-                row.append(-b[i][j])
-            else:
-                row.append(
-                    b[i][j]
-                    + sum(
-                        (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
-                        for k in orbit
-                    )
-                )
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def orbit_mutate_matrix(pair: FoldingPair, orbit_index: int) -> ExchangeMatrix:
-    """Compose the mutations of one orbit; cross-checked against the closed form."""
+    """Compose the mutations of one orbit of an admissible pair."""
     pair.require_admissible()
-    orbit = pair.orbits[orbit_index]
-    result = pair.matrix
-    for k in orbit:
-        result = result.mutate(k)
-    if result.entries != _orbit_mutate_closed_form(pair.matrix, orbit):
-        raise AssertionError("orbit mutation disagrees with its closed form")
-    return result
+    return compose_orbit_mutations(pair.matrix, pair.orbits, orbit_index)
 
 
 def orbit_mutate_seed(pair: FoldingPair, seed: Seed, orbit_index: int, check: bool = True) -> Seed:
@@ -308,8 +282,9 @@ def orbit_mutate_word(pair: FoldingPair, seed: Seed, word) -> tuple[Seed, tuple 
 def compose_orbit_mutations(matrix: ExchangeMatrix, orbits, orbit_index: int) -> ExchangeMatrix:
     """Plain composition of mutations over an orbit with no admissibility check.
 
-    Used to reproduce what happens on non-stable pairs; the members are
-    taken in ascending order.
+    Callers that need admissibility check it themselves; on non-stable
+    pairs this reproduces what happens without it.  The members are taken
+    in ascending order.
     """
     for k in orbits[orbit_index]:
         matrix = matrix.mutate(k)

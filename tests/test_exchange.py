@@ -96,6 +96,34 @@ def fraction_symmetrizer(entries) -> tuple[int, ...]:
     return tuple(int(x) for x in d)
 
 
+def full_check_mutate(matrix, k):
+    """Reference: the mutation kernel that checks every pair i <= j against
+    the carried D, not only the pairs of rebuilt rows."""
+    n = matrix.n
+    b = matrix.entries
+    positive = [(j, x) for j, x in enumerate(b[k]) if x > 0]
+    negative = [(j, x) for j, x in enumerate(b[k]) if x < 0]
+    rows = []
+    for i, row in enumerate(b):
+        bik = row[k]
+        if i == k:
+            rows.append(tuple(-x for x in row))
+        elif bik == 0:
+            rows.append(row)
+        else:
+            new = list(row)
+            new[k] = -bik
+            for j, bkj in positive if bik > 0 else negative:
+                new[j] = row[j] + abs(bik) * bkj
+            rows.append(tuple(new))
+    d = matrix.symmetrizer
+    for i in range(n):
+        for j in range(i, n):
+            if d[i] * rows[i][j] != -d[j] * rows[j][i]:
+                raise NotSkewSymmetrizableError((i, j))
+    return tuple(rows), matrix.labels, d
+
+
 def symmetrizer_or_witness(function, entries):
     try:
         return function(entries)
@@ -245,6 +273,16 @@ class TestMutation:
         with pytest.raises(NotSkewSymmetrizableError) as exc:
             m.mutate(0)
         assert exc.value.witness == (0, 1)
+
+    @given(skew_symmetrizable_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_check_reference(self, m):
+        labelled = ExchangeMatrix(m.entries, tuple("abcde"[: m.n]))
+        for k in range(m.n):
+            mutated = labelled.mutate(k)
+            assert (mutated.entries, mutated.labels, mutated.symmetrizer) == (
+                full_check_mutate(labelled, k)
+            )
 
     @given(skew_symmetrizable_matrices())
     @settings(max_examples=100, deadline=None)

@@ -13,7 +13,7 @@ from clusterfold.explorer import (
 )
 from clusterfold.laurent import parse_polynomial
 from clusterfold.seeds import LimitExceededError
-from clusterfold import catalog, cli
+from clusterfold import catalog, cli, explorer
 from clusterfold.folding import FoldingPair, PermutationGroup, check_stability, quotient_matrix
 
 A3 = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
@@ -46,6 +46,38 @@ class TestMutationClass:
         report = mutation_class(A3, limit=5)
         assert report.verdict == "limit-exceeded"
         assert report.size == 5
+
+    @pytest.mark.parametrize(
+        "name, size", [("A5toC3", 1_980), ("hexagontoK2", 12_000), ("E6toF4", 42_840)]
+    )
+    def test_closed_class_makes_one_mutation_per_lookup(self, monkeypatch, name, size):
+        matrix = catalog.folding_pair(name).pair.matrix
+        calls = 0
+        mutate = ExchangeMatrix.mutate
+
+        def counting_mutate(self, k):
+            nonlocal calls
+            calls += 1
+            return mutate(self, k)
+
+        monkeypatch.setattr(ExchangeMatrix, "mutate", counting_mutate)
+        report = mutation_class(matrix, limit=50_000)
+        assert (report.verdict, report.size) == ("finite", size)
+        assert calls == matrix.n * size  # A5toC3: 9,900
+
+    def test_member_symmetrizer_is_rederived(self, monkeypatch):
+        # B2's class is {B, mu_1(B)}, both with D = (1, 2); a wrong D
+        # re-derived for the mutated member must fail the finite verdict
+        b2 = ExchangeMatrix([[0, -2], [1, 0]])
+        flipped = b2.mutate(0).entries
+        find_symmetrizer = explorer.find_symmetrizer
+
+        def corrupted(entries):
+            return (2, 1) if entries == flipped else find_symmetrizer(entries)
+
+        monkeypatch.setattr(explorer, "find_symmetrizer", corrupted)
+        with pytest.raises(AssertionError):
+            mutation_class(b2)
 
 
 class TestOrbitMutationClass:

@@ -41,6 +41,43 @@ def six_cycle_pair():
     return catalog.folding_pair("remark-stabilite").pair
 
 
+def catalog_pairs():
+    """Every catalog pair; the parametric families at their two smallest ranks."""
+    for name in catalog.list_names():
+        if name.endswith("(n)"):
+            family = name[: -len("(n)")]
+            smallest = catalog._PARAMETRIC[family][1]
+            for n in (smallest, smallest + 1):
+                yield catalog.folding_pair(family, n).pair
+        else:
+            yield catalog.folding_pair(name).pair
+
+
+def orbit_mutate_closed_form(matrix, orbit):
+    """Reference: b'_ij = -b_ij if i or j is in the orbit, else b_ij plus the
+    usual path contribution summed over the orbit; valid when the orbit is
+    mutually non-adjacent (admissibility)."""
+    b = matrix.entries
+    n = matrix.n
+    members = set(orbit)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i in members or j in members:
+                row.append(-b[i][j])
+            else:
+                row.append(
+                    b[i][j]
+                    + sum(
+                        (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+                        for k in orbit
+                    )
+                )
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 class TestPermutationGroup:
     def test_orbits(self):
         group = PermutationGroup(3, [SWAP13])
@@ -101,13 +138,19 @@ class TestAdmissibility:
         m = ExchangeMatrix([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
         pair = FoldingPair(m, PermutationGroup(3, [(1, 2, 0)]))
         assert not pair.admissible
-        with pytest.raises(NotAdmissibleError):
-            quotient_matrix(pair)
+        for _ in range(2):
+            with pytest.raises(NotAdmissibleError) as exc:
+                quotient_matrix(pair)
+            assert exc.value.witness == (0, 1)
 
 
 class TestQuotients:
     def test_a3_quotient(self):
         assert quotient_matrix(a3_pair()).entries == ((0, -2), (1, 0))
+
+    def test_quotient_built_once_per_pair(self):
+        pair = a3_pair()
+        assert quotient_matrix(pair) is quotient_matrix(pair)
 
     def test_kronecker_square(self):
         entry = catalog.folding_pair("squaretoK2")
@@ -146,6 +189,17 @@ class TestOrbitMutation:
         # composing the two commuting vertex mutations by hand
         expected = pair.matrix.mutate(0).mutate(3)
         assert mutated == expected
+
+    def test_matches_closed_form_on_every_catalog_orbit(self):
+        checked = 0
+        for pair in catalog_pairs():
+            if not pair.admissible:
+                continue
+            for idx, orbit in enumerate(pair.orbits):
+                mutated = orbit_mutate_matrix(pair, idx)
+                assert mutated.entries == orbit_mutate_closed_form(pair.matrix, orbit)
+                checked += 1
+        assert checked > 50
 
     def test_order_independence(self):
         for name in ["A3toB2", "D4toG2", "D4t-A1t2", "E6toF4"]:
