@@ -202,9 +202,6 @@ def _cmd_explore(args, report: _Report) -> int:
     outcome = explorer.mutation_class(matrix, args.limit)
     report.add("verdict", outcome.verdict)
     report.add("size", outcome.size)
-    if args.emit_dot:
-        _write_file(args.emit_dot, explorer.exchange_graph_dot(matrix, args.limit))
-        report.add("dot", args.emit_dot)
     if outcome.verdict == "limit-exceeded":
         return EXIT_LIMIT
     return EXIT_OK if outcome.finite else EXIT_WITNESS
@@ -387,7 +384,7 @@ def _cmd_verify(args, report: _Report) -> int:
 # parser
 
 
-def _add_common(parser, matrix=True, group=False, pair=True, word=False):
+def _add_common(parser, matrix=True, group=False, pair=True, word=False, dot=False):
     if matrix:
         parser.add_argument("--matrix", help="matrix file (see io module format)")
     if group:
@@ -399,7 +396,8 @@ def _add_common(parser, matrix=True, group=False, pair=True, word=False):
         parser.add_argument("--word", help="1-based mutation word, e.g. '1 2 1'")
     parser.add_argument("--limit", type=int, default=100_000, help="node/seed limit")
     parser.add_argument("--depth", type=int, default=4, help="word depth where applicable")
-    parser.add_argument("--emit-dot", help="write a DOT rendering to this file")
+    if dot:
+        parser.add_argument("--emit-dot", help="write a DOT rendering to this file")
     parser.add_argument("--json", action="store_true", help="JSON output")
     parser.add_argument("--expect-fail", action="store_true",
                         help="swap exit codes 0 and 1 (expected counterexamples)")
@@ -417,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mutate)
 
     p = sub.add_parser("fold", help="quotient matrix of a folding pair")
-    _add_common(p, group=True)
+    _add_common(p, group=True, dot=True)
     p.set_defaults(func=_cmd_fold)
 
     p = sub.add_parser("orbit-mutate", help="orbit-mutate the initial seed")
@@ -425,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orbit_mutate)
 
     p = sub.add_parser("enumerate", help="enumerate all cluster variables")
-    _add_common(p)
+    _add_common(p, dot=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("explore", help="matrix mutation-class BFS")

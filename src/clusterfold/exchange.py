@@ -108,7 +108,8 @@ class ExchangeMatrix:
     (minimal, per-component normalised) symmetrizer are derived from the
     entries.  :meth:`mutate` does not re-derive it: mutation preserves D
     and the component partition, so the child carries the parent's D and
-    is checked against it in integers instead.
+    is checked against it in integers instead.  :meth:`from_symmetrizer`
+    does the same for derived entries whose D the caller knows.
     """
 
     __slots__ = ("n", "entries", "labels", "_symmetrizer")
@@ -195,6 +196,30 @@ class ExchangeMatrix:
         child.labels = self.labels
         child._symmetrizer = d
         return child
+
+    @classmethod
+    def from_symmetrizer(cls, entries, labels: tuple[str, ...], symmetrizer) -> "ExchangeMatrix":
+        """An n x n matrix of int rows checked against a known symmetrizer D.
+
+        For matrices derived from a validated one whose D is known, such as
+        the projection of a seed onto a quotient's mutation class: every
+        entry is range-checked (:class:`EntryOverflowError`) and
+        d_i*b_ij == -d_j*b_ji is checked in integers for i <= j, in
+        ascending order, else :class:`NotSkewSymmetrizableError`.  D is
+        carried as given, not re-derived.
+        """
+        rows = tuple(entries)
+        for i, row in enumerate(rows):
+            di = symmetrizer[i]
+            for j in range(i, len(rows)):
+                if di * _check_entry(row[j]) != -symmetrizer[j] * _check_entry(rows[j][i]):
+                    raise NotSkewSymmetrizableError((i, j))
+        matrix = object.__new__(cls)
+        matrix.n = len(rows)
+        matrix.entries = rows
+        matrix.labels = tuple(labels)
+        matrix._symmetrizer = tuple(symmetrizer)
+        return matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):

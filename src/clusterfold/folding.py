@@ -7,6 +7,16 @@ length at most two; admissibility makes orbit mutation well defined and
 the quotient matrix skew-symmetrizable.  Stability (every member of the
 orbit-mutation class stays admissible) and group closure run on the BFS
 engine in :mod:`clusterfold.search`.
+
+:func:`verify_commutation` shares work between words through the pair's
+orbit-seed graph.  Its nodes are keyed by both labeled seeds that a word w
+reaches, (mu_w^G S0, mu_w Q0), under exact :class:`Seed` equality; an
+edge is one orbit mutation upstairs and one mutation downstairs, computed
+the first time a word crosses it, and a node is projected and compared
+once.  So every check still runs, once per edge or node instead of once
+per word, and a word that reaches a known ambient seed with a different
+quotient seed lands on a new node: that is how a mismatch shows.  The
+graph lives as long as the pair and grows with the distinct nodes reached.
 """
 
 from __future__ import annotations
@@ -169,6 +179,7 @@ class FoldingPair:
         self._witness = admissibility_witness(matrix, self.orbits)
         self.admissible = self._witness is None
         self._quotient: ExchangeMatrix | None = None
+        self._orbit_seeds: OrbitSeedGraph | None = None
 
     @property
     def orbit_count(self) -> int:
@@ -300,12 +311,18 @@ def project_seed(pair: FoldingPair, seed: Seed, check: bool = True) -> Seed:
     """Projection of a G-invariant seed onto the quotient.
 
     Each orbit contributes the projection of any representative entry;
-    well-definedness over the orbit is asserted.
+    well-definedness over the orbit is asserted.  The projected matrix is
+    checked in integers against the symmetrizer D of the pair's quotient
+    matrix (validated once per pair) and carries it, else
+    NotSkewSymmetrizableError: every matrix of the quotient's mutation
+    class has that D, because mutation preserves it.
     """
-    pair.require_admissible()
+    quotient = quotient_matrix(pair)
     if check and not is_invariant_seed(seed, pair.group.generators):
         raise NotInvariantError("projection requires a G-invariant seed")
-    matrix = ExchangeMatrix(quotient_entries(seed.matrix, pair.orbits), pair.orbit_labels())
+    matrix = ExchangeMatrix.from_symmetrizer(
+        quotient_entries(seed.matrix, pair.orbits), quotient.labels, quotient.symmetrizer
+    )
     cluster = []
     for orbit in pair.orbits:
         images = {seed.cluster[i].project(pair.orbits) for i in orbit}
@@ -338,6 +355,68 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
     return StabilityVerdict(status, search.depth, size)
 
 
+class _OrbitSeedNode:
+    """The labeled pair (mu_w^G S0, mu_w Q0) that an orbit word w reaches."""
+
+    __slots__ = ("ambient", "quotient", "witness", "children", "verdict")
+
+    def __init__(self, ambient: Seed, quotient: Seed, witness):
+        self.ambient = ambient
+        self.quotient = quotient
+        self.witness = witness  # admissibility witness of ambient.matrix, None when admissible
+        self.children: dict[int, _OrbitSeedNode] = {}  # orbit index -> node
+        self.verdict: tuple[bool, Seed] | None = None  # (ok, projected seed), on first use
+
+
+class OrbitSeedGraph:
+    """The part of a stable-pair check's orbit-seed graph that words have reached.
+
+    ``nodes`` maps (ambient seed, quotient seed) to its node; the first
+    is the pair of initial seeds.  An edge is computed once, upstairs by
+    :func:`orbit_mutate_word` (automorphism and admissibility checks) and
+    downstairs by :func:`mutate_seed`; the child is then looked up by
+    equality, so words that reach the same pair share one node.
+    """
+
+    def __init__(self, pair: FoldingPair):
+        self.pair = pair
+        self.root = _OrbitSeedNode(
+            initial_seed(pair.matrix), initial_seed(quotient_matrix(pair)), pair._witness
+        )
+        self.nodes = {(self.root.ambient, self.root.quotient): self.root}
+
+    def walk(self, word) -> _OrbitSeedNode:
+        """The node a word of in-range orbit indices reaches; NotAdmissibleError
+        with the witness of the first inadmissible node it continues from or ends at."""
+        node = self.root
+        for idx in word:
+            if node.witness is not None:
+                raise NotAdmissibleError(node.witness)
+            child = node.children.get(idx)
+            if child is None:
+                child = node.children[idx] = self._step(node, idx)
+            node = child
+        if node.witness is not None:
+            raise NotAdmissibleError(node.witness)
+        return node
+
+    def _step(self, node: _OrbitSeedNode, idx: int) -> _OrbitSeedNode:
+        ambient, witness = orbit_mutate_word(self.pair, node.ambient, (idx,))
+        quotient = mutate_seed(node.quotient, idx)
+        key = (ambient, quotient)
+        child = self.nodes.get(key)
+        if child is None:
+            child = self.nodes[key] = _OrbitSeedNode(ambient, quotient, witness)
+        return child
+
+    def verdict(self, node: _OrbitSeedNode) -> tuple[bool, Seed]:
+        """(projection equals the quotient seed, projected seed), computed once per node."""
+        if node.verdict is None:
+            projected = project_seed(self.pair, node.ambient, check=False)
+            node.verdict = (projected == node.quotient, projected)
+        return node.verdict
+
+
 @dataclass
 class CommutationReport:
     ok: bool
@@ -351,25 +430,35 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
     """Compare plain mutation of the quotient seed against orbit mutation
     followed by projection, for one orbit word.
 
-    With ``require_stable`` the admissibility of every prefix is enforced
-    and a violation raises NotAdmissibleError; without it the comparison
-    proceeds regardless, which is how the known non-stable mismatch is
-    reproduced.
+    An orbit index out of range raises ValueError before any work.  With
+    ``require_stable`` the word is walked through the pair's
+    :class:`OrbitSeedGraph`: the admissibility of every prefix is enforced
+    (NotAdmissibleError with the witness of the first inadmissible node
+    the word continues from or ends at, on every call), and each orbit
+    step, mutation, projection and comparison is computed once per edge
+    or node the words reach, not once per word.  The node key is both
+    labeled seeds, so the result is the one a per-word computation
+    gives; memory grows with the distinct nodes reached.  Without
+    ``require_stable`` the word is computed from the initial seeds with no
+    check and nothing shared, which is how the known non-stable mismatch
+    is reproduced.
     """
     pair.require_admissible()
     word = tuple(word)
-    # quotient side: ordinary mutation in the folded algebra
-    quotient_seed = initial_seed(quotient_matrix(pair))
     for idx in word:
-        quotient_seed = mutate_seed(quotient_seed, idx)
-    # ambient side: orbit mutations, then project
-    ambient = initial_seed(pair.matrix)
+        if not 0 <= idx < pair.orbit_count:
+            raise ValueError(f"orbit index {idx + 1} out of range")
     if require_stable:
-        ambient, witness = orbit_mutate_word(pair, ambient, word)
-        if witness is not None:
-            raise NotAdmissibleError(witness)
-        projected = project_seed(pair, ambient, check=False)
+        if pair._orbit_seeds is None:
+            pair._orbit_seeds = OrbitSeedGraph(pair)
+        node = pair._orbit_seeds.walk(word)
+        quotient_seed = node.quotient
+        ok, projected = pair._orbit_seeds.verdict(node)
     else:
+        quotient_seed = initial_seed(quotient_matrix(pair))
+        for idx in word:
+            quotient_seed = mutate_seed(quotient_seed, idx)
+        ambient = initial_seed(pair.matrix)
         for idx in word:
             for k in pair.orbits[idx]:
                 ambient = mutate_seed(ambient, k)
@@ -378,7 +467,7 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
             ambient.cluster[orbit[0]].project(pair.orbits) for orbit in pair.orbits
         )
         projected = Seed(matrix, cluster)
-    ok = projected == quotient_seed
+        ok = projected == quotient_seed
     detail = "" if ok else "quotient-side and projected seeds differ"
     return CommutationReport(ok, word, quotient_seed, projected, detail)
 

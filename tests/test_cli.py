@@ -268,6 +268,21 @@ class TestExplore:
         assert code == 3
         assert "verdict: limit-exceeded" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--pair", "A3toB2"],
+        ["mutate", "--pair", "A3toB2", "--word", "1"],
+        ["orbit-mutate", "--pair", "A3toB2", "--word", "1"],
+        ["verify", "commutation", "--pair", "A3toB2"],
+    ])
+    def test_emit_dot_only_on_fold_and_enumerate(self, capsys, tmp_path, argv):
+        target = tmp_path / "graph.dot"
+        code = main(argv + ["--emit-dot", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unrecognized arguments: --emit-dot" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not target.exists()
+
 
 class TestCatalog:
     def test_list(self, capsys):

@@ -183,6 +183,33 @@ class TestConstruction:
     def test_overflow_rejected(self):
         with pytest.raises(EntryOverflowError):
             ExchangeMatrix([[0, 2**64], [-1, 0]])
+        with pytest.raises(EntryOverflowError):
+            ExchangeMatrix.from_symmetrizer(((0, 2**64), (-(2**64), 0)), ("1", "2"), (1, 1))
+
+    @given(skew_symmetrizable_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_from_symmetrizer_matches_the_constructor(self, m):
+        labels = tuple("abcde"[: m.n])
+        carried = ExchangeMatrix.from_symmetrizer(m.entries, labels, m.symmetrizer)
+        built = ExchangeMatrix(m.entries, labels)
+        assert (carried.entries, carried.labels, carried.symmetrizer) == (
+            built.entries, built.labels, built.symmetrizer)
+
+    @given(small_integer_matrices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_symmetrizer_reports_the_first_failing_pair(self, entries, data):
+        n = len(entries)
+        rows = tuple(tuple(row) for row in entries)
+        d = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        failing = [(i, j) for i in range(n) for j in range(i, n)
+                   if d[i] * rows[i][j] != -d[j] * rows[j][i]]
+        labels = tuple(str(i + 1) for i in range(n))
+        if failing:
+            with pytest.raises(NotSkewSymmetrizableError) as exc:
+                ExchangeMatrix.from_symmetrizer(rows, labels, d)
+            assert exc.value.witness == failing[0]
+        else:
+            assert ExchangeMatrix.from_symmetrizer(rows, labels, d).symmetrizer == d
 
 
 class TestSymmetrizer:

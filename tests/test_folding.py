@@ -1,8 +1,12 @@
 """Folding: groups, admissibility, quotients, orbit mutation, stability."""
 
+import itertools
+import random
+
 import pytest
 
-from clusterfold.exchange import ExchangeMatrix
+from clusterfold import folding
+from clusterfold.exchange import ExchangeMatrix, NotSkewSymmetrizableError
 from clusterfold.folding import (
     FoldingPair,
     NotAdmissibleError,
@@ -21,12 +25,13 @@ from clusterfold.folding import (
     orbit_mutate_word,
     project_seed,
     project_vector,
+    quotient_entries,
     quotient_matrix,
     quotient_symmetrizer,
     verify_commutation,
 )
 from clusterfold.laurent import parse_polynomial
-from clusterfold.seeds import initial_seed, mutate_seed
+from clusterfold.seeds import Seed, initial_seed, mutate_seed
 from clusterfold import catalog
 
 A3 = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
@@ -76,6 +81,32 @@ def orbit_mutate_closed_form(matrix, orbit):
                 )
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def commutation_per_word(pair, word):
+    """Reference: one word computed from the initial seeds, sharing nothing,
+    with the projected matrix validated by the constructor.  Returns
+    (ok, quotient-side seed, projected seed)."""
+    pair.require_admissible()
+    quotient_seed = initial_seed(quotient_matrix(pair))
+    for idx in word:
+        quotient_seed = mutate_seed(quotient_seed, idx)
+    ambient, witness = orbit_mutate_word(pair, initial_seed(pair.matrix), word)
+    if witness is not None:
+        raise NotAdmissibleError(witness)
+    matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits), pair.orbit_labels())
+    cluster = []
+    for orbit in pair.orbits:
+        images = {ambient.cluster[i].project(pair.orbits) for i in orbit}
+        assert len(images) == 1
+        cluster.append(images.pop())
+    projected = Seed(matrix, tuple(cluster))
+    return projected == quotient_seed, quotient_seed, projected
+
+
+def words_up_to(orbit_count, depth):
+    return [w for length in range(depth + 1)
+            for w in itertools.product(range(orbit_count), repeat=length)]
 
 
 class TestPermutationGroup:
@@ -235,6 +266,33 @@ class TestProjection:
         with pytest.raises(NotInvariantError):
             project_seed(pair, mutate_seed(initial_seed(A3), 0))
 
+    def test_projected_matrix_is_not_rebuilt_by_the_constructor(self, monkeypatch):
+        pair = catalog.folding_pair("E6toF4").pair
+        quotient = quotient_matrix(pair)
+        seed = orbit_mutate_word(pair, initial_seed(pair.matrix), (0, 2, 1))[0]
+        built = []
+        init = ExchangeMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExchangeMatrix, "__init__", counted)
+        projected = project_seed(pair, seed, check=False)
+        assert built == []
+        assert projected.matrix.symmetrizer == quotient.symmetrizer
+        assert projected.matrix.labels == quotient.labels
+
+    def test_projection_checked_against_the_quotient_symmetrizer(self):
+        # G-invariant, but outside the pair's mutation class: the quotient
+        # entries ((0, -4), (1, 0)) are skew-symmetrizable, with D = (1, 4)
+        # instead of the quotient's (1, 2)
+        pair = a3_pair()
+        seed = initial_seed(ExchangeMatrix([[0, -2, 0], [1, 0, 1], [0, -2, 0]]))
+        with pytest.raises(NotSkewSymmetrizableError) as exc:
+            project_seed(pair, seed)
+        assert exc.value.witness == (0, 1)
+
 
 class TestStability:
     def test_finite_pairs_stable(self):
@@ -308,6 +366,88 @@ class TestCommutation:
         for word in [(0, 1, 2, 3), (3, 2, 1, 0, 1, 2), (1, 1, 2)]:
             assert verify_commutation(pair, word).ok
         assert built == []
+
+
+class TestOrbitSeedGraph:
+    @pytest.mark.parametrize("name", ["A3toB2", "A5toC3", "D4toG2", "E6toF4", "D4t-A1t2", "D4t-G2t1"])
+    def test_matches_per_word_reference(self, name):
+        pair = catalog.folding_pair(name).pair
+        rng = random.Random(5)
+        words = words_up_to(pair.orbit_count, 5) + [
+            tuple(rng.randrange(pair.orbit_count) for _ in range(rng.randint(1, 10)))
+            for _ in range(100)
+        ]
+        for word in words:
+            report = verify_commutation(pair, word)
+            ok, quotient_side, projected_side = commutation_per_word(
+                catalog.folding_pair(name).pair, word
+            )
+            assert ok and report.ok, word
+            assert report.word == word
+            assert report.quotient_side == quotient_side, word
+            assert report.projected_side == projected_side, word
+            assert report.projected_side.matrix.symmetrizer == projected_side.matrix.symmetrizer
+
+    def test_injected_mismatch_fails_every_word_that_reaches_the_node(self, monkeypatch):
+        pair = catalog.folding_pair("A3toB2").pair
+        target = orbit_mutate_word(pair, initial_seed(pair.matrix), (0, 1))[0]
+        original = folding.project_seed
+
+        def corrupt(pair, seed, check=True):
+            projected = original(pair, seed, check)
+            if seed == target:
+                first = projected.cluster[0]
+                return Seed(projected.matrix, (first * first,) + projected.cluster[1:])
+            return projected
+
+        monkeypatch.setattr(folding, "project_seed", corrupt)
+        reaching = 0
+        for word in words_up_to(pair.orbit_count, 6):
+            ambient = orbit_mutate_word(pair, initial_seed(pair.matrix), word)[0]
+            assert verify_commutation(pair, word).ok == (ambient != target), word
+            reaching += ambient == target
+        assert reaching > 1
+
+    def test_inadmissible_node_raises_on_every_call(self):
+        pair = six_cycle_pair()
+        for word in [(1, 0), (1,), (1, 0), (1,), (1, 2, 2)]:
+            with pytest.raises(NotAdmissibleError) as info:
+                verify_commutation(pair, word)
+            assert info.value.witness == (0, 2, 3), word
+        assert verify_commutation(pair, ()).ok
+
+    def test_orbit_index_out_of_range_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work done before the range check")
+
+        monkeypatch.setattr(folding, "mutate_seed", forbidden)
+        monkeypatch.setattr(folding, "orbit_mutate_word", forbidden)
+        pair = a3_pair()
+        for word in [(0, 2), (-1,), (5, 0)]:
+            for require_stable in (True, False):
+                with pytest.raises(ValueError, match="out of range"):
+                    verify_commutation(pair, word, require_stable=require_stable)
+        assert pair._orbit_seeds is None
+
+    def test_each_edge_is_computed_once(self, monkeypatch):
+        calls = []
+        original = folding.mutate_seed
+
+        def counted(seed, k):
+            calls.append(k)
+            return original(seed, k)
+
+        monkeypatch.setattr(folding, "mutate_seed", counted)
+        pair = catalog.folding_pair("A3toB2").pair
+        words = words_up_to(pair.orbit_count, 6)
+        for word in words:
+            assert verify_commutation(pair, word).ok
+        graph = pair._orbit_seeds
+        assert len(graph.nodes) == 12
+        # one orbit mutation upstairs (a mutation per orbit member) and one downstairs
+        edges = [idx for node in graph.nodes.values() for idx in node.children]
+        assert len(calls) == sum(1 + len(pair.orbits[idx]) for idx in edges)
+        assert len(calls) < len(words)
 
 
 class TestOrbitMutateWord:
