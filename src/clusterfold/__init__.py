@@ -19,7 +19,6 @@ from .exchange import (
     classify,
     find_symmetrizer,
     from_valued_graph,
-    mutate_matrix,
     to_dot,
     to_valued_graph,
 )

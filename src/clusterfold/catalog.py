@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exchange import ExchangeMatrix, cartan_counterpart, classify
+from .exchange import ExchangeMatrix
 from .folding import FoldingPair, PermutationGroup
 
 
@@ -561,12 +561,3 @@ def folding_pair(name: str, n: int | None = None) -> CatalogEntry:
             raise ValueError(f"{name} needs a rank parameter (n >= {min_n})")
         return builder(n)
     raise KeyError(f"unknown catalog entry {name!r}")
-
-
-def quotient_diagram_name(entry: CatalogEntry) -> str | None:
-    """Classify the actual quotient of an entry (None for non-admissible pairs)."""
-    from .folding import quotient_matrix
-
-    if not entry.pair.admissible:
-        return None
-    return classify(cartan_counterpart(quotient_matrix(entry.pair))).name

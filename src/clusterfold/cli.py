@@ -28,7 +28,6 @@ from .folding import (
     quotient_symmetrizer,
     verify_commutation,
 )
-from .laurent import LaurentPolynomial
 from .seeds import LimitExceededError, apply_mutation_word, enumerate_cluster_variables, initial_seed
 
 EXIT_OK = 0
@@ -234,9 +233,15 @@ def _orbit_words(count: int, max_length: int):
         yield from itertools.product(range(count), repeat=length)
 
 
-def _verify_commutation(args, report: _Report) -> int:
-    pair = _load_pair(args)
-    verdict = check_stability(pair, max_nodes=args.limit)
+def _random_words(count: int, orbit_count: int):
+    rng = random.Random(0)
+    for _ in range(count):
+        yield tuple(rng.randrange(orbit_count) for _ in range(rng.randint(1, 10)))
+
+
+def _report_stability(report: _Report, pair: FoldingPair, limit: int, expect_stable: bool):
+    """Report check_stability's verdict; an exit code unless it is the expected one."""
+    verdict = check_stability(pair, max_nodes=limit)
     report.add("stability", verdict.status)
     if verdict.status in ("limit-exceeded", "overflow"):
         report.add("class size", verdict.class_size)
@@ -244,21 +249,24 @@ def _verify_commutation(args, report: _Report) -> int:
     if not verdict.stable:
         report.add("witness word", " ".join(str(i + 1) for i in verdict.witness_word))
         report.add("witness path", " -> ".join(str(v + 1) for v in verdict.witness_path))
-        return EXIT_WITNESS
+    if verdict.stable == expect_stable:
+        return None
+    if verdict.stable:
+        report.add("status", "counterexample-not-reproduced")
+    return EXIT_WITNESS
+
+
+def _verify_commutation(args, report: _Report) -> int:
+    pair = _load_pair(args)
+    code = _report_stability(report, pair, args.limit, expect_stable=True)
+    if code is not None:
+        return code
     checked = 0
-    for word in _orbit_words(pair.orbit_count, args.depth):
-        outcome = verify_commutation(pair, word)
+    words = itertools.chain(_orbit_words(pair.orbit_count, args.depth),
+                            _random_words(args.random_words, pair.orbit_count))
+    for word in words:
         checked += 1
-        if not outcome.ok:
-            report.add("status", "mismatch")
-            report.add("word", " ".join(str(i + 1) for i in word))
-            return EXIT_WITNESS
-    rng = random.Random(0)
-    for _ in range(args.random_words):
-        word = tuple(rng.randrange(pair.orbit_count) for _ in range(rng.randint(1, 10)))
-        outcome = verify_commutation(pair, word)
-        checked += 1
-        if not outcome.ok:
+        if not verify_commutation(pair, word).ok:
             report.add("status", "mismatch")
             report.add("word", " ".join(str(i + 1) for i in word))
             return EXIT_WITNESS
@@ -267,18 +275,10 @@ def _verify_commutation(args, report: _Report) -> int:
     return EXIT_OK
 
 
-def _verify_roots(args, report: _Report) -> int:
-    pair = _load_pair(args)
-    ok, witness = roots.verify_root_projection(pair)
-    report.add("status", "verified" if ok else "mismatch")
-    if not ok:
-        report.add("witness", witness)
-    return EXIT_OK if ok else EXIT_WITNESS
-
-
-def _verify_fibers(args, report: _Report) -> int:
-    pair = _load_pair(args)
-    ok, witness = roots.verify_fiber_orbits(pair)
+def _verify_root_lemma(args, report: _Report) -> int:
+    """``verify roots`` (root projection) and ``verify fibers`` (fiber orbits)."""
+    check = roots.verify_root_projection if args.target == "roots" else roots.verify_fiber_orbits
+    ok, witness = check(_load_pair(args))
     report.add("status", "verified" if ok else "mismatch")
     if not ok:
         report.add("witness", witness)
@@ -339,18 +339,10 @@ def _verify_affine_finiteness(args, report: _Report) -> int:
 def _verify_counterexamples(args, report: _Report) -> int:
     if args.case != "remark-stabilite":
         raise ValueError(f"unknown counterexample case {args.case!r}")
-    entry = catalog.folding_pair("remark-stabilite")
-    pair = entry.pair
-    verdict = check_stability(pair, max_nodes=args.limit)
-    report.add("stability", verdict.status)
-    if verdict.status in ("limit-exceeded", "overflow"):
-        report.add("class size", verdict.class_size)
-        return EXIT_LIMIT
-    if verdict.stable:
-        report.add("status", "counterexample-not-reproduced")
-        return EXIT_WITNESS
-    report.add("witness word", " ".join(str(i + 1) for i in verdict.witness_word))
-    report.add("witness path", " -> ".join(str(v + 1) for v in verdict.witness_path))
+    pair = catalog.folding_pair("remark-stabilite").pair
+    code = _report_stability(report, pair, args.limit, expect_stable=False)
+    if code is not None:
+        return code
     outcome = verify_commutation(pair, (1, 0), require_stable=False)
     report.add("commutation word", "2 1")
     report.add("commutation", "mismatch" if not outcome.ok else "agreement")
@@ -367,8 +359,8 @@ def _verify_counterexamples(args, report: _Report) -> int:
 
 _VERIFY_TARGETS = {
     "commutation": _verify_commutation,
-    "roots": _verify_roots,
-    "fibers": _verify_fibers,
+    "roots": _verify_root_lemma,
+    "fibers": _verify_root_lemma,
     "denominators": _verify_denominators,
     "finite-type-equality": _verify_finite_type_equality,
     "affine-finiteness": _verify_affine_finiteness,

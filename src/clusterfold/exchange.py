@@ -234,11 +234,6 @@ class ExchangeMatrix:
         return f"ExchangeMatrix([{rows}])"
 
 
-def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Functional alias for :meth:`ExchangeMatrix.mutate`."""
-    return matrix.mutate(k)
-
-
 def cartan_counterpart(matrix: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
     """The generalized Cartan matrix with 2 on the diagonal and -|b_ij| off it."""
     b = matrix.entries
@@ -380,8 +375,10 @@ def classify(cartan, name_diagram: bool = True) -> CartanType:
     """Classify a symmetrizable generalized Cartan matrix.
 
     Finite iff the symmetrized form is positive definite; Affine iff it
-    is positive semidefinite of corank 1; Indefinite otherwise.  Named
-    diagrams are matched by valued-graph isomorphism for rank <= 12.
+    is positive semidefinite of corank 1; Indefinite otherwise.  A Finite
+    or Affine diagram is named by one dict lookup of its canonical form
+    among the connected reference diagrams of its tag and rank in
+    :func:`catalog.named_cartan_matrices`; a disconnected one is unnamed.
     """
     sym = _symmetrize(cartan)
     definite, semidefinite, corank = _definiteness(sym)
@@ -392,40 +389,67 @@ def classify(cartan, name_diagram: bool = True) -> CartanType:
     else:
         tag = "Indefinite"
     name = None
-    if name_diagram and len(cartan) <= 12 and tag in ("Finite", "Affine"):
-        name = _match_named_diagram(tuple(tuple(row) for row in cartan), tag)
+    if name_diagram and tag != "Indefinite":
+        names = _named_forms(tag, len(cartan))
+        if names and _is_connected(cartan):
+            name = names.get(_canonical_form(cartan))
     return CartanType(tag, name)
 
 
-def _cartan_digraph(cartan):
-    import networkx as nx
+def _is_connected(cartan) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        for j, c in enumerate(cartan[stack.pop()]):
+            if c and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(cartan)
 
-    g = nx.DiGraph()
+
+def _canonical_form(cartan) -> tuple[tuple[int, ...], ...]:
+    """The least relabeled matrix over an individualization-refinement tree.
+
+    Colour refinement splits vertices by (colour, sorted neighbour (colour,
+    c_ij, c_ji)) signatures until stable; each vertex of the first
+    non-singleton cell is then individualized in turn (McKay-Piperno,
+    arXiv:1301.1493, without automorphism pruning).  Each discrete colouring
+    orders the vertices; the least matrix they give is the form, equal for
+    two matrices iff they differ by a simultaneous row and column
+    permutation.  A symmetric disconnected input costs up to n! leaves.
+    """
     n = len(cartan)
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and cartan[i][j] != 0:
-                g.add_edge(i, j, w=-cartan[i][j])
-    return g
+    neighbours = [[(j, row[j], cartan[j][i]) for j in range(n) if j != i and row[j]]
+                  for i, row in enumerate(cartan)]
+
+    def refine(colours):
+        while True:
+            signatures = [(colours[i], tuple(sorted((colours[j], a, b) for j, a, b in edges)))
+                          for i, edges in enumerate(neighbours)]
+            ranks = {s: r for r, s in enumerate(sorted(set(signatures)))}
+            refined = [ranks[s] for s in signatures]
+            if len(ranks) == len(set(colours)):
+                return refined
+            colours = refined
+
+    def leaves(colours):
+        cell = min((c for c in colours if colours.count(c) > 1), default=None)
+        if cell is None:
+            order = sorted(range(n), key=colours.__getitem__)
+            yield tuple(tuple(cartan[i][j] for j in order) for i in order)
+        for v in range(n):
+            if colours[v] == cell:
+                yield from leaves(refine([2 * c + (c == cell and u != v) for u, c in enumerate(colours)]))
+
+    return min(leaves(refine([0] * n)))
 
 
 @lru_cache(maxsize=None)
-def _named_catalog(tag: str):
-    """(name, cartan) reference diagrams of the given tag, ranks <= 12."""
+def _named_forms(tag: str, n: int) -> dict:
+    """Canonical form -> name of the reference diagrams of one tag and rank."""
     from . import catalog
 
-    return catalog.named_cartan_matrices(tag)
-
-
-def _match_named_diagram(cartan, tag: str) -> str | None:
-    import networkx as nx
-
-    target = _cartan_digraph(cartan)
-    for name, reference in _named_catalog(tag):
-        if len(reference) != len(cartan):
-            continue
-        ref = _cartan_digraph(reference)
-        if nx.is_isomorphic(target, ref, edge_match=lambda a, b: a["w"] == b["w"]):
-            return name
-    return None
+    names = {}
+    for name, reference in catalog.named_cartan_matrices(tag):
+        if len(reference) == n:
+            names.setdefault(_canonical_form(reference), name)
+    return names

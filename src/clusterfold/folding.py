@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from .exchange import ExchangeMatrix
 from .search import bfs
-from .seeds import Seed, initial_seed, is_invariant_seed, mutate_seed
+from .seeds import LimitExceededError, Seed, initial_seed, is_invariant_seed, mutate_seed
 
 GROUP_ORDER_CAP = 10_080
 
@@ -96,12 +96,12 @@ class PermutationGroup:
         return tuple(tuple(sorted(o)) for o in sorted(groups.values(), key=min))
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        """All group elements (BFS closure over generators), capped."""
+        """All group elements (BFS closure over generators), capped (LimitExceededError)."""
         if self._elements is None:
             search = bfs(tuple(range(self.n)), self.generators,
                          lambda h, g: compose(g, h), tuple, GROUP_ORDER_CAP)
             if search.status != "closed":
-                raise ValueError(f"group order exceeds the cap of {GROUP_ORDER_CAP}")
+                raise LimitExceededError(f"group order exceeds the cap of {GROUP_ORDER_CAP}")
             self._elements = tuple(sorted(search.visited))
         return self._elements
 

@@ -28,12 +28,7 @@ class LaurentPhenomenonError(RuntimeError):
 
 
 class LimitExceededError(RuntimeError):
-    """An enumeration hit its seed or depth limit before closing."""
-
-    def __init__(self, message: str, partial=None, frontier: int = 0):
-        super().__init__(message)
-        self.partial = partial
-        self.frontier = frontier
+    """A search or enumeration hit a limit before it could decide."""
 
 
 class Seed:
@@ -236,9 +231,7 @@ def enumerate_cluster_variables(
     complete = search.status == "closed"
     if not complete and strict:
         raise LimitExceededError(
-            f"enumeration exceeded limits after {len(search.visited)} seeds",
-            partial=variables,
-            frontier=search.refused,
+            f"enumeration exceeded limits after {len(search.visited)} seeds"
         )
     return EnumerationResult(
         variables=variables,

@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from clusterfold import cli, explorer, seeds
+from clusterfold import cli, explorer, folding, seeds
 from clusterfold.cli import main
 
 A3_FILE = """\
@@ -67,6 +67,10 @@ n = 6
 0 0 0 0 -2 0
 group: (1 4)(2 5)(3 6)
 """
+
+
+# S8 on eight isolated vertices: order 40,320, past the group-order cap
+S8_ON_ZERO_MATRIX = "n = 8\n" + "0 0 0 0 0 0 0 0\n" * 8 + "group: (1 2 3 4 5 6 7 8)\ngroup: (1 2)\n"
 
 
 def run_cli(capsys, *argv):
@@ -346,6 +350,43 @@ class TestVerify:
         assert "class size: 5" in out
         assert "verified" not in out
         assert "witness" not in out
+
+    def test_commutation_mismatch_in_random_words(self, capsys, monkeypatch):
+        # the exhaustive words have length <= 2, so the first longer word
+        # is the first random word; its draws match the RNG stream
+        checked = []
+
+        def fails_past_length_2(pair, word):
+            checked.append(word)
+            return folding.CommutationReport(len(word) <= 2, word, None, None)
+
+        monkeypatch.setattr(cli, "verify_commutation", fails_past_length_2)
+        code, out = run_cli(
+            capsys, "verify", "commutation", "--pair", "E6toF4",
+            "--depth", "2", "--random-words", "30",
+        )
+        assert code == 1
+        assert out.splitlines()[1:3] == ["status: mismatch", "word: 4 1 3 4 4 3 4"]
+        assert len(checked) == 22
+
+    def test_counterexample_found_stable_is_a_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_stability",
+                            lambda pair, max_nodes: folding.StabilityVerdict("stable-exhaustive", 3, 7))
+        code, out = run_cli(capsys, "verify", "counterexamples")
+        assert code == 1
+        assert out.splitlines() == [
+            "stability: stable-exhaustive", "status: counterexample-not-reproduced", "exit: 1",
+        ]
+
+    @pytest.mark.parametrize("argv", [("verify", "fibers"), ("fold",)])
+    def test_group_order_cap_exits_3(self, capsys, tmp_path, argv):
+        path = tmp_path / "s8.txt"
+        path.write_text(S8_ON_ZERO_MATRIX)
+        code = main([*argv, "--matrix", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.splitlines()[-1] == "error: group order exceeds the cap of 10080"
+        assert captured.err == ""
 
     def test_roots(self, capsys):
         code, out = run_cli(capsys, "verify", "roots", "--pair", "A3toB2")

@@ -1,7 +1,9 @@
 """Exchange matrices: mutation, symmetrizers, valued graphs, classification."""
 
+import time
 from collections import deque
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 
 import pytest
@@ -12,6 +14,7 @@ from clusterfold.exchange import (
     EntryOverflowError,
     ExchangeMatrix,
     NotSkewSymmetrizableError,
+    _canonical_form,
     cartan_counterpart,
     classify,
     find_symmetrizer,
@@ -25,6 +28,58 @@ from clusterfold.folding import quotient_matrix
 
 A3 = ((0, -1, 0), (1, 0, 1), (0, -1, 0))
 B2Q = ((0, -2), (1, 0))
+
+# off-diagonal (c_ij, c_ji) pairs of small generalized Cartan matrices,
+# weighted toward few values so that symmetric inputs are common
+CARTAN_EDGES = [(0, 0)] * 3 + [(-1, -1)] * 3 + [(-1, -2), (-2, -1), (-2, -2), (-1, -3)]
+
+
+def _relabel(cartan, p):
+    """The matrix with vertex p[i] of ``cartan`` moved to position i."""
+    return tuple(tuple(cartan[a][b] for b in p) for a in p)
+
+
+def _least_relabeling(cartan):
+    return min(_relabel(cartan, p) for p in permutations(range(len(cartan))))
+
+
+def _isomorphic(a, b) -> bool:
+    """Backtracking search for p with b[p[i]][p[j]] == a[i][j] for all i, j."""
+    n = len(a)
+    if len(b) != n:
+        return False
+    image = []
+
+    def extend() -> bool:
+        k = len(image)
+        if k == n:
+            return True
+        for m in range(n):
+            if m in image or b[m][m] != a[k][k]:
+                continue
+            if all(b[m][image[i]] == a[k][i] and b[image[i]][m] == a[i][k] for i in range(k)):
+                image.append(m)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return extend()
+
+
+@st.composite
+def _cartan_pairs(draw, max_n=6):
+    """A small Cartan matrix and a relabeling of it, with one edge redrawn half the time."""
+    n = draw(st.integers(1, max_n))
+    a = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j], a[j][i] = draw(st.sampled_from(CARTAN_EDGES))
+    b = [row[:] for row in a]
+    if n > 1 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        b[i][j], b[j][i] = draw(st.sampled_from(CARTAN_EDGES))
+    return tuple(map(tuple, a)), _relabel(b, draw(st.permutations(range(n))))
 
 
 @st.composite
@@ -418,21 +473,43 @@ class TestClassification:
     def test_named_diagrams_are_pairwise_distinct(self):
         # diagram naming is only well defined if no two same-tag references
         # of equal rank are isomorphic
-        import networkx as nx
-
-        from clusterfold.exchange import _cartan_digraph
-
         for tag in ("Finite", "Affine"):
             refs = catalog.named_cartan_matrices(tag)
             for i, (name_a, a) in enumerate(refs):
+                assert _isomorphic(a, _relabel(a, range(len(a) - 1, -1, -1))), name_a
                 for name_b, b in refs[i + 1 :]:
-                    if len(a) != len(b):
-                        continue
-                    assert not nx.is_isomorphic(
-                        _cartan_digraph(a),
-                        _cartan_digraph(b),
-                        edge_match=lambda x, y: x["w"] == y["w"],
-                    ), (name_a, name_b)
+                    assert not _isomorphic(a, b), (name_a, name_b)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_relabeled_named_diagram_keeps_its_name(self, data):
+        tag = data.draw(st.sampled_from(("Finite", "Affine")))
+        name, cartan = data.draw(st.sampled_from(catalog.named_cartan_matrices(tag)))
+        p = data.draw(st.permutations(range(len(cartan))))
+        kind = classify(_relabel(cartan, p))
+        assert (kind.tag, kind.name) == (tag, name)
+
+    @given(_cartan_pairs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_canonical_form_matches_brute_force_minimum(self, pair):
+        a, b = pair
+        form = _canonical_form(a)
+        assert form in {_relabel(a, p) for p in permutations(range(len(a)))}
+        assert (form == _canonical_form(b)) == (_least_relabeling(a) == _least_relabeling(b))
+
+    @pytest.mark.parametrize("blocks", [[((2,),)] * 12, [((2, -1), (-1, 2))] * 6])
+    def test_disconnected_rank_12_is_unnamed_and_fast(self, blocks):
+        n = sum(len(block) for block in blocks)
+        cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        start = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                cartan[start + i][start : start + len(row)] = row
+            start += len(block)
+        began = time.perf_counter()
+        kind = classify(cartan)
+        assert time.perf_counter() - began < 1.0
+        assert (kind.tag, kind.name) == ("Finite", None)
 
     def test_rejects_bad_cartan(self):
         with pytest.raises(ValueError):
