@@ -144,6 +144,8 @@ def _cmd_mutate(args, report: _Report) -> int:
 
 def _cmd_fold(args, report: _Report) -> int:
     pair = _load_pair(args)
+    # before the first line, so that an error (the group-order cap) is reported alone
+    symmetrizer = quotient_symmetrizer(pair) if pair.admissible else None
     report.add("orbits", " ".join(
         "{" + " ".join(str(v + 1) for v in orbit) + "}" for orbit in pair.orbits
     ))
@@ -154,7 +156,7 @@ def _cmd_fold(args, report: _Report) -> int:
     report.add("admissible", "yes")
     quotient = quotient_matrix(pair)
     _matrix_lines(report, quotient, "quotient")
-    report.add("symmetrizer", " ".join(str(x) for x in quotient_symmetrizer(pair)))
+    report.add("symmetrizer", " ".join(str(x) for x in symmetrizer))
     kind = classify(cartan_counterpart(quotient))
     report.add("type", kind.tag + (f" {kind.name}" if kind.name else ""))
     if args.emit_dot:

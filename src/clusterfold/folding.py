@@ -13,10 +13,12 @@ orbit-seed graph.  Its nodes are keyed by both labeled seeds that a word w
 reaches, (mu_w^G S0, mu_w Q0), under exact :class:`Seed` equality; an
 edge is one orbit mutation upstairs and one mutation downstairs, computed
 the first time a word crosses it, and a node is projected and compared
-once.  So every check still runs, once per edge or node instead of once
-per word, and a word that reaches a known ambient seed with a different
-quotient seed lands on a new node: that is how a mismatch shows.  The
-graph lives as long as the pair and grows with the distinct nodes reached.
+once.  The graph's exchange table divides once per exchange pair, on
+either side.  So every check still runs, once per edge or node instead
+of once per word, and a word that reaches a known ambient seed with a
+different quotient seed lands on a new node: that is how a mismatch
+shows.  The graph lives as long as the pair and grows with the distinct
+nodes reached.
 """
 
 from __future__ import annotations
@@ -192,12 +194,6 @@ class FoldingPair:
         if not self.admissible:
             raise NotAdmissibleError(self._witness)
 
-    def orbit_of(self, i: int) -> int:
-        for idx, orbit in enumerate(self.orbits):
-            if i in orbit:
-                return idx
-        raise IndexError(f"vertex {i} out of range")
-
 
 def quotient_entries(matrix: ExchangeMatrix, orbits) -> tuple[tuple[int, ...], ...]:
     """Raw quotient entries b_{I,J} = sum over k in I of b[k][min J].
@@ -257,25 +253,28 @@ def orbit_mutate_matrix(pair: FoldingPair, orbit_index: int) -> ExchangeMatrix:
     return compose_orbit_mutations(pair.matrix, pair.orbits, orbit_index)
 
 
-def orbit_mutate_seed(pair: FoldingPair, seed: Seed, orbit_index: int, check: bool = True) -> Seed:
-    """Orbit mutation of a G-invariant seed (composition over the orbit)."""
+def orbit_mutate_seed(pair: FoldingPair, seed: Seed, orbit_index: int, check: bool = True,
+                      *, exchanges: dict | None = None) -> Seed:
+    """Orbit mutation of a G-invariant seed (composition over the orbit);
+    ``exchanges`` is passed on to :func:`mutate_seed`."""
     pair.require_admissible()
     if check and not is_invariant_seed(seed, pair.group.generators):
         raise NotInvariantError("orbit mutation requires a G-invariant seed")
     for k in pair.orbits[orbit_index]:
-        seed = mutate_seed(seed, k)
+        seed = mutate_seed(seed, k, exchanges=exchanges)
     return seed
 
 
-def orbit_mutate_word(pair: FoldingPair, seed: Seed, word) -> tuple[Seed, tuple | None]:
+def orbit_mutate_word(pair: FoldingPair, seed: Seed, word, *,
+                      exchanges: dict | None = None) -> tuple[Seed, tuple | None]:
     """Orbit-mutate a G-invariant seed of the pair along an orbit word.
 
     Each step needs an admissible current matrix (else
     NotAdmissibleError with its witness) and must leave a matrix the
     group preserves (else ValueError).  The group's orbits do not depend
-    on the matrix, so the pair's orbits serve every step.  Returns the
-    final seed and the admissibility witness of its matrix (None when
-    admissible).
+    on the matrix, so the pair's orbits serve every step.  ``exchanges``
+    is passed on to :func:`mutate_seed`.  Returns the final seed and the
+    admissibility witness of its matrix (None when admissible).
     """
     witness = pair._witness
     for idx in word:
@@ -283,7 +282,7 @@ def orbit_mutate_word(pair: FoldingPair, seed: Seed, word) -> tuple[Seed, tuple 
             raise ValueError(f"orbit index {idx + 1} out of range")
         if witness is not None:
             raise NotAdmissibleError(witness)
-        seed = orbit_mutate_seed(pair, seed, idx, check=False)
+        seed = orbit_mutate_seed(pair, seed, idx, check=False, exchanges=exchanges)
         if not is_automorphism_group(seed.matrix, pair.group):
             raise ValueError("group generators must preserve the matrix")
         witness = admissibility_witness(seed.matrix, pair.orbits)
@@ -375,11 +374,15 @@ class OrbitSeedGraph:
     is the pair of initial seeds.  An edge is computed once, upstairs by
     :func:`orbit_mutate_word` (automorphism and admissibility checks) and
     downstairs by :func:`mutate_seed`; the child is then looked up by
-    equality, so words that reach the same pair share one node.
+    equality, so words that reach the same pair share one node.  Both
+    sides share one exchange table (see :func:`mutate_seed`), so each
+    exchange pair is divided once, whichever side meets it: an entry is
+    an exact identity in the Laurent ring of its variables.
     """
 
     def __init__(self, pair: FoldingPair):
         self.pair = pair
+        self.exchanges: dict = {}
         self.root = _OrbitSeedNode(
             initial_seed(pair.matrix), initial_seed(quotient_matrix(pair)), pair._witness
         )
@@ -401,8 +404,9 @@ class OrbitSeedGraph:
         return node
 
     def _step(self, node: _OrbitSeedNode, idx: int) -> _OrbitSeedNode:
-        ambient, witness = orbit_mutate_word(self.pair, node.ambient, (idx,))
-        quotient = mutate_seed(node.quotient, idx)
+        ambient, witness = orbit_mutate_word(self.pair, node.ambient, (idx,),
+                                             exchanges=self.exchanges)
+        quotient = mutate_seed(node.quotient, idx, exchanges=self.exchanges)
         key = (ambient, quotient)
         child = self.nodes.get(key)
         if child is None:

@@ -5,13 +5,14 @@ the fixed initial variables u_1..u_n.  Every division performed during
 mutation must be exact (the Laurent phenomenon); a failed division is a
 library bug and raises LaurentPhenomenonError.  Enumeration and the
 denominator search run on the BFS engine in :mod:`clusterfold.search`
-through :func:`search_seeds`, which divides each exchange edge between
-admitted seeds once: mutation is an involution, so the way back along an
-edge already computed returns the seed it came from with no arithmetic.
-Every new cluster variable still comes from an exact, checked division.
-Reusing an edge relies on the assumption that the deduplication key
-:meth:`Seed.key` already makes: a cluster determines its seed, so the
-seed the search keeps for a cluster is the one the edge leads to.
+through :func:`search_seeds`, which divides once per exchange pair.  A
+search passes :func:`mutate_seed` an exchange table: a dict from (the
+variable exchanged, its two exchange monomials) to the exact quotient.
+The division x' = (M+ + M-)/x is stored both ways, because x' * x is the
+same binomial and an exact quotient in the Laurent ring is unique; so
+any seed that exchanges x or x' over those monomials, on any edge,
+reuses it.  Every new cluster variable still comes from an exact,
+checked division.
 """
 
 from __future__ import annotations
@@ -88,16 +89,41 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPolynomial:
     return plus + minus
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation in direction k: u_k' = (binomial at k) / u_k, exactly."""
+def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
+    """Seed mutation in direction k: u_k' = (binomial at k) / u_k, exactly.
+
+    ``exchanges`` is an exchange table owned by the caller.  Its key is
+    (u_k, {P, M}), where P maps each cluster variable to its summed
+    exponents b_ik > 0 and M does the same for b_ik < 0, so the key
+    determines the binomial even when a variable repeats in the cluster.
+    A miss divides and stores the quotient y under (u_k, key) and u_k
+    under (y, key); a hit does no arithmetic.  The matrix is mutated and
+    the seed built on every call.
+    """
     if not 0 <= k < seed.matrix.n:
         raise IndexError(f"mutation vertex {k} out of range")
-    try:
-        new_var = divide_exact(exchange_binomial(seed, k), seed.cluster[k])
-    except NotDivisibleError as exc:
-        raise LaurentPhenomenonError(
-            f"exchange at vertex {k + 1} produced a non-Laurent quotient: {exc}"
-        ) from exc
+    x = seed.cluster[k]
+    new_var = key = None
+    if exchanges is not None:
+        plus: dict = {}
+        minus: dict = {}
+        for v, row in zip(seed.cluster, seed.matrix.entries):
+            if row[k] > 0:
+                plus[v] = plus.get(v, 0) + row[k]
+            elif row[k] < 0:
+                minus[v] = minus.get(v, 0) - row[k]
+        key = frozenset((frozenset(plus.items()), frozenset(minus.items())))
+        new_var = exchanges.get((x, key))
+    if new_var is None:
+        try:
+            new_var = divide_exact(exchange_binomial(seed, k), x)
+        except NotDivisibleError as exc:
+            raise LaurentPhenomenonError(
+                f"exchange at vertex {k + 1} produced a non-Laurent quotient: {exc}"
+            ) from exc
+        if exchanges is not None:
+            exchanges[x, key] = new_var
+            exchanges[new_var, key] = x
     cluster = list(seed.cluster)
     cluster[k] = new_var
     return Seed(seed.matrix.mutate(k), tuple(cluster))
@@ -138,39 +164,18 @@ def is_invariant_seed(seed: Seed, generators) -> bool:
 def search_seeds(start: Seed, limit: int, *, max_depth: int | None = None,
                  on_new=None, on_edge=None) -> Search:
     """Drained BFS over seeds from ``start``, deduplicated by :meth:`Seed.key`,
-    that divides each exchange edge between admitted seeds once.
+    that divides once per exchange pair.
 
-    Mutation is an involution: when S' = mu_k(S) exchanges x for y,
-    mutating S' at y gives S back.  So after a division S -> S' whose
-    edge the engine admits (``on_edge``), the step remembers S under
-    (cluster of S', y) and returns it, with no arithmetic, when the
-    search expands S' at y.  A seed refused at the limit leaves nothing
-    behind.  ``on_new`` and ``on_edge`` are passed on to :func:`bfs`.
+    The search owns one exchange table (see :func:`mutate_seed`), so an
+    exchange already divided on any edge, in either direction, costs no
+    arithmetic, whether the seed that needs it was admitted or refused at
+    the limit.  ``on_new`` and ``on_edge`` are passed on to :func:`bfs`.
     """
-    back: dict = {}  # (cluster set, variable) -> the seed that exchanging it returns to
-    last = None  # the latest division (source, target, k), until its edge is admitted
-
-    def step(seed, k):
-        nonlocal last
-        source = back.pop((seed.key(), seed.cluster[k]), None)
-        if source is not None:
-            last = None
-            return source
-        target = mutate_seed(seed, k)
-        last = (seed, target, k)
-        return target
-
-    def admit(source, target):
-        nonlocal last
-        if last is not None:
-            seed, new, k = last
-            back[new.key(), new.cluster[k]] = seed
-            last = None
-        if on_edge is not None:
-            on_edge(source, target)
-
-    return bfs(start, range(start.matrix.n), step, Seed.key, limit, drain=True,
-               max_depth=max_depth, on_new=on_new, on_edge=admit)
+    exchanges: dict = {}
+    return bfs(start, range(start.matrix.n),
+               lambda seed, k: mutate_seed(seed, k, exchanges=exchanges),
+               Seed.key, limit, drain=True, max_depth=max_depth,
+               on_new=on_new, on_edge=on_edge)
 
 
 @dataclass

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from clusterfold import folding
+from clusterfold import folding, seeds
 from clusterfold.exchange import ExchangeMatrix, NotSkewSymmetrizableError
 from clusterfold.folding import (
     FoldingPair,
@@ -31,7 +31,7 @@ from clusterfold.folding import (
     verify_commutation,
 )
 from clusterfold.laurent import parse_polynomial
-from clusterfold.seeds import Seed, initial_seed, mutate_seed
+from clusterfold.seeds import Seed, apply_mutation_word, initial_seed, mutate_seed
 from clusterfold import catalog
 
 A3 = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
@@ -433,11 +433,19 @@ class TestOrbitSeedGraph:
         calls = []
         original = folding.mutate_seed
 
-        def counted(seed, k):
+        def counted(seed, k, **kwargs):
             calls.append(k)
-            return original(seed, k)
+            return original(seed, k, **kwargs)
+
+        divisions = []
+        divide = seeds.divide_exact
+
+        def counted_division(p, q):
+            divisions.append(1)
+            return divide(p, q)
 
         monkeypatch.setattr(folding, "mutate_seed", counted)
+        monkeypatch.setattr(seeds, "divide_exact", counted_division)
         pair = catalog.folding_pair("A3toB2").pair
         words = words_up_to(pair.orbit_count, 6)
         for word in words:
@@ -448,6 +456,24 @@ class TestOrbitSeedGraph:
         edges = [idx for node in graph.nodes.values() for idx in node.children]
         assert len(calls) == sum(1 + len(pair.orbits[idx]) for idx in edges)
         assert len(calls) < len(words)
+        # the way back along an edge, and an exchange met again, divide nothing
+        assert 0 < len(divisions) < len(calls)
+
+    def test_table_gives_the_seeds_of_table_free_mutation(self):
+        rng = random.Random(11)
+        for pair in catalog_pairs():
+            if not pair.admissible or not check_stability(pair, 2_000).stable:
+                continue
+            ambient, quotient = initial_seed(pair.matrix), initial_seed(quotient_matrix(pair))
+            exchanges = {}
+            for _ in range(15):
+                word = tuple(rng.randrange(pair.orbit_count) for _ in range(rng.randint(1, 6)))
+                upstairs, witness = orbit_mutate_word(pair, ambient, word, exchanges=exchanges)
+                assert (upstairs, witness) == orbit_mutate_word(pair, ambient, word), (pair.name, word)
+                downstairs = quotient
+                for idx in word:
+                    downstairs = mutate_seed(downstairs, idx, exchanges=exchanges)
+                assert downstairs == apply_mutation_word(quotient, word), (pair.name, word)
 
 
 class TestOrbitMutateWord:

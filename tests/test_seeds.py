@@ -1,6 +1,7 @@
 """Seeds: exchange relation, mutation, permutation action, enumeration."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from clusterfold import catalog, seeds
 from clusterfold.exchange import ExchangeMatrix
 from clusterfold.explorer import find_variable_by_denominator
-from clusterfold.laurent import LaurentPolynomial, parse_polynomial
+from clusterfold.laurent import LaurentPolynomial, NotDivisibleError, divide_exact, parse_polynomial
 from clusterfold.seeds import (
+    LaurentPhenomenonError,
     LimitExceededError,
     Seed,
     apply_mutation_word,
@@ -203,6 +205,11 @@ def counting_divisions(monkeypatch):
     return calls
 
 
+# Divisions of a closed search: one per exchange pair.  In type A_n the
+# exchange pairs are the pairs of crossing diagonals of the (n+3)-gon.
+EXCHANGE_PAIRS = {("A", 3): comb(6, 4), ("A", 5): comb(8, 4), ("B", 2): 6, ("D", 4): 52, ("G", 2): 8}
+
+
 class TestOneDivisionPerEdge:
     @pytest.mark.parametrize("family, n, edges", [
         ("A", 3, 21), ("A", 5, 330), ("B", 2, 6), ("D", 4, 100), ("G", 2, 8),
@@ -212,16 +219,16 @@ class TestOneDivisionPerEdge:
         result = enumerate_cluster_variables(catalog.dynkin(family, n))
         assert result.complete
         assert len(result.dot_edges) == edges
-        assert len(calls) == edges
+        assert len(calls) == EXCHANGE_PAIRS[family, n]
 
     def test_drained_affine_run(self, monkeypatch):
-        # every admitted edge once, plus one division per refused neighbour
+        # one division per exchange pair met by an admitted edge or a refused neighbour
         calls = counting_divisions(monkeypatch)
         matrix = catalog.folding_pair("D4t-A1t2").pair.matrix
         result = enumerate_cluster_variables(matrix, max_seeds=450)
         assert (result.variable_count, result.cluster_count, result.frontier) == (98, 450, 240)
         assert len(result.dot_edges) == 1005
-        assert len(calls) == 1005 + 240
+        assert len(calls) == 620
         assert max(len(x.terms) for x in result.variables) == 133
         assert all(x.is_positive() for x in result.variables)
 
@@ -229,4 +236,67 @@ class TestOneDivisionPerEdge:
         # the target is never found, so the search visits the whole A5 graph
         calls = counting_divisions(monkeypatch)
         assert find_variable_by_denominator(catalog.dynkin("A", 5), (9, 9, 9, 9, 9)) is None
-        assert len(calls) == 330
+        assert len(calls) == EXCHANGE_PAIRS["A", 5]
+
+
+def binomial_of_key(key, n):
+    """The exchange binomial an exchange-table key stands for, built from the key alone."""
+    total = LaurentPolynomial.zero(n)
+    for monomial in key:
+        product = LaurentPolynomial.one(n)
+        for variable, exponent in monomial:
+            product = product * variable ** exponent
+        total = total + product
+    return total if len(key) == 2 else total + total
+
+
+class TestExchangeTable:
+    @pytest.mark.parametrize("family, n", [("A", 5), ("D", 4), ("G", 2)])
+    def test_same_seeds_with_and_without_a_table(self, family, n):
+        start = initial_seed(catalog.dynkin(family, n))
+        exchanges = {}
+        rng = random.Random(7)
+        for _ in range(60):
+            word = [rng.randrange(n) for _ in range(rng.randint(1, 10))]
+            seed = start
+            for k in word:
+                seed = mutate_seed(seed, k, exchanges=exchanges)
+            assert seed == apply_mutation_word(start, word), word
+        assert exchanges
+
+    def test_every_entry_of_a_closed_search_divides_back(self, monkeypatch):
+        tables = []
+        mutate = seeds.mutate_seed
+
+        def recording(seed, k, *, exchanges=None):
+            tables.append(exchanges)
+            return mutate(seed, k, exchanges=exchanges)
+
+        monkeypatch.setattr(seeds, "mutate_seed", recording)
+        assert enumerate_cluster_variables(catalog.dynkin("A", 5)).complete
+        table = tables[0]
+        assert all(t is table for t in tables)
+        assert len(table) == 2 * EXCHANGE_PAIRS["A", 5]
+        for (variable, key), quotient in table.items():
+            assert divide_exact(binomial_of_key(key, 5), variable) == quotient
+            assert table[quotient, key] == variable
+
+    def test_repeated_variable_sums_its_exponents(self):
+        # u1 twice against u1 once: binomials 1 + u1^2 and 1 + u1, the same variable set
+        repeated = Seed(A3, (poly("u1"), poly("u2"), poly("u1")))
+        single = Seed(ExchangeMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]]), initial_seed(A3).cluster)
+        exchanges = {}
+        for seed in (repeated, single, repeated):
+            assert mutate_seed(seed, 1, exchanges=exchanges) == mutate_seed(seed, 1)
+        assert len(exchanges) == 4
+        assert mutate_seed(repeated, 1).cluster[1] == poly("u2^-1 + u1^2*u2^-1")
+
+    def test_failed_division_on_a_miss_raises(self, monkeypatch):
+        def refuse(p, q):
+            raise NotDivisibleError("injected")
+
+        monkeypatch.setattr(seeds, "divide_exact", refuse)
+        exchanges = {}
+        with pytest.raises(LaurentPhenomenonError, match="vertex 2"):
+            mutate_seed(initial_seed(A3), 1, exchanges=exchanges)
+        assert exchanges == {}
