@@ -298,8 +298,21 @@ def _verify_denominators(args, report: _Report) -> int:
     return EXIT_OK if ok else EXIT_WITNESS
 
 
+def _is_acyclic(b) -> bool:
+    """No directed cycle of arrows i -> j (b_ij > 0): peeling off sources empties the quiver."""
+    left = set(range(len(b)))
+    while sources := {j for j in left if all(b[i][j] <= 0 for i in left)}:
+        left -= sources
+    return not left
+
+
 def _verify_finite_type_equality(args, report: _Report) -> int:
     pair = _load_pair(args)
+    for side, matrix in (("ambient", pair.matrix), ("quotient", quotient_matrix(pair))):
+        tag = classify(cartan_counterpart(matrix), name_diagram=False).tag
+        if tag != "Finite" and _is_acyclic(matrix.entries):  # Fomin-Zelevinsky criterion
+            raise ValueError(f"{side} matrix is acyclic and its Cartan counterpart is {tag}, "
+                             "so it is not of finite type")
     ambient = enumerate_cluster_variables(pair.matrix, max_seeds=args.limit)
     quotient = enumerate_cluster_variables(quotient_matrix(pair), max_seeds=args.limit)
     if not ambient.complete or not quotient.complete:

@@ -2,12 +2,14 @@
 
 Every search here runs on the engine in :mod:`clusterfold.search`.
 Mutation classes use labeled-matrix identity: two matrices are the same
-class member only when equal entrywise.  A finite verdict is checked
-twice.  The search must report n lookups per member, each a hit or an
-admitted node, so every neighbour of every member was found in the
-class.  And every member's symmetrizer is re-derived from its entries by
-:func:`find_symmetrizer` and must equal the one the BFS carried through
-mutation: that is the independent route to D.
+class member only when equal entrywise.  Mutation is an involution, so
+each labeled edge is mutated once: n·s/2 mutations close a class of size
+s.  A finite verdict is checked twice.  The reported edges must fill the
+n·s (member, vertex) slots, two per edge and one per self-loop (μ_k B = B
+at an isolated vertex k), so every neighbour of every member was found in
+the class.  And every member's symmetrizer is re-derived from its entries
+by :func:`find_symmetrizer` and must equal the one the BFS carried
+through mutation: that is the independent route to D.
 """
 
 from __future__ import annotations
@@ -42,20 +44,21 @@ class MutationClassReport:
 
 
 def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClassReport:
-    """BFS over all single-vertex mutations, deduplicated entrywise."""
+    """BFS over all single-vertex mutations, deduplicated entrywise; a closed
+    class of size s costs n·s/2 mutations, one per labeled edge."""
     n = matrix.n
-    lookups = 0
+    slots = 0
 
-    def count_lookup(source, target):
-        nonlocal lookups
-        lookups += 1
+    def count_slots(source, target):
+        nonlocal slots
+        slots += 1 if source == target else 2
 
     search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit,
-                 on_edge=count_lookup)
+                 on_edge=count_slots, involutive=True)
     visited = search.visited
     if search.status != "closed":
         return MutationClassReport(search.status, len(visited), limit)
-    if lookups != n * len(visited):
+    if slots != n * len(visited):
         raise AssertionError("mutation-class BFS missed a neighbour lookup")
     d = matrix.symmetrizer
     for entries in visited:

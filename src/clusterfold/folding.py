@@ -335,7 +335,11 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
     """BFS over the orbit-mutation class, testing admissibility at every node.
 
     The search stops at the first inadmissible member, at the first
-    member refused by ``max_nodes``, or on entry overflow.
+    member refused by ``max_nodes``, or on entry overflow.  Members are
+    admissible before they are expanded, so orbit mutation is an involution
+    on them and each edge is composed once (n·s/2 mutations for size s): an
+    overflow that only the uncomputed reverse composition could hit is not
+    reported, though members' entries are still range-checked.
     """
     pair.require_admissible()
     orbits = pair.orbits
@@ -346,6 +350,7 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
         attrgetter("entries"),
         max_nodes,
         on_new=lambda matrix, word: admissibility_witness(matrix, orbits),
+        involutive=True,
     )
     size = len(search.visited)
     if search.status == "witness":

@@ -46,6 +46,7 @@ def bfs(
     max_depth: int | None = None,
     on_new=None,
     on_edge=None,
+    involutive: bool = False,
 ) -> Search:
     """Breadth-first search from ``start`` over ``step(node, move)`` for each move.
 
@@ -59,8 +60,15 @@ def bfs(
     receives the discovery indices of every admitted edge.  An
     EntryOverflowError from ``step`` ends the search with status
     "overflow".
+
+    ``involutive`` (int moves) promises that ``key`` identifies a node
+    exactly and ``step(step(u, m), m)`` has the key of every expanded ``u``;
+    a move back along a computed edge, always a hit, is then skipped without
+    changing the outcome, so ``step`` runs and ``on_edge`` fires once per
+    undirected edge.
     """
     visited = {key(start): 0}
+    back = [0]  # by discovery index: bit m set once the edge along move m is computed
     queue = deque([(start, (), 0)])
     depth = refused = 0
     try:
@@ -70,12 +78,18 @@ def bfs(
             if max_depth is not None and depth >= max_depth:
                 refused += 1
                 continue
+            known = back[source] if involutive else 0
             for move in moves:
+                if known and known >> move & 1:
+                    continue
                 neighbour = step(node, move)
                 k = key(neighbour)
-                if k in visited:
+                target = visited.get(k)
+                if target is not None:
+                    if involutive:
+                        back[target] |= 1 << move
                     if on_edge is not None:
-                        on_edge(source, visited[k])
+                        on_edge(source, target)
                     continue
                 new_word = word + (move,)
                 if on_new is not None:
@@ -89,6 +103,8 @@ def bfs(
                     continue
                 target = len(visited)
                 visited[k] = target
+                if involutive:
+                    back.append(1 << move)
                 if on_edge is not None:
                     on_edge(source, target)
                 queue.append((neighbour, new_word, target))

@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -412,6 +413,24 @@ class TestVerify:
         assert "ambient variables: 9" in out
         assert "quotient variables: 6" in out
         assert "status: verified" in out
+
+    @pytest.mark.parametrize("name", ["squaretoK2", "hexagontoK2"])
+    def test_finite_type_equality_refuses_acyclic_infinite_type(self, capsys, monkeypatch, name):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("an infinite-type pair reached the enumeration")
+
+        monkeypatch.setattr(cli, "enumerate_cluster_variables", no_enumeration)
+        error = ("ambient matrix is acyclic and its Cartan counterpart is Affine, "
+                 "so it is not of finite type")
+        start = time.perf_counter()
+        argv = ("verify", "finite-type-equality", "--pair", name, "--limit", "300")
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, f"error: {error}\n", "")
+        code = main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, f'{{\n  "error": "{error}"\n}}\n', "")
+        assert time.perf_counter() - start < 1.0
 
     def test_affine_finiteness_small_ranks(self, capsys):
         code, out = run_cli(

@@ -21,6 +21,20 @@ A2 = ExchangeMatrix([[0, 1], [-1, 0]])
 INDEFINITE = ExchangeMatrix([[0, 2, 0], [-2, 0, 2], [0, -2, 0]])
 
 
+def count_mutations(monkeypatch):
+    """Count ExchangeMatrix.mutate calls from here on; returns the reader."""
+    calls = 0
+    mutate = ExchangeMatrix.mutate
+
+    def counting_mutate(self, k):
+        nonlocal calls
+        calls += 1
+        return mutate(self, k)
+
+    monkeypatch.setattr(ExchangeMatrix, "mutate", counting_mutate)
+    return lambda: calls
+
+
 class TestMutationClass:
     def test_a2_is_sign_flip(self):
         report = mutation_class(A2)
@@ -33,6 +47,13 @@ class TestMutationClass:
 
     def test_a3(self):
         assert mutation_class(A3).size == 14
+
+    def test_isolated_vertex_is_one_self_loop_slot(self):
+        # mu_1 B = mu_2 B = -B and mu_3 fixes both: two edges fill two slots
+        # each and two self-loops one each, 6 = n * size
+        report = mutation_class(ExchangeMatrix([[0, -2, 0], [1, 0, 0], [0, 0, 0]]))
+        assert (report.verdict, report.size) == ("finite", 2)
+        assert mutation_class(ExchangeMatrix([[0]])).size == 1
 
     def test_indefinite_does_not_close(self):
         report = mutation_class(INDEFINITE, limit=10_000)
@@ -50,20 +71,30 @@ class TestMutationClass:
     @pytest.mark.parametrize(
         "name, size", [("A5toC3", 1_980), ("hexagontoK2", 12_000), ("E6toF4", 42_840)]
     )
-    def test_closed_class_makes_one_mutation_per_lookup(self, monkeypatch, name, size):
+    def test_closed_class_mutates_once_per_edge(self, monkeypatch, name, size):
         matrix = catalog.folding_pair(name).pair.matrix
-        calls = 0
-        mutate = ExchangeMatrix.mutate
-
-        def counting_mutate(self, k):
-            nonlocal calls
-            calls += 1
-            return mutate(self, k)
-
-        monkeypatch.setattr(ExchangeMatrix, "mutate", counting_mutate)
+        calls = count_mutations(monkeypatch)
         report = mutation_class(matrix, limit=50_000)
         assert (report.verdict, report.size) == ("finite", size)
-        assert calls == matrix.n * size  # A5toC3: 9,900
+        # the way back along an edge is mu_k(mu_k B) = B, not mutated again
+        assert calls() == matrix.n * size // 2  # A5toC3 4,950; hexagontoK2 36,000; E6toF4 128,520
+
+    def test_dropped_edge_fails_the_closure_check(self, monkeypatch):
+        bfs = explorer.bfs
+
+        def dropping_bfs(*args, on_edge, **kwargs):
+            dropped = []
+
+            def report_all_but_the_first(source, target):
+                if dropped:
+                    on_edge(source, target)
+                dropped.append((source, target))
+
+            return bfs(*args, on_edge=report_all_but_the_first, **kwargs)
+
+        monkeypatch.setattr(explorer, "bfs", dropping_bfs)
+        with pytest.raises(AssertionError):
+            mutation_class(A3)
 
     def test_member_symmetrizer_is_rederived(self, monkeypatch):
         # B2's class is {B, mu_1(B)}, both with D = (1, 2); a wrong D
@@ -94,6 +125,13 @@ class TestOrbitMutationClass:
         verdict = check_stability(pair)
         assert verdict.status == "stable-exhaustive"
         assert verdict.class_size == mutation_class(A3).size
+
+    def test_closed_class_composes_once_per_edge(self, monkeypatch):
+        pair = catalog.folding_pair("E6t-F4t1").pair
+        calls = count_mutations(monkeypatch)
+        verdict = check_stability(pair)
+        assert (verdict.status, verdict.class_size) == ("stable-exhaustive", 1_440)
+        assert calls() == pair.matrix.n * 1_440 // 2  # 5,040; twice that from both ends
 
     def test_unstable_witness(self):
         pair = catalog.folding_pair("remark-stabilite").pair

@@ -329,6 +329,23 @@ class TestStability:
         assert (verdict.status, verdict.class_size) == ("overflow", 456)
         assert not verdict.stable
 
+    def test_orbit_mutation_is_an_involution_on_every_stable_class(self):
+        # what check_stability relies on to take each edge's way back uncomposed
+        for pair in catalog_pairs():
+            verdict = check_stability(pair) if pair.admissible else None
+            if verdict is None or not verdict.stable:
+                continue
+            members, queue = {pair.matrix.entries}, [pair.matrix]
+            for matrix in queue:
+                for idx in range(pair.orbit_count):
+                    mutated = compose_orbit_mutations(matrix, pair.orbits, idx)
+                    back = compose_orbit_mutations(mutated, pair.orbits, idx)
+                    assert back.entries == matrix.entries, (pair.name, idx)
+                    if mutated.entries not in members:
+                        members.add(mutated.entries)
+                        queue.append(mutated)
+            assert len(members) == verdict.class_size, pair.name
+
     def test_six_cycle_witness_after_second_orbit(self):
         # mutating the orbit {2, 5} creates the directed 2-path 1 -> 3 -> 4
         pair = six_cycle_pair()
