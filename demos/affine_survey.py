@@ -21,11 +21,11 @@ FOLDINGS = ["A3toB2", "D4toB3", "D4toG2", "squaretoK2",
 def main():
     print("mutation-class sizes of affine valued graphs (limit 50000):")
     for name in AFFINE:
-        report = explorer.is_mutation_finite(catalog.affine(name), limit=50_000)
+        report = explorer.mutation_class(catalog.affine(name), limit=50_000)
         print(f"    {name:8s} {report.verdict:8s} size={report.size}")
 
     control = ExchangeMatrix([[0, 2, 0], [-2, 0, 2], [0, -2, 0]])
-    report = explorer.is_mutation_finite(control, limit=10_000)
+    report = explorer.mutation_class(control, limit=10_000)
     print(f"    control  {report.verdict} after {report.size} matrices")
 
     print("\nsize chains |Mut(quotient)| <= |Mut^G(ambient)| <= |Mut(ambient)|:")

@@ -46,7 +46,6 @@ from .folding import (
     check_stability,
     is_automorphism,
     is_automorphism_group,
-    orbit_mutate_matrix,
     orbit_mutate_seed,
     orbit_mutate_word,
     project_seed,
@@ -70,9 +69,7 @@ from .catalog import CatalogEntry, affine, dynkin, folding_pair, list_names, nam
 from .explorer import (
     MonotonicityReport,
     MutationClassReport,
-    exchange_graph_dot,
     find_variable_by_denominator,
-    is_mutation_finite,
     mutation_class,
     rank2_denominators_below,
     verify_monotonicity_chain,

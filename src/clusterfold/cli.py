@@ -337,12 +337,12 @@ def _verify_affine_finiteness(args, report: _Report) -> int:
         matrix = catalog.affine(name)
         if matrix.n > args.max_rank:
             continue
-        outcome = explorer.is_mutation_finite(matrix, args.limit)
+        outcome = explorer.mutation_class(matrix, args.limit)
         report.add(name, f"{outcome.verdict} size={outcome.size}")
         if not outcome.finite:
             report.add("status", "not-finite")
             return EXIT_WITNESS
-    control = explorer.is_mutation_finite(ExchangeMatrix(_INDEFINITE_CONTROL), args.limit)
+    control = explorer.mutation_class(ExchangeMatrix(_INDEFINITE_CONTROL), args.limit)
     report.add("indefinite control", f"{control.verdict} size={control.size}")
     if control.finite:
         report.add("status", "control-unexpectedly-finite")
@@ -391,7 +391,7 @@ def _cmd_verify(args, report: _Report) -> int:
 # parser
 
 
-def _add_common(parser, matrix=True, group=False, pair=True, word=False, dot=False):
+def _add_common(parser, matrix=True, group=False, pair=True, word=False, dot=False, limit=False):
     if matrix:
         parser.add_argument("--matrix", help="matrix file (see io module format)")
     if group:
@@ -401,8 +401,8 @@ def _add_common(parser, matrix=True, group=False, pair=True, word=False, dot=Fal
         parser.add_argument("--rank", type=int, help="rank parameter for parametric entries")
     if word:
         parser.add_argument("--word", help="1-based mutation word, e.g. '1 2 1'")
-    parser.add_argument("--limit", type=int, default=100_000, help="node/seed limit")
-    parser.add_argument("--depth", type=int, default=4, help="word depth where applicable")
+    if limit:
+        parser.add_argument("--limit", type=int, default=100_000, help="node/seed limit")
     if dot:
         parser.add_argument("--emit-dot", help="write a DOT rendering to this file")
     parser.add_argument("--json", action="store_true", help="JSON output")
@@ -430,21 +430,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orbit_mutate)
 
     p = sub.add_parser("enumerate", help="enumerate all cluster variables")
-    _add_common(p, dot=True)
+    _add_common(p, dot=True, limit=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("explore", help="matrix mutation-class BFS")
-    _add_common(p)
+    _add_common(p, limit=True)
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("verify", help="run a verification target")
     p.add_argument("target", choices=sorted(_VERIFY_TARGETS))
     p.add_argument("--case", default="remark-stabilite", help="counterexample case name")
+    p.add_argument("--depth", type=int, default=4,
+                   help="orbit-word length for commutation checks")
     p.add_argument("--random-words", type=int, default=200,
                    help="extra random words for commutation checks")
     p.add_argument("--max-rank", type=int, default=6,
                    help="largest rank for affine-finiteness sweeps")
-    _add_common(p, group=True)
+    _add_common(p, group=True, limit=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("catalog", help="list or show catalog entries")

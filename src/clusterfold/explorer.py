@@ -1,4 +1,4 @@
-"""Mutation-class BFS, finiteness verdicts, exchange-graph export, searches.
+"""Mutation-class BFS, finiteness verdicts, the size chain, searches.
 
 Every search here runs on the engine in :mod:`clusterfold.search`.
 Mutation classes use labeled-matrix identity: two matrices are the same
@@ -21,7 +21,7 @@ from operator import attrgetter
 from .exchange import ExchangeMatrix, find_symmetrizer
 from .folding import FoldingPair, check_stability, quotient_matrix
 from .search import bfs
-from .seeds import enumerate_cluster_variables, initial_seed, mutate_seed, search_seeds
+from .seeds import initial_seed, mutate_seed, search_seeds
 
 
 @dataclass
@@ -67,11 +67,6 @@ def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClass
     return MutationClassReport("finite", len(visited), limit, members=visited.keys())
 
 
-def is_mutation_finite(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClassReport:
-    """Finiteness verdict for Mut(B) within the node limit."""
-    return mutation_class(matrix, limit)
-
-
 @dataclass
 class MonotonicityReport:
     """Sizes along |Mut(quotient)| <= |Mut^G(ambient)| <= |Mut(ambient)|."""
@@ -102,14 +97,6 @@ def verify_monotonicity_chain(pair: FoldingPair, limit: int = 10_000) -> Monoton
     return MonotonicityReport(
         quotient.size, orbit.class_size, ambient.size, ambient.finite, holds
     )
-
-
-def exchange_graph_dot(
-    matrix: ExchangeMatrix, max_seeds: int = 100_000, name: str = "exchange"
-) -> str:
-    """DOT text of the exchange graph: vertices are clusters (as sets),
-    edges are single mutations.  Requires the enumeration to close."""
-    return enumerate_cluster_variables(matrix, max_seeds=max_seeds, strict=True).to_dot(name)
 
 
 def find_variable_by_denominator(matrix: ExchangeMatrix, target, max_seeds: int = 100_000):

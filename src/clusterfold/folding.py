@@ -8,17 +8,26 @@ the quotient matrix skew-symmetrizable.  Stability (every member of the
 orbit-mutation class stays admissible) and group closure run on the BFS
 engine in :mod:`clusterfold.search`.
 
+There is one orbit step on seeds, :func:`orbit_mutate_seed`: it composes
+the mutations of one orbit, checks that the group still preserves the
+matrix, and returns the admissibility witness of the result, leaving it
+to the caller whether an inadmissible seed may be stepped on from.
+:func:`compose_orbit_mutations` is the same step on bare matrices, for
+:func:`check_stability`.
+
 :func:`verify_commutation` shares work between words through the pair's
-orbit-seed graph.  Its nodes are keyed by both labeled seeds that a word w
-reaches, (mu_w^G S0, mu_w Q0), under exact :class:`Seed` equality; an
-edge is one orbit mutation upstairs and one mutation downstairs, computed
-the first time a word crosses it, and a node is projected and compared
-once.  The graph's exchange table divides once per exchange pair, on
-either side.  So every check still runs, once per edge or node instead
-of once per word, and a word that reaches a known ambient seed with a
-different quotient seed lands on a new node: that is how a mismatch
-shows.  The graph lives as long as the pair and grows with the distinct
-nodes reached.
+orbit-seed graph, in both its modes.  The graph's nodes are keyed by both
+labeled seeds that a word w reaches, (mu_w^G S0, mu_w Q0), under exact
+:class:`Seed` equality; an edge is one orbit step upstairs and one
+mutation downstairs, computed the first time a word crosses it, and a
+node is projected and compared once.  The graph's exchange table divides
+once per exchange pair, on either side.  So every check still runs, once
+per edge or node instead of once per word, and a word that reaches a
+known ambient seed with a different quotient seed lands on a new node:
+that is how a mismatch shows.  Whether a word may cross an inadmissible
+node is decided per walk, so the stable check and the non-stable
+counterexample meet the same nodes.  The graph lives as long as the pair
+and grows with the distinct nodes reached.
 """
 
 from __future__ import annotations
@@ -50,13 +59,6 @@ class NotInvariantError(ValueError):
 def compose(g, h):
     """The permutation applying h first, then g."""
     return tuple(g[h[i]] for i in range(len(g)))
-
-
-def inverse(g):
-    inv = [0] * len(g)
-    for i, gi in enumerate(g):
-        inv[gi] = i
-    return tuple(inv)
 
 
 class PermutationGroup:
@@ -247,45 +249,43 @@ def quotient_symmetrizer(pair: FoldingPair) -> tuple[int, ...]:
     return delta
 
 
-def orbit_mutate_matrix(pair: FoldingPair, orbit_index: int) -> ExchangeMatrix:
-    """Compose the mutations of one orbit of an admissible pair."""
-    pair.require_admissible()
-    return compose_orbit_mutations(pair.matrix, pair.orbits, orbit_index)
+def orbit_mutate_seed(pair: FoldingPair, seed: Seed, orbit_index: int, *,
+                      exchanges: dict | None = None) -> tuple[Seed, tuple | None]:
+    """The orbit step: compose the mutations of one orbit, members in
+    ascending order, on a seed of the pair.
 
-
-def orbit_mutate_seed(pair: FoldingPair, seed: Seed, orbit_index: int, check: bool = True,
-                      *, exchanges: dict | None = None) -> Seed:
-    """Orbit mutation of a G-invariant seed (composition over the orbit);
-    ``exchanges`` is passed on to :func:`mutate_seed`."""
-    pair.require_admissible()
-    if check and not is_invariant_seed(seed, pair.group.generators):
-        raise NotInvariantError("orbit mutation requires a G-invariant seed")
+    The result's matrix must still be preserved by the group (else
+    ValueError).  Returns the seed and the admissibility witness of its
+    matrix (None when admissible); whether an inadmissible seed may be
+    stepped on from is the caller's decision.  ``exchanges`` is passed on
+    to :func:`mutate_seed`.
+    """
     for k in pair.orbits[orbit_index]:
         seed = mutate_seed(seed, k, exchanges=exchanges)
-    return seed
+    if not is_automorphism_group(seed.matrix, pair.group):
+        raise ValueError("group generators must preserve the matrix")
+    return seed, admissibility_witness(seed.matrix, pair.orbits)
 
 
-def orbit_mutate_word(pair: FoldingPair, seed: Seed, word, *,
-                      exchanges: dict | None = None) -> tuple[Seed, tuple | None]:
+def orbit_mutate_word(pair: FoldingPair, seed: Seed, word) -> tuple[Seed, tuple | None]:
     """Orbit-mutate a G-invariant seed of the pair along an orbit word.
 
-    Each step needs an admissible current matrix (else
-    NotAdmissibleError with its witness) and must leave a matrix the
-    group preserves (else ValueError).  The group's orbits do not depend
-    on the matrix, so the pair's orbits serve every step.  ``exchanges``
-    is passed on to :func:`mutate_seed`.  Returns the final seed and the
-    admissibility witness of its matrix (None when admissible).
+    The seed must be G-invariant (else NotInvariantError); the orbit step
+    keeps it so.  Each step needs an admissible current matrix, the
+    given seed's included (else NotAdmissibleError with its witness).
+    The group's orbits do not depend on the matrix, so the pair's orbits
+    serve every step.  Returns the final seed and the admissibility
+    witness of its matrix (None when admissible).
     """
-    witness = pair._witness
+    if not is_invariant_seed(seed, pair.group.generators):
+        raise NotInvariantError("orbit mutation requires a G-invariant seed")
+    witness = admissibility_witness(seed.matrix, pair.orbits)
     for idx in word:
         if not 0 <= idx < pair.orbit_count:
             raise ValueError(f"orbit index {idx + 1} out of range")
         if witness is not None:
             raise NotAdmissibleError(witness)
-        seed = orbit_mutate_seed(pair, seed, idx, check=False, exchanges=exchanges)
-        if not is_automorphism_group(seed.matrix, pair.group):
-            raise ValueError("group generators must preserve the matrix")
-        witness = admissibility_witness(seed.matrix, pair.orbits)
+        seed, witness = orbit_mutate_seed(pair, seed, idx)
     return seed, witness
 
 
@@ -373,16 +373,18 @@ class _OrbitSeedNode:
 
 
 class OrbitSeedGraph:
-    """The part of a stable-pair check's orbit-seed graph that words have reached.
+    """The part of a pair's orbit-seed graph that commutation words have reached.
 
     ``nodes`` maps (ambient seed, quotient seed) to its node; the first
     is the pair of initial seeds.  An edge is computed once, upstairs by
-    :func:`orbit_mutate_word` (automorphism and admissibility checks) and
-    downstairs by :func:`mutate_seed`; the child is then looked up by
-    equality, so words that reach the same pair share one node.  Both
-    sides share one exchange table (see :func:`mutate_seed`), so each
-    exchange pair is divided once, whichever side meets it: an entry is
-    an exact identity in the Laurent ring of its variables.
+    :func:`orbit_mutate_seed` and downstairs by :func:`mutate_seed`; the
+    child is then looked up by equality, so words that reach the same
+    pair share one node.  Both sides share one exchange table (see
+    :func:`mutate_seed`), so each exchange pair is divided once, whichever
+    side meets it: an entry is an exact identity in the Laurent ring of
+    its variables.  A node keeps its admissibility witness, so a walk
+    that must not cross an inadmissible node raises with it whether or
+    not an earlier walk crossed it.
     """
 
     def __init__(self, pair: FoldingPair):
@@ -393,23 +395,24 @@ class OrbitSeedGraph:
         )
         self.nodes = {(self.root.ambient, self.root.quotient): self.root}
 
-    def walk(self, word) -> _OrbitSeedNode:
-        """The node a word of in-range orbit indices reaches; NotAdmissibleError
-        with the witness of the first inadmissible node it continues from or ends at."""
+    def walk(self, word, require_admissible: bool) -> _OrbitSeedNode:
+        """The node a word of in-range orbit indices reaches.  With
+        ``require_admissible``, NotAdmissibleError with the witness of the
+        first inadmissible node the word continues from or ends at."""
         node = self.root
         for idx in word:
-            if node.witness is not None:
+            if require_admissible and node.witness is not None:
                 raise NotAdmissibleError(node.witness)
             child = node.children.get(idx)
             if child is None:
                 child = node.children[idx] = self._step(node, idx)
             node = child
-        if node.witness is not None:
+        if require_admissible and node.witness is not None:
             raise NotAdmissibleError(node.witness)
         return node
 
     def _step(self, node: _OrbitSeedNode, idx: int) -> _OrbitSeedNode:
-        ambient, witness = orbit_mutate_word(self.pair, node.ambient, (idx,),
+        ambient, witness = orbit_mutate_seed(self.pair, node.ambient, idx,
                                              exchanges=self.exchanges)
         quotient = mutate_seed(node.quotient, idx, exchanges=self.exchanges)
         key = (ambient, quotient)
@@ -439,46 +442,31 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
     """Compare plain mutation of the quotient seed against orbit mutation
     followed by projection, for one orbit word.
 
-    An orbit index out of range raises ValueError before any work.  With
-    ``require_stable`` the word is walked through the pair's
-    :class:`OrbitSeedGraph`: the admissibility of every prefix is enforced
-    (NotAdmissibleError with the witness of the first inadmissible node
-    the word continues from or ends at, on every call), and each orbit
-    step, mutation, projection and comparison is computed once per edge
-    or node the words reach, not once per word.  The node key is both
-    labeled seeds, so the result is the one a per-word computation
-    gives; memory grows with the distinct nodes reached.  Without
-    ``require_stable`` the word is computed from the initial seeds with no
-    check and nothing shared, which is how the known non-stable mismatch
-    is reproduced.
+    An orbit index out of range raises ValueError before any work.  The
+    word is walked through the pair's :class:`OrbitSeedGraph` in both
+    modes, so each orbit step, mutation, projection and comparison is
+    computed once per edge or node the words reach, not once per word.
+    The node key is both labeled seeds, so the result is the one a
+    per-word computation gives; memory grows with the distinct nodes
+    reached.  With ``require_stable`` the admissibility of every prefix is
+    enforced (NotAdmissibleError with the witness of the first
+    inadmissible node the word continues from or ends at, on every call).
+    Without it the word may cross inadmissible nodes, which is how the
+    known non-stable mismatch is reproduced; the group must still preserve
+    every matrix on the way (else ValueError), and the projection is still
+    checked (NotInvariantError, NotSkewSymmetrizableError).
     """
     pair.require_admissible()
     word = tuple(word)
     for idx in word:
         if not 0 <= idx < pair.orbit_count:
             raise ValueError(f"orbit index {idx + 1} out of range")
-    if require_stable:
-        if pair._orbit_seeds is None:
-            pair._orbit_seeds = OrbitSeedGraph(pair)
-        node = pair._orbit_seeds.walk(word)
-        quotient_seed = node.quotient
-        ok, projected = pair._orbit_seeds.verdict(node)
-    else:
-        quotient_seed = initial_seed(quotient_matrix(pair))
-        for idx in word:
-            quotient_seed = mutate_seed(quotient_seed, idx)
-        ambient = initial_seed(pair.matrix)
-        for idx in word:
-            for k in pair.orbits[idx]:
-                ambient = mutate_seed(ambient, k)
-        matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits), pair.orbit_labels())
-        cluster = tuple(
-            ambient.cluster[orbit[0]].project(pair.orbits) for orbit in pair.orbits
-        )
-        projected = Seed(matrix, cluster)
-        ok = projected == quotient_seed
+    if pair._orbit_seeds is None:
+        pair._orbit_seeds = OrbitSeedGraph(pair)
+    node = pair._orbit_seeds.walk(word, require_stable)
+    ok, projected = pair._orbit_seeds.verdict(node)
     detail = "" if ok else "quotient-side and projected seeds differ"
-    return CommutationReport(ok, word, quotient_seed, projected, detail)
+    return CommutationReport(ok, word, node.quotient, projected, detail)
 
 
 def all_orbit_orderings_agree(pair: FoldingPair, orbit_index: int, max_size: int = 4) -> bool:

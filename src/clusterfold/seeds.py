@@ -208,14 +208,13 @@ def enumerate_cluster_variables(
     matrix: ExchangeMatrix,
     max_seeds: int = 100_000,
     max_depth: int = 64,
-    strict: bool = False,
 ) -> EnumerationResult:
     """BFS over seeds from the initial seed, deduplicated by cluster-as-set.
 
     Returns every distinct cluster variable with a shortest mutation word
     producing it, including the variables of neighbours refused by the
     seed limit.  ``complete`` is True when the BFS closed before the
-    limits; with ``strict`` the limits raise LimitExceededError instead.
+    limits.
     """
     start = initial_seed(matrix)
     variables: dict[LaurentPolynomial, tuple[int, ...]] = {
@@ -233,15 +232,10 @@ def enumerate_cluster_variables(
             edge_set.add((min(source, target), max(source, target)))
 
     search = search_seeds(start, max_seeds, max_depth=max_depth, on_new=record, on_edge=link)
-    complete = search.status == "closed"
-    if not complete and strict:
-        raise LimitExceededError(
-            f"enumeration exceeded limits after {len(search.visited)} seeds"
-        )
     return EnumerationResult(
         variables=variables,
         cluster_count=len(search.visited),
-        complete=complete,
+        complete=search.status == "closed",
         frontier=search.refused,
         dot_edges=sorted(edge_set),
     )

@@ -279,9 +279,9 @@ class Test11AffineFiniteness:
             matrix = catalog.affine(name)
             if matrix.n > 6:
                 continue
-            report = explorer.is_mutation_finite(matrix, limit=50_000)
+            report = explorer.mutation_class(matrix, limit=50_000)
             assert report.finite, (name, report.verdict)
-        control = explorer.is_mutation_finite(
+        control = explorer.mutation_class(
             ExchangeMatrix([[0, 2, 0], [-2, 0, 2], [0, -2, 0]]), limit=10_000
         )
         # either outcome is evidence the class does not close

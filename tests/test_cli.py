@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from clusterfold import cli, explorer, folding, seeds
+from clusterfold import cli, folding, seeds
 from clusterfold.cli import main
 
 A3_FILE = """\
@@ -246,7 +246,6 @@ class TestEnumerate:
             return seeds.enumerate_cluster_variables(*args, **kwargs)
 
         monkeypatch.setattr(cli, "enumerate_cluster_variables", counting)
-        monkeypatch.setattr(explorer, "enumerate_cluster_variables", counting)
         path = tmp_path / "b2.txt"
         path.write_text(B2_FILE)
         target = tmp_path / "graph.dot"
@@ -459,6 +458,17 @@ class TestVerify:
 class TestUsage:
     def test_unknown_flag(self, capsys):
         assert main(["mutate", "--bogus"]) == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in ("mutate", "fold", "orbit-mutate")
+        for flag in ("--limit", "--depth")
+    ] + [("enumerate", "--depth"), ("explore", "--depth")])
+    def test_limit_and_depth_only_where_read(self, capsys, command, flag):
+        code = main([command, "--pair", "A3toB2", flag, "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 3" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

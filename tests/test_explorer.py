@@ -4,15 +4,13 @@ import pytest
 
 from clusterfold.exchange import ExchangeMatrix
 from clusterfold.explorer import (
-    exchange_graph_dot,
     find_variable_by_denominator,
-    is_mutation_finite,
     mutation_class,
     rank2_denominators_below,
     verify_monotonicity_chain,
 )
 from clusterfold.laurent import parse_polynomial
-from clusterfold.seeds import LimitExceededError
+from clusterfold.seeds import enumerate_cluster_variables
 from clusterfold import catalog, cli, explorer
 from clusterfold.folding import FoldingPair, PermutationGroup, check_stability, quotient_matrix
 
@@ -60,7 +58,7 @@ class TestMutationClass:
         assert report.verdict in ("limit-exceeded", "overflow")
 
     def test_indefinite_control_overflows_at_456(self):
-        report = is_mutation_finite(ExchangeMatrix(cli._INDEFINITE_CONTROL), 50_000)
+        report = mutation_class(ExchangeMatrix(cli._INDEFINITE_CONTROL), 50_000)
         assert (report.verdict, report.size) == ("overflow", 456)
 
     def test_limit(self):
@@ -144,10 +142,10 @@ class TestOrbitMutationClass:
 class TestFiniteness:
     @pytest.mark.parametrize("name", ["~A1", "~A1(2)", "~B2", "~C3", "~BC2", "~G2(1)"])
     def test_affine_finite(self, name):
-        assert is_mutation_finite(catalog.affine(name)).finite
+        assert mutation_class(catalog.affine(name)).finite
 
     def test_dynkin_finite(self):
-        assert is_mutation_finite(A3).finite
+        assert mutation_class(A3).finite
 
     def test_monotonicity_chain(self):
         for name in ["A3toB2", "D4toG2", "D4t-A1t2"]:
@@ -156,25 +154,27 @@ class TestFiniteness:
             assert report.quotient_size <= report.orbit_size <= report.ambient_size
 
 
+def closed_graph_dot(matrix):
+    result = enumerate_cluster_variables(matrix)
+    assert result.complete
+    return result.to_dot()
+
+
 class TestExchangeGraph:
     def test_a1(self):
-        text = exchange_graph_dot(ExchangeMatrix([[0]]))
+        text = closed_graph_dot(ExchangeMatrix([[0]]))
         assert text.count("--") == 1
         assert text.count("[label=") == 2
 
     def test_b2_is_a_6_cycle(self):
-        text = exchange_graph_dot(ExchangeMatrix([[0, -2], [1, 0]]))
+        text = closed_graph_dot(ExchangeMatrix([[0, -2], [1, 0]]))
         assert text.count("[label=") == 6
         assert text.count("--") == 6
 
     def test_a3_is_3_regular_on_14(self):
-        text = exchange_graph_dot(A3)
+        text = closed_graph_dot(A3)
         assert text.count("[label=") == 14
         assert text.count("--") == 21  # 14 * 3 / 2
-
-    def test_limit_raises(self):
-        with pytest.raises(LimitExceededError):
-            exchange_graph_dot(ExchangeMatrix([[0, 2], [-2, 0]]), max_seeds=10)
 
 
 class TestDenominatorSearch:

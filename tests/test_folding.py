@@ -17,10 +17,8 @@ from clusterfold.folding import (
     check_stability,
     compose,
     compose_orbit_mutations,
-    inverse,
     is_automorphism,
     is_automorphism_group,
-    orbit_mutate_matrix,
     orbit_mutate_seed,
     orbit_mutate_word,
     project_seed,
@@ -104,6 +102,25 @@ def commutation_per_word(pair, word):
     return projected == quotient_seed, quotient_seed, projected
 
 
+def lenient_commutation_per_word(pair, word):
+    """Reference for ``require_stable=False``: one word computed from the
+    initial seeds with no admissibility, automorphism or projection check
+    and nothing shared, the projected matrix validated by the constructor
+    and the cluster projected from each orbit's first member.  Returns
+    (ok, quotient-side seed, projected seed)."""
+    quotient_seed = initial_seed(quotient_matrix(pair))
+    for idx in word:
+        quotient_seed = mutate_seed(quotient_seed, idx)
+    ambient = initial_seed(pair.matrix)
+    for idx in word:
+        for k in pair.orbits[idx]:
+            ambient = mutate_seed(ambient, k)
+    matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits), pair.orbit_labels())
+    cluster = tuple(ambient.cluster[orbit[0]].project(pair.orbits) for orbit in pair.orbits)
+    projected = Seed(matrix, cluster)
+    return projected == quotient_seed, quotient_seed, projected
+
+
 def words_up_to(orbit_count, depth):
     return [w for length in range(depth + 1)
             for w in itertools.product(range(orbit_count), repeat=length)]
@@ -127,7 +144,7 @@ class TestPermutationGroup:
 
     def test_compose_inverse(self):
         g = (1, 2, 0)
-        assert compose(g, inverse(g)) == (0, 1, 2)
+        assert compose(g, (2, 0, 1)) == compose((2, 0, 1), g) == (0, 1, 2)
         h = (0, 2, 1)
         # compose applies the right factor first
         assert compose(g, h) == tuple(g[h[i]] for i in range(3))
@@ -216,7 +233,7 @@ class TestQuotients:
 class TestOrbitMutation:
     def test_matches_closed_form(self):
         pair = six_cycle_pair()
-        mutated = orbit_mutate_matrix(pair, 0)
+        mutated = compose_orbit_mutations(pair.matrix, pair.orbits, 0)
         # composing the two commuting vertex mutations by hand
         expected = pair.matrix.mutate(0).mutate(3)
         assert mutated == expected
@@ -227,7 +244,7 @@ class TestOrbitMutation:
             if not pair.admissible:
                 continue
             for idx, orbit in enumerate(pair.orbits):
-                mutated = orbit_mutate_matrix(pair, idx)
+                mutated = compose_orbit_mutations(pair.matrix, pair.orbits, idx)
                 assert mutated.entries == orbit_mutate_closed_form(pair.matrix, orbit)
                 checked += 1
         assert checked > 50
@@ -242,14 +259,23 @@ class TestOrbitMutation:
         pair = a3_pair()
         skewed = mutate_seed(initial_seed(A3), 0)
         with pytest.raises(NotInvariantError):
-            orbit_mutate_seed(pair, skewed, 0)
+            orbit_mutate_word(pair, skewed, (0,))
 
     def test_orbit_mutation_preserves_invariance(self):
         pair = a3_pair()
-        seed = orbit_mutate_seed(pair, initial_seed(A3), 0)
+        seed, witness = orbit_mutate_seed(pair, initial_seed(A3), 0)
         from clusterfold.seeds import is_invariant_seed
 
         assert is_invariant_seed(seed, pair.group.generators)
+        assert witness is None
+
+    def test_step_that_breaks_the_automorphisms_raises(self):
+        # the cyclic triangle's one orbit is inadmissible: mutating its
+        # members in turn leaves a matrix the rotation does not preserve
+        m = ExchangeMatrix([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+        pair = FoldingPair(m, PermutationGroup(3, [(1, 2, 0)]))
+        with pytest.raises(ValueError, match="group generators must preserve the matrix"):
+            orbit_mutate_seed(pair, initial_seed(m), 0)
 
 
 class TestProjection:
@@ -433,12 +459,37 @@ class TestOrbitSeedGraph:
             assert info.value.witness == (0, 2, 3), word
         assert verify_commutation(pair, ()).ok
 
+    def test_lenient_mode_matches_the_per_word_reference(self):
+        pair = six_cycle_pair()
+        words = words_up_to(pair.orbit_count, 5)
+        assert len(words) == 364
+        mismatches = 0
+        for word in words:
+            report = verify_commutation(pair, word, require_stable=False)
+            ok, quotient_side, projected_side = lenient_commutation_per_word(six_cycle_pair(), word)
+            assert report.ok == ok, word
+            assert report.quotient_side == quotient_side, word
+            assert report.projected_side == projected_side, word
+            assert report.projected_side.matrix.symmetrizer == projected_side.matrix.symmetrizer
+            mismatches += not ok
+        assert mismatches > 0
+
+    def test_lenient_walks_leave_the_strict_mode_strict(self):
+        pair = six_cycle_pair()
+        for word in [(1, 0), (1,), (1, 0, 2)]:
+            verify_commutation(pair, word, require_stable=False)
+        for word in [(1, 0), (1,), (1, 0, 2)]:
+            with pytest.raises(NotAdmissibleError) as info:
+                verify_commutation(pair, word)
+            assert info.value.witness == (0, 2, 3), word
+        assert not verify_commutation(pair, (1, 0), require_stable=False).ok
+
     def test_orbit_index_out_of_range_before_any_work(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("work done before the range check")
 
         monkeypatch.setattr(folding, "mutate_seed", forbidden)
-        monkeypatch.setattr(folding, "orbit_mutate_word", forbidden)
+        monkeypatch.setattr(folding, "orbit_mutate_seed", forbidden)
         pair = a3_pair()
         for word in [(0, 2), (-1,), (5, 0)]:
             for require_stable in (True, False):
@@ -466,10 +517,12 @@ class TestOrbitSeedGraph:
         pair = catalog.folding_pair("A3toB2").pair
         words = words_up_to(pair.orbit_count, 6)
         for word in words:
-            assert verify_commutation(pair, word).ok
+            for require_stable in (False, True):
+                assert verify_commutation(pair, word, require_stable=require_stable).ok
         graph = pair._orbit_seeds
         assert len(graph.nodes) == 12
-        # one orbit mutation upstairs (a mutation per orbit member) and one downstairs
+        # one orbit mutation upstairs (a mutation per orbit member) and one
+        # downstairs, whichever mode crossed the edge first
         edges = [idx for node in graph.nodes.values() for idx in node.children]
         assert len(calls) == sum(1 + len(pair.orbits[idx]) for idx in edges)
         assert len(calls) < len(words)
@@ -485,8 +538,11 @@ class TestOrbitSeedGraph:
             exchanges = {}
             for _ in range(15):
                 word = tuple(rng.randrange(pair.orbit_count) for _ in range(rng.randint(1, 6)))
-                upstairs, witness = orbit_mutate_word(pair, ambient, word, exchanges=exchanges)
-                assert (upstairs, witness) == orbit_mutate_word(pair, ambient, word), (pair.name, word)
+                upstairs = ambient
+                for idx in word:
+                    step = orbit_mutate_seed(pair, upstairs, idx, exchanges=exchanges)
+                    assert step == orbit_mutate_seed(pair, upstairs, idx), (pair.name, word)
+                    upstairs = step[0]
                 downstairs = quotient
                 for idx in word:
                     downstairs = mutate_seed(downstairs, idx, exchanges=exchanges)
@@ -499,7 +555,7 @@ class TestOrbitMutateWord:
         word = (0, 1, 0, 1, 1)
         expected = initial_seed(pair.matrix)
         for idx in word:
-            expected = orbit_mutate_seed(pair, expected, idx)
+            expected = orbit_mutate_seed(pair, expected, idx)[0]
         assert orbit_mutate_word(pair, initial_seed(pair.matrix), word) == (expected, None)
 
     def test_returns_the_witness_of_the_result(self):
@@ -512,6 +568,15 @@ class TestOrbitMutateWord:
         with pytest.raises(NotAdmissibleError) as info:
             orbit_mutate_word(six_cycle_pair(), initial_seed(six_cycle_pair().matrix), (1, 0))
         assert info.value.witness == (0, 2, 3)
+
+    def test_inadmissible_given_seed_raises_before_mutating(self):
+        pair = six_cycle_pair()
+        seed, witness = orbit_mutate_word(pair, initial_seed(pair.matrix), (1,))
+        assert witness == (0, 2, 3)
+        with pytest.raises(NotAdmissibleError) as info:
+            orbit_mutate_word(pair, seed, (0,))
+        assert info.value.witness == (0, 2, 3)
+        assert orbit_mutate_word(pair, seed, ()) == (seed, (0, 2, 3))
 
     def test_orbit_index_out_of_range(self):
         pair = a3_pair()
