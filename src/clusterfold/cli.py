@@ -6,11 +6,21 @@ Exit codes: 0 verified/success, 1 a verification found a witness,
 green in CI.
 Reports are plain ``key: value`` lines; ``--json`` mirrors the same
 data as a JSON object.
+
+One table drives the parser: ``_FLAGS`` holds each flag's
+``add_argument`` keywords, and ``_COMMANDS`` maps each command, and
+``_VERIFY_TARGETS`` each ``verify`` target, to its function, help and the
+flags it reads, so any other flag is a usage error.  ``verify`` takes its
+target as a subcommand, with the options after it
+(``verify commutation --pair E6toF4``).  ``build_parser`` builds the
+parser once per process: argparse spends far longer building a parser
+than parsing one argv.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -92,13 +102,12 @@ def _parse_generators(spec: str, n: int):
 
 
 def _load_pair(args) -> FoldingPair:
-    if getattr(args, "pair", None):
-        entry = catalog.folding_pair(args.pair, getattr(args, "rank", None))
-        return entry.pair
-    if not getattr(args, "matrix", None):
+    if args.pair:
+        return catalog.folding_pair(args.pair, args.rank).pair
+    if not args.matrix:
         raise ValueError("need --pair or --matrix")
     matrix, generators = io.parse_matrix_text(_read_text(args.matrix))
-    if getattr(args, "group", None):
+    if args.group:
         generators = _parse_generators(args.group, matrix.n)
     if not generators:
         raise ValueError("need a group: use --group or 'group:' lines in the matrix file")
@@ -106,10 +115,9 @@ def _load_pair(args) -> FoldingPair:
 
 
 def _load_matrix(args) -> ExchangeMatrix:
-    if getattr(args, "pair", None):
-        entry = catalog.folding_pair(args.pair, getattr(args, "rank", None))
-        return entry.pair.matrix
-    if not getattr(args, "matrix", None):
+    if args.pair:
+        return catalog.folding_pair(args.pair, args.rank).pair.matrix
+    if not args.matrix:
         raise ValueError("need --matrix or --pair")
     matrix, _ = io.parse_matrix_text(_read_text(args.matrix))
     return matrix
@@ -213,6 +221,8 @@ def _cmd_catalog(args, report: _Report) -> int:
         for name in catalog.list_names():
             report.add("entry", name)
         return EXIT_OK
+    if not args.name:
+        raise ValueError("catalog show needs an entry name")
     entry = catalog.folding_pair(args.name, args.rank)
     report.add("name", entry.name)
     report.add("ambient", io.render_matrix_text(
@@ -333,15 +343,16 @@ def _verify_finite_type_equality(args, report: _Report) -> int:
 
 
 def _verify_affine_finiteness(args, report: _Report) -> int:
-    for name in _AFFINE_NAMES:
-        matrix = catalog.affine(name)
-        if matrix.n > args.max_rank:
-            continue
+    matrices = [(name, matrix) for name in _AFFINE_NAMES
+                if (matrix := catalog.affine(name)).n <= args.max_rank]
+    if not matrices:
+        raise ValueError(f"no affine diagram has rank <= {args.max_rank}; the smallest has rank 2")
+    for name, matrix in matrices:
         outcome = explorer.mutation_class(matrix, args.limit)
         report.add(name, f"{outcome.verdict} size={outcome.size}")
-        if not outcome.finite:
-            report.add("status", "not-finite")
-            return EXIT_WITNESS
+        if not outcome.finite:  # a limit or an overflow decides nothing
+            report.add("status", outcome.verdict)
+            return EXIT_LIMIT
     control = explorer.mutation_class(ExchangeMatrix(_INDEFINITE_CONTROL), args.limit)
     report.add("indefinite control", f"{control.verdict} size={control.size}")
     if control.finite:
@@ -352,8 +363,6 @@ def _verify_affine_finiteness(args, report: _Report) -> int:
 
 
 def _verify_counterexamples(args, report: _Report) -> int:
-    if args.case != "remark-stabilite":
-        raise ValueError(f"unknown counterexample case {args.case!r}")
     pair = catalog.folding_pair("remark-stabilite").pair
     code = _report_stability(report, pair, args.limit, expect_stable=False)
     if code is not None:
@@ -372,91 +381,95 @@ def _verify_counterexamples(args, report: _Report) -> int:
     return EXIT_OK
 
 
-_VERIFY_TARGETS = {
-    "commutation": _verify_commutation,
-    "roots": _verify_root_lemma,
-    "fibers": _verify_root_lemma,
-    "denominators": _verify_denominators,
-    "finite-type-equality": _verify_finite_type_equality,
-    "affine-finiteness": _verify_affine_finiteness,
-    "counterexamples": _verify_counterexamples,
-}
-
-
-def _cmd_verify(args, report: _Report) -> int:
-    return _VERIFY_TARGETS[args.target](args, report)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(parser, matrix=True, group=False, pair=True, word=False, dot=False, limit=False):
-    if matrix:
-        parser.add_argument("--matrix", help="matrix file (see io module format)")
-    if group:
-        parser.add_argument("--group", help="inline generators, e.g. '(1 3)' or '(1 2); (3 4)'")
-    if pair:
-        parser.add_argument("--pair", help="catalog folding-pair name")
-        parser.add_argument("--rank", type=int, help="rank parameter for parametric entries")
-    if word:
-        parser.add_argument("--word", help="1-based mutation word, e.g. '1 2 1'")
-    if limit:
-        parser.add_argument("--limit", type=int, default=100_000, help="node/seed limit")
-    if dot:
-        parser.add_argument("--emit-dot", help="write a DOT rendering to this file")
-    parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--expect-fail", action="store_true",
-                        help="swap exit codes 0 and 1 (expected counterexamples)")
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
+# argument -> add_argument keywords, catalog's two positionals included;
+# every leaf parser also takes --json and --expect-fail
+_FLAGS = {
+    "--matrix": dict(help="matrix file (see io module format)"),
+    "--group": dict(help="inline generators, e.g. '(1 3)' or '(1 2); (3 4)'"),
+    "--pair": dict(help="catalog folding-pair name"),
+    "--rank": dict(type=int, help="rank parameter for parametric entries"),
+    "--word": dict(help="1-based mutation word, e.g. '1 2 1'"),
+    "--limit": dict(type=_non_negative, default=100_000, help="node/seed limit"),
+    "--depth": dict(type=_non_negative, default=4, help="orbit-word length for commutation checks"),
+    "--random-words": dict(type=_non_negative, default=200,
+                           help="extra random words for commutation checks"),
+    "--max-rank": dict(type=_non_negative, default=6,
+                       help="largest rank for affine-finiteness sweeps"),
+    "--emit-dot": dict(help="write a DOT rendering to this file"),
+    "--json": dict(action="store_true", help="JSON output"),
+    "--expect-fail": dict(action="store_true",
+                          help="swap exit codes 0 and 1 (expected counterexamples)"),
+    "action": dict(choices=["list", "show"]),
+    "name": dict(nargs="?", help="entry name for 'show'"),
+}
+
+_SOURCE = ("--matrix", "--pair", "--rank")
+_PAIR = ("--matrix", "--group", "--pair", "--rank")
+
+# verify target -> (function, help, flags it reads)
+_VERIFY_TARGETS = {
+    "commutation": (_verify_commutation, "orbit mutation commutes with projection",
+                    (*_PAIR, "--limit", "--depth", "--random-words")),
+    "roots": (_verify_root_lemma, "projected almost positive roots are the quotient's", _PAIR),
+    "fibers": (_verify_root_lemma, "roots with one projection lie in one G-orbit", _PAIR),
+    "denominators": (_verify_denominators, "denominators biject onto almost positive roots",
+                     (*_SOURCE, "--limit")),
+    "finite-type-equality": (_verify_finite_type_equality,
+                             "A(quotient) is the projection of A(ambient)", (*_PAIR, "--limit")),
+    "affine-finiteness": (_verify_affine_finiteness, "affine valued graphs are mutation-finite",
+                          ("--limit", "--max-rank")),
+    "counterexamples": (_verify_counterexamples, "the admissible but unstable 6-cycle",
+                        ("--limit",)),
+}
+
+# command -> (function, help, flags it reads); a table in place of the
+# flags makes a command whose targets are subcommands of their own
+_COMMANDS = {
+    "mutate": (_cmd_mutate, "mutate the initial seed along a word", (*_SOURCE, "--word")),
+    "fold": (_cmd_fold, "quotient matrix of a folding pair", (*_PAIR, "--emit-dot")),
+    "orbit-mutate": (_cmd_orbit_mutate, "orbit-mutate the initial seed", (*_PAIR, "--word")),
+    "enumerate": (_cmd_enumerate, "enumerate all cluster variables",
+                  (*_SOURCE, "--limit", "--emit-dot")),
+    "explore": (_cmd_explore, "matrix mutation-class BFS", (*_SOURCE, "--limit")),
+    "verify": (None, "run a verification target", _VERIFY_TARGETS),
+    "catalog": (_cmd_catalog, "list or show catalog entries", ("action", "name", "--rank")),
+}
+
+
+def _add_commands(parser, table, dest: str):
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (func, help_text, flags) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(flags, dict):
+            _add_commands(p, flags, "target")
+            continue
+        for flag in (*flags, "--json", "--expect-fail"):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse spends its time building it."""
     parser = argparse.ArgumentParser(
         prog="cluster-fold",
         description="Exact cluster-algebra mutation, folding and verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mutate", help="mutate the initial seed along a word")
-    _add_common(p, word=True)
-    p.set_defaults(func=_cmd_mutate)
-
-    p = sub.add_parser("fold", help="quotient matrix of a folding pair")
-    _add_common(p, group=True, dot=True)
-    p.set_defaults(func=_cmd_fold)
-
-    p = sub.add_parser("orbit-mutate", help="orbit-mutate the initial seed")
-    _add_common(p, group=True, word=True)
-    p.set_defaults(func=_cmd_orbit_mutate)
-
-    p = sub.add_parser("enumerate", help="enumerate all cluster variables")
-    _add_common(p, dot=True, limit=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("explore", help="matrix mutation-class BFS")
-    _add_common(p, limit=True)
-    p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser("verify", help="run a verification target")
-    p.add_argument("target", choices=sorted(_VERIFY_TARGETS))
-    p.add_argument("--case", default="remark-stabilite", help="counterexample case name")
-    p.add_argument("--depth", type=int, default=4,
-                   help="orbit-word length for commutation checks")
-    p.add_argument("--random-words", type=int, default=200,
-                   help="extra random words for commutation checks")
-    p.add_argument("--max-rank", type=int, default=6,
-                   help="largest rank for affine-finiteness sweeps")
-    _add_common(p, group=True, limit=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("catalog", help="list or show catalog entries")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?", help="entry name for 'show'")
-    p.add_argument("--rank", type=int, help="rank parameter for parametric entries")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--expect-fail", action="store_true")
-    p.set_defaults(func=_cmd_catalog)
-
+    _add_commands(parser, _COMMANDS, "command")
     return parser
 
 
@@ -468,8 +481,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     report = _Report()
     try:
-        if args.command == "catalog" and args.action == "show" and not args.name:
-            raise ValueError("catalog show needs an entry name")
         code = args.func(args, report)
     except LimitExceededError as exc:
         report.add("error", str(exc))

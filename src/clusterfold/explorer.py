@@ -35,7 +35,6 @@ class MutationClassReport:
 
     verdict: str
     size: int
-    limit: int
     members: KeysView | None = None
 
     @property
@@ -57,14 +56,14 @@ def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClass
                  on_edge=count_slots, involutive=True)
     visited = search.visited
     if search.status != "closed":
-        return MutationClassReport(search.status, len(visited), limit)
+        return MutationClassReport(search.status, len(visited))
     if slots != n * len(visited):
         raise AssertionError("mutation-class BFS missed a neighbour lookup")
     d = matrix.symmetrizer
     for entries in visited:
         if find_symmetrizer(entries) != d:
             raise AssertionError("class member's symmetrizer differs from the carried one")
-    return MutationClassReport("finite", len(visited), limit, members=visited.keys())
+    return MutationClassReport("finite", len(visited), members=visited.keys())
 
 
 @dataclass

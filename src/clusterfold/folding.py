@@ -435,7 +435,6 @@ class CommutationReport:
     word: tuple
     quotient_side: Seed
     projected_side: Seed
-    detail: str = ""
 
 
 def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> CommutationReport:
@@ -465,8 +464,7 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
         pair._orbit_seeds = OrbitSeedGraph(pair)
     node = pair._orbit_seeds.walk(word, require_stable)
     ok, projected = pair._orbit_seeds.verdict(node)
-    detail = "" if ok else "quotient-side and projected seeds differ"
-    return CommutationReport(ok, word, node.quotient, projected, detail)
+    return CommutationReport(ok, word, node.quotient, projected)
 
 
 def all_orbit_orderings_agree(pair: FoldingPair, orbit_index: int, max_size: int = 4) -> bool:

@@ -1,4 +1,4 @@
-"""Text formats for matrices, automorphism groups and seeds.
+"""Text formats for matrices and automorphism groups.
 
 Matrix files:
     # optional comments
@@ -9,9 +9,7 @@ Matrix files:
     group: (1 3)(2)
 
 Vertices are 1-based in files.  `group:` lines are optional; each line
-holds one generator in cycle notation.  A seed file is a matrix block
-followed by a `cluster:` line and one rendered Laurent polynomial per
-line.
+holds one generator in cycle notation.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 import re
 
 from .exchange import ExchangeMatrix
-from .laurent import LaurentPolynomial, parse_polynomial
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -105,8 +102,6 @@ def parse_matrix_text(text: str):
     for line in rest:
         if line.startswith("group:"):
             generators.append(parse_permutation(line[len("group:"):], n))
-        elif line.startswith("cluster:"):
-            break
         else:
             raise ValueError(f"unexpected line in matrix file: {line!r}")
     return ExchangeMatrix(rows), generators
@@ -121,30 +116,3 @@ def render_matrix_text(matrix: ExchangeMatrix, generators=()) -> str:
         lines.append(f"group: {render_permutation(tuple(g))}")
     return "\n".join(lines) + "\n"
 
-
-def parse_seed_text(text: str):
-    """Parse a seed file; returns (Seed, generator list).
-
-    The cluster block is parsed with variable names u1..un.
-    """
-    from .seeds import Seed
-
-    matrix, generators = parse_matrix_text(text)
-    lines = _content_lines(text)
-    try:
-        start = lines.index("cluster:")
-    except ValueError:
-        raise ValueError("seed file must contain a 'cluster:' line") from None
-    poly_lines = lines[start + 1 :]
-    if len(poly_lines) != matrix.n:
-        raise ValueError(f"expected {matrix.n} cluster entries, got {len(poly_lines)}")
-    names = [f"u{i + 1}" for i in range(matrix.n)]
-    cluster = tuple(parse_polynomial(line, names) for line in poly_lines)
-    return Seed(matrix, cluster), generators
-
-
-def render_seed_text(seed, generators=()) -> str:
-    lines = [render_matrix_text(seed.matrix, generators).rstrip("\n"), "cluster:"]
-    for poly in seed.cluster:
-        lines.append(poly.render())
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,12 @@
 """Command-line interface: commands, exit codes, JSON output, file I/O."""
 
+import argparse
 import json
+import re
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,50 @@ group: (1 4)(2 5)(3 6)
 
 # S8 on eight isolated vertices: order 40,320, past the group-order cap
 S8_ON_ZERO_MATRIX = "n = 8\n" + "0 0 0 0 0 0 0 0\n" * 8 + "group: (1 2 3 4 5 6 7 8)\ngroup: (1 2)\n"
+
+
+# the option flags of the table, and the ones each command or verify target reads
+FLAGS = ("--matrix", "--group", "--pair", "--rank", "--word", "--limit", "--depth",
+         "--random-words", "--max-rank", "--emit-dot")
+SOURCE = ("--matrix", "--pair", "--rank")
+PAIR = ("--matrix", "--group", "--pair", "--rank")
+READS = {
+    "mutate": (*SOURCE, "--word"),
+    "fold": (*PAIR, "--emit-dot"),
+    "orbit-mutate": (*PAIR, "--word"),
+    "enumerate": (*SOURCE, "--limit", "--emit-dot"),
+    "explore": (*SOURCE, "--limit"),
+    "verify commutation": (*PAIR, "--limit", "--depth", "--random-words"),
+    "verify roots": PAIR,
+    "verify fibers": PAIR,
+    "verify denominators": (*SOURCE, "--limit"),
+    "verify finite-type-equality": (*PAIR, "--limit"),
+    "verify affine-finiteness": ("--limit", "--max-rank"),
+    "verify counterexamples": ("--limit",),
+    "catalog": ("--rank",),
+}
+FLAG_VALUES = {"--matrix": "b.txt", "--group": "(1 3)", "--pair": "A3toB2", "--rank": "3",
+               "--word": "1 2", "--limit": "3", "--depth": "3", "--random-words": "3",
+               "--max-rank": "3", "--emit-dot": "g.dot"}
+
+
+def command_argv(command):
+    """The command's argv before its flags: catalog needs an action, --pair a source."""
+    argv = command.split() + (["list"] if command == "catalog" else [])
+    return argv + (["--pair", "A3toB2"] if "--pair" in READS[command] else [])
+
+
+def registered_flags(parser, prefix=""):
+    """Command or 'verify target' -> the option flags its parser registers,
+    besides -h, --json and --expect-fail."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            found = {}
+            for name, sub in action.choices.items():
+                found.update(registered_flags(sub, f"{prefix} {name}".strip()))
+            return found
+    flags = {flag for action in parser._actions for flag in action.option_strings}
+    return {prefix: flags - {"-h", "--help", "--json", "--expect-fail"}}
 
 
 def run_cli(capsys, *argv):
@@ -449,10 +496,28 @@ class TestVerify:
         assert "status: verified" in out
 
     def test_counterexamples_unknown_case(self, capsys):
-        code, out = run_cli(
-            capsys, "verify", "counterexamples", "--case", "nope"
-        )
+        # remark-stabilite is the only case, so there is no flag to name one
+        code = main(["verify", "counterexamples", "--case", "nope"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert "unrecognized arguments: --case nope" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_affine_finiteness_limit_is_not_a_witness(self, capsys):
+        # the labeled ~A1 class has 2 members
+        for extra in ((), ("--expect-fail",)):
+            code, out = run_cli(capsys, "verify", "affine-finiteness",
+                                "--max-rank", "2", "--limit", "1", *extra)
+            assert code == 3
+            assert out.splitlines() == ["~A1: limit-exceeded size=1", "status: limit-exceeded", "exit: 3"]
+
+    @pytest.mark.parametrize("max_rank", ["0", "1"])
+    def test_affine_finiteness_empty_window_is_an_input_error(self, capsys, max_rank):
+        code = main(["verify", "affine-finiteness", "--max-rank", max_rank])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == f"error: no affine diagram has rank <= {max_rank}; the smallest has rank 2\n"
+        assert captured.err == ""
 
 
 class TestUsage:
@@ -460,15 +525,55 @@ class TestUsage:
         assert main(["mutate", "--bogus"]) == 2
 
     @pytest.mark.parametrize("command, flag", [
-        (command, flag) for command in ("mutate", "fold", "orbit-mutate")
-        for flag in ("--limit", "--depth")
-    ] + [("enumerate", "--depth"), ("explore", "--depth")])
+        (command, flag) for command, reads in READS.items() for flag in FLAGS if flag not in reads
+    ])
     def test_limit_and_depth_only_where_read(self, capsys, command, flag):
-        code = main([command, "--pair", "A3toB2", flag, "3"])
+        code = main([*command_argv(command), flag, "3"])
         captured = capsys.readouterr()
         assert code == 2
         assert f"unrecognized arguments: {flag} 3" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, reads in READS.items() for flag in reads
+    ])
+    def test_each_command_accepts_the_flags_it_reads(self, command, flag):
+        args = cli.build_parser().parse_args([*command_argv(command), flag, FLAG_VALUES[flag]])
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == FLAG_VALUES[flag]
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--pair", "A3toB2", "--limit"],
+        ["verify", "commutation", "--pair", "A3toB2", "--depth"],
+        ["verify", "commutation", "--pair", "A3toB2", "--random-words"],
+        ["verify", "affine-finiteness", "--max-rank"],
+    ])
+    @pytest.mark.parametrize("value", ["-1", "-3", "x"])
+    def test_counts_are_non_negative_integers(self, capsys, argv, value):
+        code = main([*argv, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"argument {argv[-1]}: expected a non-negative integer, got '{value}'" in captured.err
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        code, out = run_cli(capsys, "verify", "commutation", "--pair", "E6toF4", "--limit", "5")
+        assert code == 3
+        assert "stability: limit-exceeded" in out
+        code, out = run_cli(capsys, "verify", "commutation", "--pair", "E6toF4")
+        assert code == 0
+        assert "stability: stable-exhaustive" in out
+        assert "status: verified" in out
+
+    def test_readme_flag_table_matches_the_parser(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = text.split("| command | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in table.splitlines():
+            _, command, flags, _ = line.split("|")
+            rows[command.strip().strip("`")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+        assert rows == registered_flags(cli.build_parser())
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

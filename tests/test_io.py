@@ -1,17 +1,9 @@
-"""Text formats: permutations, matrix files, seed files."""
+"""Text formats: permutations and matrix files."""
 
 import pytest
 
 from clusterfold.exchange import ExchangeMatrix
-from clusterfold.io import (
-    parse_matrix_text,
-    parse_permutation,
-    parse_seed_text,
-    render_matrix_text,
-    render_permutation,
-    render_seed_text,
-)
-from clusterfold.seeds import apply_mutation_word, initial_seed
+from clusterfold.io import parse_matrix_text, parse_permutation, render_matrix_text, render_permutation
 
 A3 = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
 
@@ -67,21 +59,6 @@ class TestMatrixFiles:
             parse_matrix_text("n = 2\n0 1 0\n-1 0 0\n")  # wrong width
         with pytest.raises(ValueError):
             parse_matrix_text("n = 2\n0 1\n-1 0\nwhat is this\n")
+        with pytest.raises(ValueError, match="unexpected line"):
+            parse_matrix_text(render_matrix_text(A3) + "cluster:\nu1\nu2\nu3\n")  # no seed files
 
-
-class TestSeedFiles:
-    def test_round_trip(self):
-        seed = apply_mutation_word(initial_seed(A3), (0, 1))
-        text = render_seed_text(seed, [(2, 1, 0)])
-        parsed, gens = parse_seed_text(text)
-        assert parsed == seed
-        assert gens == [(2, 1, 0)]
-
-    def test_missing_cluster(self):
-        with pytest.raises(ValueError):
-            parse_seed_text(render_matrix_text(A3))
-
-    def test_wrong_cluster_length(self):
-        text = render_matrix_text(A3) + "cluster:\nu1\nu2\n"
-        with pytest.raises(ValueError):
-            parse_seed_text(text)
