@@ -9,8 +9,9 @@ data as a JSON object.
 
 One table drives the parser: ``_FLAGS`` holds each flag's
 ``add_argument`` keywords, and ``_COMMANDS`` maps each command, and
-``_VERIFY_TARGETS`` each ``verify`` target, to its function, help and the
-flags it reads, so any other flag is a usage error.  ``verify`` takes its
+``_VERIFY_TARGETS`` and ``_CATALOG_ACTIONS`` each ``verify`` target and
+``catalog`` action, to its function, help and the flags it reads, so any
+other flag is a usage error.  ``verify`` and ``catalog`` take their
 target as a subcommand, with the options after it
 (``verify commutation --pair E6toF4``).  ``build_parser`` builds the
 parser once per process: argparse spends far longer building a parser
@@ -216,13 +217,13 @@ def _cmd_explore(args, report: _Report) -> int:
     return EXIT_OK if outcome.finite else EXIT_WITNESS
 
 
-def _cmd_catalog(args, report: _Report) -> int:
-    if args.action == "list":
-        for name in catalog.list_names():
-            report.add("entry", name)
-        return EXIT_OK
-    if not args.name:
-        raise ValueError("catalog show needs an entry name")
+def _cmd_catalog_list(args, report: _Report) -> int:
+    for name in catalog.list_names():
+        report.add("entry", name)
+    return EXIT_OK
+
+
+def _cmd_catalog_show(args, report: _Report) -> int:
     entry = catalog.folding_pair(args.name, args.rank)
     report.add("name", entry.name)
     report.add("ambient", io.render_matrix_text(
@@ -347,17 +348,23 @@ def _verify_affine_finiteness(args, report: _Report) -> int:
                 if (matrix := catalog.affine(name)).n <= args.max_rank]
     if not matrices:
         raise ValueError(f"no affine diagram has rank <= {args.max_rank}; the smallest has rank 2")
+    largest = 0
     for name, matrix in matrices:
         outcome = explorer.mutation_class(matrix, args.limit)
         report.add(name, f"{outcome.verdict} size={outcome.size}")
         if not outcome.finite:  # a limit or an overflow decides nothing
             report.add("status", outcome.verdict)
             return EXIT_LIMIT
+        largest = max(largest, outcome.size)
     control = explorer.mutation_class(ExchangeMatrix(_INDEFINITE_CONTROL), args.limit)
     report.add("indefinite control", f"{control.verdict} size={control.size}")
     if control.finite:
         report.add("status", "control-unexpectedly-finite")
         return EXIT_WITNESS
+    if control.verdict == "limit-exceeded" and control.size <= largest:
+        # stopped no later than a finite class closed, it cannot tell infinite from finite
+        report.add("status", "limit-exceeded")
+        return EXIT_LIMIT
     report.add("status", "verified")
     return EXIT_OK
 
@@ -395,7 +402,7 @@ def _non_negative(text: str) -> int:
     return value
 
 
-# argument -> add_argument keywords, catalog's two positionals included;
+# argument -> add_argument keywords, catalog's positional included;
 # every leaf parser also takes --json and --expect-fail
 _FLAGS = {
     "--matrix": dict(help="matrix file (see io module format)"),
@@ -413,8 +420,7 @@ _FLAGS = {
     "--json": dict(action="store_true", help="JSON output"),
     "--expect-fail": dict(action="store_true",
                           help="swap exit codes 0 and 1 (expected counterexamples)"),
-    "action": dict(choices=["list", "show"]),
-    "name": dict(nargs="?", help="entry name for 'show'"),
+    "name": dict(help="catalog entry name"),
 }
 
 _SOURCE = ("--matrix", "--pair", "--rank")
@@ -436,6 +442,11 @@ _VERIFY_TARGETS = {
                         ("--limit",)),
 }
 
+_CATALOG_ACTIONS = {
+    "list": (_cmd_catalog_list, "list catalog entries", ()),
+    "show": (_cmd_catalog_show, "show one catalog entry", ("name", "--rank")),
+}
+
 # command -> (function, help, flags it reads); a table in place of the
 # flags makes a command whose targets are subcommands of their own
 _COMMANDS = {
@@ -446,7 +457,7 @@ _COMMANDS = {
                   (*_SOURCE, "--limit", "--emit-dot")),
     "explore": (_cmd_explore, "matrix mutation-class BFS", (*_SOURCE, "--limit")),
     "verify": (None, "run a verification target", _VERIFY_TARGETS),
-    "catalog": (_cmd_catalog, "list or show catalog entries", ("action", "name", "--rank")),
+    "catalog": (None, "list or show catalog entries", _CATALOG_ACTIONS),
 }
 
 

@@ -35,6 +35,12 @@ class Search:
     word: tuple | None = None
 
 
+def same_move(stored, neighbour, move):
+    """The ``back`` of a labeled search whose key identifies a node exactly
+    and whose moves are involutions: the way back along move m is m."""
+    return move
+
+
 def bfs(
     start,
     moves,
@@ -46,7 +52,7 @@ def bfs(
     max_depth: int | None = None,
     on_new=None,
     on_edge=None,
-    involutive: bool = False,
+    back=None,
 ) -> Search:
     """Breadth-first search from ``start`` over ``step(node, move)`` for each move.
 
@@ -61,33 +67,39 @@ def bfs(
     EntryOverflowError from ``step`` ends the search with status
     "overflow".
 
-    ``involutive`` (int moves) promises that ``key`` identifies a node
-    exactly and ``step(step(u, m), m)`` has the key of every expanded ``u``;
-    a move back along a computed edge, always a hit, is then skipped without
-    changing the outcome, so ``step`` runs and ``on_edge`` fires once per
-    undirected edge.
+    ``back(stored, neighbour, move)`` (int moves, each an involution:
+    ``step(step(u, m), m)`` has the key of ``u``) names the way back along
+    a computed edge.  On a hit, ``neighbour`` is ``step(source, move)`` and
+    ``stored`` is the admitted node with its key, perhaps relabeled; the
+    return is the move from ``stored``, in its own labeling, back to the
+    key of ``source``.  That move, like move m on a node admitted along m,
+    is skipped: it would be a hit, so the outcome is unchanged while
+    ``step`` runs and ``on_edge`` fires once per undirected edge.  Only
+    queued nodes are asked, since a skip on an expanded node is never read.
     """
     visited = {key(start): 0}
-    back = [0]  # by discovery index: bit m set once the edge along move m is computed
+    queued = [start]  # by discovery index: the node until it is expanded
+    skips = [0]  # by discovery index: bit m set once the edge along move m is computed
     queue = deque([(start, (), 0)])
     depth = refused = 0
     try:
         while queue:
             node, word, source = queue.popleft()
+            queued[source] = None
             depth = len(word)
             if max_depth is not None and depth >= max_depth:
                 refused += 1
                 continue
-            known = back[source] if involutive else 0
+            skip = skips[source]
             for move in moves:
-                if known and known >> move & 1:
+                if skip and skip >> move & 1:
                     continue
                 neighbour = step(node, move)
                 k = key(neighbour)
                 target = visited.get(k)
                 if target is not None:
-                    if involutive:
-                        back[target] |= 1 << move
+                    if back and target > source:  # nodes are expanded in discovery order
+                        skips[target] |= 1 << back(queued[target], neighbour, move)
                     if on_edge is not None:
                         on_edge(source, target)
                     continue
@@ -103,8 +115,8 @@ def bfs(
                     continue
                 target = len(visited)
                 visited[k] = target
-                if involutive:
-                    back.append(1 << move)
+                queued.append(neighbour)
+                skips.append(1 << move if back else 0)
                 if on_edge is not None:
                     on_edge(source, target)
                 queue.append((neighbour, new_word, target))

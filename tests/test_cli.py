@@ -1,10 +1,12 @@
 """Command-line interface: commands, exit codes, JSON output, file I/O."""
 
 import argparse
+import importlib
 import json
 import re
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -95,7 +97,8 @@ READS = {
     "verify finite-type-equality": (*PAIR, "--limit"),
     "verify affine-finiteness": ("--limit", "--max-rank"),
     "verify counterexamples": ("--limit",),
-    "catalog": ("--rank",),
+    "catalog": ("--rank",),  # catalog show; catalog list reads no flag
+    "catalog list": (),
 }
 FLAG_VALUES = {"--matrix": "b.txt", "--group": "(1 3)", "--pair": "A3toB2", "--rank": "3",
                "--word": "1 2", "--limit": "3", "--depth": "3", "--random-words": "3",
@@ -103,8 +106,8 @@ FLAG_VALUES = {"--matrix": "b.txt", "--group": "(1 3)", "--pair": "A3toB2", "--r
 
 
 def command_argv(command):
-    """The command's argv before its flags: catalog needs an action, --pair a source."""
-    argv = command.split() + (["list"] if command == "catalog" else [])
+    """The command's argv before its flags: catalog show needs a name, --pair a source."""
+    argv = ["catalog", "show", "A3toB2"] if command == "catalog" else command.split()
     return argv + (["--pair", "A3toB2"] if "--pair" in READS[command] else [])
 
 
@@ -360,6 +363,15 @@ class TestCatalog:
         code, out = run_cli(capsys, "catalog", "show")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["nope"], ["--rank", "3"], ["nope", "--rank", "3"]])
+    def test_list_refuses_what_it_does_not_read(self, capsys, extra):
+        code = main(["catalog", "list", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in captured.err
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_commutation(self, capsys):
@@ -511,6 +523,22 @@ class TestVerify:
             assert code == 3
             assert out.splitlines() == ["~A1: limit-exceeded size=1", "status: limit-exceeded", "exit: 3"]
 
+    def test_affine_finiteness_control_must_outgrow_the_closed_classes(self, capsys):
+        # the control stops at 2 matrices, no later than the 2-member ~A1 classes close
+        for extra in ((), ("--expect-fail",)):
+            code, out = run_cli(capsys, "verify", "affine-finiteness",
+                                "--max-rank", "2", "--limit", "2", *extra)
+            assert code == 3
+            assert out.splitlines() == [
+                "~A1: finite size=2", "~A1(2): finite size=2",
+                "indefinite control: limit-exceeded size=2", "status: limit-exceeded", "exit: 3",
+            ]
+        code, out = run_cli(capsys, "verify", "affine-finiteness", "--max-rank", "2", "--limit", "3")
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "indefinite control: limit-exceeded size=3", "status: verified", "exit: 0",
+        ]
+
     @pytest.mark.parametrize("max_rank", ["0", "1"])
     def test_affine_finiteness_empty_window_is_an_input_error(self, capsys, max_rank):
         code = main(["verify", "affine-finiteness", "--max-rank", max_rank])
@@ -594,3 +622,20 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "quotient 1: 0 -2" in proc.stdout
+
+
+def test_console_script_entry_point(capsys, monkeypatch):
+    """The installed script's target, read from pyproject.toml, is cli.main, and
+    run as the script runs it (argv from sys.argv) it prints what main prints."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["cluster-fold"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.main
+    argv = ["fold", "--pair", "A3toB2"]
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["cluster-fold", *argv])
+    assert (entry(), capsys.readouterr().out) == expected
+    assert expected[0] == 0
+    assert "quotient 1: 0 -2" in expected[1]

@@ -1,14 +1,16 @@
-"""The BFS engine on a small explicit graph, and its edge reuse on mutation classes."""
+"""The BFS engine on a small explicit graph, and its edge reuse on mutation
+classes and seed searches."""
 
 from collections import Counter, deque
 from operator import attrgetter
 
 import pytest
 
-from clusterfold import catalog, cli
+from clusterfold import catalog, cli, seeds
 from clusterfold.exchange import EntryOverflowError, ExchangeMatrix
 from clusterfold.folding import admissibility_witness, compose_orbit_mutations
-from clusterfold.search import Search, bfs
+from clusterfold.seeds import Seed, initial_seed, mutate_seed, search_seeds
+from clusterfold.search import Search, bfs, same_move
 
 # node -> its neighbour under move 0 and under move 1
 GRAPH = {
@@ -102,18 +104,21 @@ def test_entry_overflow_is_a_verdict():
     assert list(result.visited) == ["a", "b", "c", "d", "e"]
 
 
-def reference_bfs(start, moves, step, key, limit, on_new=None):
+def reference_bfs(start, moves, step, key, limit, on_new=None, drain=False, max_depth=None):
     """Plain BFS that computes every lookup from both ends of an edge.
 
     Returns (Search, directed lookups as (source, target) discovery indices)."""
     visited = {key(start): 0}
     queue = deque([(start, (), 0)])
     lookups = []
-    depth = 0
+    depth = refused = 0
     try:
         while queue:
             node, word, source = queue.popleft()
             depth = len(word)
+            if max_depth is not None and depth >= max_depth:
+                refused += 1
+                continue
             for move in moves:
                 neighbour = step(node, move)
                 k = key(neighbour)
@@ -121,15 +126,18 @@ def reference_bfs(start, moves, step, key, limit, on_new=None):
                     new_word = word + (move,)
                     witness = None if on_new is None else on_new(neighbour, new_word)
                     if witness is not None:
-                        return Search("witness", visited, depth, 0, witness, new_word), lookups
+                        return Search("witness", visited, depth, refused, witness, new_word), lookups
                     if len(visited) >= limit:
-                        return Search("limit-exceeded", visited, depth, 1), lookups
+                        refused += 1
+                        if not drain:
+                            return Search("limit-exceeded", visited, depth, refused), lookups
+                        continue
                     visited[k] = len(visited)
                     queue.append((neighbour, new_word, visited[k]))
                 lookups.append((source, visited[k]))
     except EntryOverflowError:
-        return Search("overflow", visited, depth, 0), lookups
-    return Search("closed", visited, depth, 0), lookups
+        return Search("overflow", visited, depth, refused), lookups
+    return Search("limit-exceeded" if refused else "closed", visited, depth, refused), lookups
 
 
 def orbit_class(name):
@@ -146,7 +154,7 @@ def mutation_class_of(matrix):
     return dict(start=matrix, moves=range(matrix.n), step=ExchangeMatrix.mutate)
 
 
-INVOLUTIVE_CASES = {
+LABELED_CASES = {
     "A5toC3": (mutation_class_of(catalog.folding_pair("A5toC3").pair.matrix), 10_000),
     "D4toG2": (mutation_class_of(catalog.folding_pair("D4toG2").pair.matrix), 10_000),
     "E6t-F4t1 at its limit": (mutation_class_of(catalog.folding_pair("E6t-F4t1").pair.matrix), 2_000),
@@ -156,15 +164,15 @@ INVOLUTIVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", INVOLUTIVE_CASES)
+@pytest.mark.parametrize("name", LABELED_CASES)
 def test_edge_reuse_matches_the_plain_search(name):
-    case, limit = INVOLUTIVE_CASES[name]
+    case, limit = LABELED_CASES[name]
     key = attrgetter("entries")
     expected, lookups = reference_bfs(case["start"], case["moves"], case["step"], key, limit,
                                       case.get("on_new"))
     edges = []
     result = bfs(case["start"], case["moves"], case["step"], key, limit, on_new=case.get("on_new"),
-                 on_edge=lambda source, target: edges.append((source, target)), involutive=True)
+                 on_edge=lambda source, target: edges.append((source, target)), back=same_move)
     assert result == expected
     if result.status == "closed":
         # each undirected edge is reported once; the plain search looks it up from both ends
@@ -178,9 +186,9 @@ def test_edge_reuse_matches_the_plain_search(name):
 def test_pinned_outcomes_under_edge_reuse():
     outcomes = {}
     for name in ("E6t-F4t1 at its limit", "remark-stabilite", "indefinite control", "isolated vertex"):
-        case, limit = INVOLUTIVE_CASES[name]
+        case, limit = LABELED_CASES[name]
         result = bfs(case["start"], case["moves"], case["step"], attrgetter("entries"), limit,
-                     on_new=case.get("on_new"), involutive=True)
+                     on_new=case.get("on_new"), back=same_move)
         outcomes[name] = (result.status, len(result.visited), result.word, result.witness)
     assert outcomes == {
         "E6t-F4t1 at its limit": ("limit-exceeded", 2_000, None, None),
@@ -188,3 +196,75 @@ def test_pinned_outcomes_under_edge_reuse():
         "indefinite control": ("overflow", 456, None, None),
         "isolated vertex": ("closed", 2, None, None),
     }
+
+
+SEED_CASES = {
+    "A5": (catalog.dynkin("A", 5), 100_000, None),
+    "D4": (catalog.dynkin("D", 4), 100_000, None),
+    "G2": (catalog.dynkin("G", 2), 100_000, None),
+    "C3": (catalog.dynkin("C", 3), 100_000, None),
+    "D4t-A1t2 drained at its limit": (catalog.folding_pair("D4t-A1t2").pair.matrix, 450, None),
+    "E6 to depth 3": (catalog.dynkin("E", 6), 100_000, 3),
+}
+
+
+def observed_seed_search(matrix, limit, max_depth):
+    """What one ``search_seeds`` run shows: its Search, the ``on_new`` calls,
+    the ``on_edge`` edges as a set, its exchange table and its mutation count."""
+    news, edges, tables = [], set(), []
+    mutate = seeds.mutate_seed
+
+    def recording(seed, k, *, exchanges=None):
+        tables.append(exchanges)
+        return mutate(seed, k, exchanges=exchanges)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seeds, "mutate_seed", recording)
+        result = search_seeds(initial_seed(matrix), limit, max_depth=max_depth,
+                              on_new=lambda seed, word: news.append((seed.key(), word)),
+                              on_edge=lambda source, target: edges.add((min(source, target),
+                                                                        max(source, target))))
+    assert all(table is tables[0] for table in tables)
+    return result, list(result.visited), news, edges, tables[0], len(tables)
+
+
+def plain_seed_search(matrix, limit, max_depth):
+    """The same observations from the plain search, which mutates along every lookup."""
+    news, table, mutated = [], {}, []
+
+    def step(seed, k):
+        mutated.append(k)
+        return mutate_seed(seed, k, exchanges=table)
+
+    result, lookups = reference_bfs(initial_seed(matrix), range(matrix.n), step, Seed.key, limit,
+                                    on_new=lambda seed, word: news.append((seed.key(), word)),
+                                    drain=True, max_depth=max_depth)
+    edges = {(min(source, target), max(source, target)) for source, target in lookups}
+    return result, list(result.visited), news, edges, table, len(mutated)
+
+
+@pytest.mark.parametrize("name", SEED_CASES)
+def test_seed_search_takes_each_edge_once(name):
+    matrix, limit, max_depth = SEED_CASES[name]
+    *observed, mutations = observed_seed_search(matrix, limit, max_depth)
+    *expected, plain_mutations = plain_seed_search(matrix, limit, max_depth)
+    assert observed == expected
+    result, _, _, edges, _ = observed
+    if max_depth is None:
+        # one mutation per undirected edge and per neighbour refused at the limit
+        assert mutations == len(edges) + result.refused
+    assert mutations < plain_mutations
+
+
+@pytest.mark.parametrize("name", ["A5", "D4t-A1t2 drained at its limit"])
+def test_a_wrong_way_back_is_caught(monkeypatch, name):
+    matrix, limit, max_depth = SEED_CASES[name]
+
+    def mutant_bfs(*args, back, **kwargs):
+        return bfs(*args, back=lambda stored, seed, k: (back(stored, seed, k) + 1) % matrix.n,
+                   **kwargs)
+
+    monkeypatch.setattr(seeds, "bfs", mutant_bfs)
+    *observed, _ = observed_seed_search(matrix, limit, max_depth)
+    *expected, _ = plain_seed_search(matrix, limit, max_depth)
+    assert observed != expected

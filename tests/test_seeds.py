@@ -230,6 +230,25 @@ class TestOneDivisionPerEdge:
         assert max(len(x.terms) for x in result.variables) == 133
         assert all(x.is_positive() for x in result.variables)
 
+    # a plain search makes n mutations per admitted seed: 660, 4,998 and 2,250
+    @pytest.mark.parametrize("matrix, limit, mutations, divisions", [
+        pytest.param(catalog.dynkin("A", 5), 100_000, 330, 70, id="A5"),
+        pytest.param(catalog.dynkin("E", 6), 100_000, 2_499, 385, id="E6"),
+        pytest.param(catalog.folding_pair("D4t-A1t2").pair.matrix, 450, 1_245, 620, id="D4t-A1t2"),
+    ])
+    def test_one_mutation_per_edge(self, monkeypatch, matrix, limit, mutations, divisions):
+        calls = counting_divisions(monkeypatch)
+        mutated = []
+        mutate = seeds.mutate_seed
+
+        def counted(seed, k, *, exchanges=None):
+            mutated.append(1)
+            return mutate(seed, k, exchanges=exchanges)
+
+        monkeypatch.setattr(seeds, "mutate_seed", counted)
+        enumerate_cluster_variables(matrix, max_seeds=limit)
+        assert (len(mutated), len(calls)) == (mutations, divisions)
+
     def test_denominator_search_divides_each_edge_once(self, monkeypatch):
         # the target is never found, so the search visits the whole A5 graph
         calls = counting_divisions(monkeypatch)
