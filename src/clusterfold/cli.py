@@ -473,10 +473,19 @@ def _add_commands(parser, table, dest: str):
         p.set_defaults(func=func)
 
 
+class _UsageError(Exception):
+    """(parser, message) of an argparse usage error, for ``main`` to report."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: argparse spends its time building it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cluster-fold",
         description="Exact cluster-algebra mutation, folding and verification.",
     )
@@ -485,12 +494,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    report = _Report()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        parser, message = exc.args
+        if "--json" in argv:
+            report.add("error", message)
+            report.emit(True)
+        else:  # argparse's own report
+            parser.print_usage(sys.stderr)
+            print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    report = _Report()
     try:
         code = args.func(args, report)
     except LimitExceededError as exc:

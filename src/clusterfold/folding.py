@@ -19,9 +19,9 @@ to the caller whether an inadmissible seed may be stepped on from.
 orbit-seed graph, in both its modes.  The graph's nodes are keyed by both
 labeled seeds that a word w reaches, (mu_w^G S0, mu_w Q0), under exact
 :class:`Seed` equality; an edge is one orbit step upstairs and one
-mutation downstairs, computed the first time a word crosses it, and a
-node is projected and compared once.  The graph's exchange table divides
-once per exchange pair, on either side.  So every check still runs, once
+mutation downstairs, computed once (in one direction from an admissible
+node), and a node is projected and compared once.  The exchange table
+divides at most once per exchange pair.  So every check still runs, once
 per edge or node instead of once per word, and a word that reaches a
 known ambient seed with a different quotient seed lands on a new node:
 that is how a mismatch shows.  Whether a word may cross an inadmissible
@@ -184,6 +184,7 @@ class FoldingPair:
         self.admissible = self._witness is None
         self._quotient: ExchangeMatrix | None = None
         self._orbit_seeds: OrbitSeedGraph | None = None
+        self._projections: dict = {}  # ambient variable -> its projection, once (project_seed)
 
     @property
     def orbit_count(self) -> int:
@@ -322,9 +323,12 @@ def project_seed(pair: FoldingPair, seed: Seed, check: bool = True) -> Seed:
     matrix = ExchangeMatrix.from_symmetrizer(
         quotient_entries(seed.matrix, pair.orbits), quotient.labels, quotient.symmetrizer
     )
+    for x in seed.cluster:
+        if x not in pair._projections:
+            pair._projections[x] = x.project(pair.orbits)
     cluster = []
     for orbit in pair.orbits:
-        images = {seed.cluster[i].project(pair.orbits) for i in orbit}
+        images = {pair._projections[seed.cluster[i]] for i in orbit}
         if len(images) != 1:
             raise NotInvariantError("cluster projection differs across one orbit")
         cluster.append(images.pop())
@@ -377,12 +381,13 @@ class OrbitSeedGraph:
 
     ``nodes`` maps (ambient seed, quotient seed) to its node; the first
     is the pair of initial seeds.  An edge is computed once, upstairs by
-    :func:`orbit_mutate_seed` and downstairs by :func:`mutate_seed`; the
-    child is then looked up by equality, so words that reach the same
-    pair share one node.  Both sides share one exchange table (see
-    :func:`mutate_seed`), so each exchange pair is divided once, whichever
-    side meets it: an entry is an exact identity in the Laurent ring of
-    its variables.  A node keeps its admissibility witness, so a walk
+    :func:`orbit_mutate_seed` and downstairs by :func:`mutate_seed`, and a
+    step from an admissible node also records the way back, since there
+    mu_I∘mu_I = id; the child is looked up by equality, so words that
+    reach the same pair share one node.  Both sides share one exchange
+    table (see :func:`mutate_seed`), so each exchange pair is divided at
+    most once: an entry is an exact identity in the Laurent ring of its
+    variables.  A node keeps its admissibility witness, so a walk
     that must not cross an inadmissible node raises with it whether or
     not an earlier walk crossed it.
     """
@@ -406,6 +411,8 @@ class OrbitSeedGraph:
             child = node.children.get(idx)
             if child is None:
                 child = node.children[idx] = self._step(node, idx)
+                if node.witness is None:  # the way back: mu_I∘mu_I = id at an admissible node
+                    child.children[idx] = node
             node = child
         if require_admissible and node.witness is not None:
             raise NotAdmissibleError(node.witness)

@@ -53,6 +53,7 @@ def bfs(
     on_new=None,
     on_edge=None,
     back=None,
+    edge=None,
 ) -> Search:
     """Breadth-first search from ``start`` over ``step(node, move)`` for each move.
 
@@ -76,15 +77,34 @@ def bfs(
     is skipped: it would be a hit, so the outcome is unchanged while
     ``step`` runs and ``on_edge`` fires once per undirected edge.  Only
     queued nodes are asked, since a skip on an expanded node is never read.
+
+    ``edge(node, move)`` (moves ``range(n)``) labels an edge with a value
+    both its ends give it.  The labels of every admitted node and refused
+    neighbour are indexed, and ``step`` runs only on a label that names no
+    other node: one naming an admitted node reports the edge to
+    ``on_edge`` once, one naming a refused neighbour counts it again.  So
+    ``on_new`` runs once per key, and a drained search steps once per
+    admitted node after the first and per distinct refused neighbour.  A
+    step onto another admitted node, or a label of three nodes, raises
+    AssertionError.
     """
     visited = {key(start): 0}
     queued = [start]  # by discovery index: the node until it is expanded
     skips = [0]  # by discovery index: bit m set once the edge along move m is computed
-    queue = deque([(start, (), 0)])
+    labels = {}  # edge label -> the nodes it names: discovery indices, None if refused
+
+    def index(node, name):  # add name to the name list of each label of node; those lists
+        lists = [labels.setdefault(edge(node, move), []) for move in moves] if edge else None
+        for names in lists or ():
+            assert len(names) < 2, "an edge label names three nodes"
+            names.append(name)
+        return lists
+
+    queue = deque([(start, (), 0, index(start, 0))])
     depth = refused = 0
     try:
         while queue:
-            node, word, source = queue.popleft()
+            node, word, source, lists = queue.popleft()
             queued[source] = None
             depth = len(word)
             if max_depth is not None and depth >= max_depth:
@@ -94,10 +114,18 @@ def bfs(
             for move in moves:
                 if skip and skip >> move & 1:
                     continue
+                if lists and len(lists[move]) == 2:  # the label names the other end
+                    other = lists[move][lists[move][0] == source]
+                    if other is None:
+                        refused += 1
+                    elif other > source and on_edge is not None:  # the end expanded first
+                        on_edge(source, other)
+                    continue
                 neighbour = step(node, move)
                 k = key(neighbour)
                 target = visited.get(k)
                 if target is not None:
+                    assert not lists or target == source, "a label missed the node a step reached"
                     if back and target > source:  # nodes are expanded in discovery order
                         skips[target] |= 1 << back(queued[target], neighbour, move)
                     if on_edge is not None:
@@ -112,6 +140,7 @@ def bfs(
                     refused += 1
                     if not drain:
                         return Search("limit-exceeded", visited, depth, refused)
+                    index(neighbour, None)
                     continue
                 target = len(visited)
                 visited[k] = target
@@ -119,7 +148,7 @@ def bfs(
                 skips.append(1 << move if back else 0)
                 if on_edge is not None:
                     on_edge(source, target)
-                queue.append((neighbour, new_word, target))
+                queue.append((neighbour, new_word, target, index(neighbour, target)))
     except EntryOverflowError:
         return Search("overflow", visited, depth, refused)
     return Search("limit-exceeded" if refused else "closed", visited, depth, refused)

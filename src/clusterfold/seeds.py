@@ -5,14 +5,14 @@ the fixed initial variables u_1..u_n.  Every division performed during
 mutation must be exact (the Laurent phenomenon); a failed division is a
 library bug and raises LaurentPhenomenonError.  Enumeration and the
 denominator search run on the BFS engine in :mod:`clusterfold.search`
-through :func:`search_seeds`, which takes each exchange-graph edge once
-and divides once per exchange pair.  A search passes :func:`mutate_seed`
-an exchange table: a dict from (the variable exchanged, its two exchange
-monomials) to the exact quotient.  The division x' = (M+ + M-)/x is
-stored both ways, because x' * x is the same binomial and an exact
-quotient in the Laurent ring is unique; so any seed that exchanges x or
-x' over those monomials, on any edge, reuses it.  Every new cluster
-variable still comes from an exact, checked division.
+through :func:`search_seeds`, which mutates only to reach a seed it has
+not met.  A search passes :func:`mutate_seed` an exchange table: a dict
+from (the variable exchanged, its two exchange monomials) to the exact
+quotient.  The division x' = (M+ + M-)/x is stored both ways, because
+x' * x is the same binomial and an exact quotient in the Laurent ring is
+unique; so any seed that exchanges x or x' over those monomials, on any
+edge, reuses it.  Every new cluster variable still comes from an exact,
+checked division.
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ class Seed:
     def key(self):
         """Deduplication identity: the cluster as an unordered set.
 
-        A cluster determines its seed up to simultaneous relabeling
-        (assumed, after Gekhtman-Shapiro-Vainshtein, arXiv:math/0703151), so
-        this is the exchange-graph vertex identity.  Seed searches rely on
-        it to deduplicate and to find the way back along an edge in a
-        stored seed's own labeling (:func:`search_seeds`).
+        Assumed after Gekhtman-Shapiro-Vainshtein (arXiv:math/0703151): a
+        cluster determines its seed up to simultaneous relabeling, so this
+        is the exchange-graph vertex identity, and two clusters are
+        adjacent exactly when they share n - 1 variables, so each facet (a
+        cluster less one variable) lies in exactly two clusters.  Seed
+        searches rely on both (:func:`search_seeds`).
         """
         return frozenset(self.cluster)
 
@@ -167,21 +168,22 @@ def is_invariant_seed(seed: Seed, generators) -> bool:
 def search_seeds(start: Seed, limit: int, *, max_depth: int | None = None,
                  on_new=None, on_edge=None) -> Search:
     """Drained BFS over seeds from ``start``, deduplicated by :meth:`Seed.key`,
-    that takes each exchange-graph edge once and divides once per exchange pair.
+    that mutates once per seed admitted after the first and per distinct
+    neighbour refused at the limit.
 
-    The way back from μ_k S, in the labeling of the stored seed with its
-    cluster, is the position of μ_k S's new variable, and :func:`bfs`
-    skips it.  The search owns one exchange table (see :func:`mutate_seed`),
-    so an exchange already divided on any edge, in either direction, costs
-    no arithmetic, whether the seed that needs it was admitted or refused
-    at the limit.  ``on_new`` and ``on_edge`` (once per edge) are passed on
-    to :func:`bfs`.
+    The edge along k is labeled by the facet its seeds share, the cluster
+    less its k-th variable, which lies in exactly two clusters (see
+    :meth:`Seed.key`), so :func:`bfs` steps only to meet a new seed.  The
+    search owns one exchange table (see :func:`mutate_seed`), so an
+    exchange already divided, in either direction, costs no arithmetic.
+    ``on_new`` (once per seed) and ``on_edge`` (once per edge) are passed
+    on to :func:`bfs`.
     """
     exchanges: dict = {}
     return bfs(start, range(start.matrix.n),
                lambda seed, k: mutate_seed(seed, k, exchanges=exchanges),
                Seed.key, limit, drain=True, max_depth=max_depth, on_new=on_new, on_edge=on_edge,
-               back=lambda stored, seed, k: stored.cluster.index(seed.cluster[k]))
+               edge=lambda seed, k: frozenset(seed.cluster[:k] + seed.cluster[k + 1:]))
 
 
 @dataclass

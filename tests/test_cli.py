@@ -612,6 +612,24 @@ class TestUsage:
         data = json.loads(out)
         assert "error" in data
 
+    @pytest.mark.parametrize("argv, message", [
+        (["catalog", "show", "--json"], "the following arguments are required: name"),
+        (["enumerate", "--pair", "A3toB2", "--limit", "x", "--json"],
+         "argument --limit: expected a non-negative integer, got 'x'"),
+    ])
+    def test_json_on_usage_error(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": message}
+        assert captured.err == ""
+        # without --json, argparse's usage text on stderr as before
+        assert main([arg for arg in argv if arg != "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cluster-fold ")
+        assert captured.err.endswith(f": error: {message}\n")
+
 
 @pytest.mark.skipif(shutil.which("cluster-fold") is None,
                     reason="console script not installed")

@@ -28,7 +28,7 @@ from clusterfold.folding import (
     quotient_symmetrizer,
     verify_commutation,
 )
-from clusterfold.laurent import parse_polynomial
+from clusterfold.laurent import LaurentPolynomial, parse_polynomial
 from clusterfold.seeds import Seed, apply_mutation_word, initial_seed, mutate_seed
 from clusterfold import catalog
 
@@ -522,12 +522,77 @@ class TestOrbitSeedGraph:
         graph = pair._orbit_seeds
         assert len(graph.nodes) == 12
         # one orbit mutation upstairs (a mutation per orbit member) and one
-        # downstairs, whichever mode crossed the edge first
+        # downstairs per undirected edge: every node is admissible, so the
+        # way back is recorded, whichever mode crossed the edge first
         edges = [idx for node in graph.nodes.values() for idx in node.children]
-        assert len(calls) == sum(1 + len(pair.orbits[idx]) for idx in edges)
+        assert 2 * len(calls) == sum(1 + len(pair.orbits[idx]) for idx in edges)
+        assert len(calls) == 30
         assert len(calls) < len(words)
         # the way back along an edge, and an exchange met again, divide nothing
         assert 0 < len(divisions) < len(calls)
+
+    @staticmethod
+    def links(monkeypatch, pair, words, require_stable):
+        """Walk the words; return the graph and the (node, orbit) steps it computed."""
+        computed = set()
+        step = folding.OrbitSeedGraph._step
+
+        def recording(graph, node, idx):
+            computed.add((id(node), idx))
+            return step(graph, node, idx)
+
+        monkeypatch.setattr(folding.OrbitSeedGraph, "_step", recording)
+        for word in words:
+            verify_commutation(pair, word, require_stable=require_stable)
+        return pair._orbit_seeds, computed
+
+    def test_every_way_back_is_a_computed_step(self, monkeypatch):
+        checked = 0
+        for pair in catalog_pairs():
+            if not pair.admissible or not check_stability(pair, 2_000).stable:
+                continue
+            graph, computed = self.links(monkeypatch, pair, words_up_to(pair.orbit_count, 3), True)
+            recorded = [(node, idx, child) for node in graph.nodes.values()
+                        for idx, child in node.children.items() if (id(node), idx) not in computed]
+            assert recorded, pair.name
+            for node, idx, child in recorded:
+                ambient, witness = orbit_mutate_seed(pair, node.ambient, idx)
+                assert (ambient, witness) == (child.ambient, child.witness), (pair.name, idx)
+                assert mutate_seed(node.quotient, idx) == child.quotient, (pair.name, idx)
+            checked += 1
+        assert checked >= 6
+
+    def test_no_way_back_is_recorded_from_an_inadmissible_node(self, monkeypatch):
+        pair = six_cycle_pair()
+        graph, computed = self.links(monkeypatch, pair, words_up_to(pair.orbit_count, 5), False)
+        from_inadmissible = 0
+        for node in graph.nodes.values():
+            for idx, child in node.children.items():
+                if (id(node), idx) not in computed:
+                    # recorded by the step from child, which must leave an admissible node
+                    assert child.witness is None and (id(child), idx) in computed
+                    assert child.children[idx] is node
+                elif node.witness is not None:
+                    from_inadmissible += 1
+                    assert idx not in child.children or (id(child), idx) in computed
+        assert from_inadmissible > 0
+
+    @pytest.mark.parametrize("name, depth", [("A5toC3", 4), ("E6toF4", 3), ("D4t-A1t2", 4)])
+    def test_project_runs_once_per_ambient_variable(self, monkeypatch, name, depth):
+        projected = []
+        project = LaurentPolynomial.project
+
+        def counted(poly, orbits):
+            projected.append(poly)
+            return project(poly, orbits)
+
+        monkeypatch.setattr(LaurentPolynomial, "project", counted)
+        pair = catalog.folding_pair(name).pair
+        for word in words_up_to(pair.orbit_count, depth):
+            assert verify_commutation(pair, word).ok
+        reached = {x for node in pair._orbit_seeds.nodes.values() if node.verdict
+                   for x in node.ambient.cluster}
+        assert len(projected) == len(set(projected)) == len(reached)
 
     def test_table_gives_the_seeds_of_table_free_mutation(self):
         rng = random.Random(11)

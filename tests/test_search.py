@@ -8,7 +8,7 @@ import pytest
 
 from clusterfold import catalog, cli, seeds
 from clusterfold.exchange import EntryOverflowError, ExchangeMatrix
-from clusterfold.folding import admissibility_witness, compose_orbit_mutations
+from clusterfold.folding import admissibility_witness, compose_orbit_mutations, quotient_matrix
 from clusterfold.seeds import Seed, initial_seed, mutate_seed, search_seeds
 from clusterfold.search import Search, bfs, same_move
 
@@ -198,6 +198,9 @@ def test_pinned_outcomes_under_edge_reuse():
     }
 
 
+# the finite-type catalog pairs; the parametric families repeat them at small rank
+FINITE_PAIRS = ("A3toB2", "A5toC3", "D4toB3", "D4toG2", "E6toF4")
+
 SEED_CASES = {
     "A5": (catalog.dynkin("A", 5), 100_000, None),
     "D4": (catalog.dynkin("D", 4), 100_000, None),
@@ -205,12 +208,16 @@ SEED_CASES = {
     "C3": (catalog.dynkin("C", 3), 100_000, None),
     "D4t-A1t2 drained at its limit": (catalog.folding_pair("D4t-A1t2").pair.matrix, 450, None),
     "E6 to depth 3": (catalog.dynkin("E", 6), 100_000, 3),
+    **{f"{name} {side}": (matrix, 100_000, None) for name in FINITE_PAIRS
+       for side, matrix in (("ambient", catalog.folding_pair(name).pair.matrix),
+                            ("quotient", quotient_matrix(catalog.folding_pair(name).pair)))},
 }
 
 
 def observed_seed_search(matrix, limit, max_depth):
-    """What one ``search_seeds`` run shows: its Search, the ``on_new`` calls,
-    the ``on_edge`` edges as a set, its exchange table and its mutation count."""
+    """What one ``search_seeds`` run shows: its Search, visited keys, the
+    ``on_new`` calls, the ``on_edge`` edges as a set, its exchange table and
+    its mutation count."""
     news, edges, tables = [], set(), []
     mutate = seeds.mutate_seed
 
@@ -229,18 +236,23 @@ def observed_seed_search(matrix, limit, max_depth):
 
 
 def plain_seed_search(matrix, limit, max_depth):
-    """The same observations from the plain search, which mutates along every lookup."""
-    news, table, mutated = [], {}, []
+    """The same observations from the engine with no hooks, which mutates
+    along every lookup and calls ``on_new`` on every reach of a refused
+    neighbour; its ``on_new`` calls are kept at the first per key."""
+    news, edges, table, mutated = [], set(), {}, []
 
     def step(seed, k):
         mutated.append(k)
         return mutate_seed(seed, k, exchanges=table)
 
-    result, lookups = reference_bfs(initial_seed(matrix), range(matrix.n), step, Seed.key, limit,
-                                    on_new=lambda seed, word: news.append((seed.key(), word)),
-                                    drain=True, max_depth=max_depth)
-    edges = {(min(source, target), max(source, target)) for source, target in lookups}
-    return result, list(result.visited), news, edges, table, len(mutated)
+    result = bfs(initial_seed(matrix), range(matrix.n), step, Seed.key, limit, drain=True,
+                 max_depth=max_depth, on_new=lambda seed, word: news.append((seed.key(), word)),
+                 on_edge=lambda source, target: edges.add((min(source, target),
+                                                           max(source, target))))
+    first = {}
+    for key, word in news:
+        first.setdefault(key, word)
+    return result, list(result.visited), list(first.items()), edges, table, len(mutated)
 
 
 @pytest.mark.parametrize("name", SEED_CASES)
@@ -248,23 +260,35 @@ def test_seed_search_takes_each_edge_once(name):
     matrix, limit, max_depth = SEED_CASES[name]
     *observed, mutations = observed_seed_search(matrix, limit, max_depth)
     *expected, plain_mutations = plain_seed_search(matrix, limit, max_depth)
-    assert observed == expected
-    result, _, _, edges, _ = observed
-    if max_depth is None:
-        # one mutation per undirected edge and per neighbour refused at the limit
-        assert mutations == len(edges) + result.refused
+    result, visited, news, edges, table = observed
+    assert observed[:4] == expected[:4]
+    # the labeled search divides only what it meets, and the same quotients
+    assert table.items() <= expected[4].items()
+    # one mutation per admitted seed after the first and per distinct refused neighbour
+    refused_seeds = {key for key, _ in news} - set(visited)
+    assert len(refused_seeds) <= result.refused
+    assert mutations == len(visited) - 1 + len(refused_seeds)
     assert mutations < plain_mutations
 
 
 @pytest.mark.parametrize("name", ["A5", "D4t-A1t2 drained at its limit"])
 def test_a_wrong_way_back_is_caught(monkeypatch, name):
+    # a label that drops the variable at position k + 1 instead of k
     matrix, limit, max_depth = SEED_CASES[name]
 
-    def mutant_bfs(*args, back, **kwargs):
-        return bfs(*args, back=lambda stored, seed, k: (back(stored, seed, k) + 1) % matrix.n,
-                   **kwargs)
+    def mutant_bfs(*args, edge, **kwargs):
+        return bfs(*args, edge=lambda seed, k: edge(seed, (k + 1) % matrix.n), **kwargs)
 
     monkeypatch.setattr(seeds, "bfs", mutant_bfs)
-    *observed, _ = observed_seed_search(matrix, limit, max_depth)
-    *expected, _ = plain_seed_search(matrix, limit, max_depth)
-    assert observed != expected
+    with pytest.raises(AssertionError, match="a label missed the node a step reached"):
+        observed_seed_search(matrix, limit, max_depth)
+
+
+def test_a_step_to_a_node_its_label_did_not_name_raises():
+    with pytest.raises(AssertionError, match="a label missed"):
+        search(edge=lambda node, move: (node, move))
+
+
+def test_a_label_of_three_nodes_raises():
+    with pytest.raises(AssertionError, match="three nodes"):
+        search(edge=lambda node, move: "shared" if move == 0 else (node, move))
