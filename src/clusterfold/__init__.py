@@ -57,7 +57,6 @@ from .folding import (
 from .roots import (
     NotFiniteTypeError,
     almost_positive_roots,
-    orbit_reflection,
     positive_roots,
     reflect,
     simple_roots,

@@ -189,9 +189,8 @@ def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
     """Build an exchange matrix from a symmetrizable Cartan matrix.
 
     ``alternating``: arrows from odd to even BFS layers (requires the
-    diagram to be bipartite, which every tree is).  ``linear``: arrows
-    from lower to higher vertex index.  A list of (source, target)
-    pairs selects an explicit orientation.
+    diagram to be bipartite, which every tree is).  A list of (source,
+    target) pairs selects an explicit orientation.
     """
     n = len(cartan)
     edges = _edges_of_cartan(cartan)
@@ -213,8 +212,6 @@ def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
                         elif color[w] == color[v]:
                             raise ValueError("diagram is not bipartite; pass an explicit orientation")
         oriented = [(j, i) if color[i] == 0 else (i, j) for i, j in edges]
-    elif orientation == "linear":
-        oriented = list(edges)
     else:
         oriented = [tuple(e) for e in orientation]
         if {frozenset(e) for e in oriented} != {frozenset(e) for e in edges}:
@@ -226,28 +223,25 @@ def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
     return ExchangeMatrix(b)
 
 
-def dynkin(family: str, n: int, orientation="alternating") -> ExchangeMatrix:
+def dynkin(family: str, n: int) -> ExchangeMatrix:
     """An exchange matrix whose Cartan counterpart is the named finite type."""
-    return orient_cartan(_dynkin_cartan(family, n), orientation)
+    return orient_cartan(_dynkin_cartan(family, n))
 
 
-def affine(name: str, orientation=None) -> ExchangeMatrix:
+def affine(name: str) -> ExchangeMatrix:
     """An exchange matrix whose Cartan counterpart is the named affine type.
 
-    ``name`` carries the leading '~'.  Cycles (~An) default to an
-    acyclic linear-cycle orientation; everything else to alternating.
+    ``name`` carries the leading '~'.  Cycles (~An) get an acyclic
+    linear-cycle orientation; everything else is alternating.
     """
     if not name.startswith("~"):
         raise ValueError("affine names start with '~'")
-    cartan = _affine_cartan(name[1:])
-    if orientation is None:
-        bare = name[1:]
-        if bare.startswith("A") and bare[1:].isdigit() and int(bare[1:]) >= 2:
-            m = len(cartan)
-            orientation = [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)]
-        else:
-            orientation = "alternating"
-    return orient_cartan(cartan, orientation)
+    bare = name[1:]
+    cartan = _affine_cartan(bare)
+    if bare.startswith("A") and bare[1:].isdigit() and int(bare[1:]) >= 2:
+        m = len(cartan)
+        return orient_cartan(cartan, [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)])
+    return orient_cartan(cartan)
 
 
 # ---------------------------------------------------------------------------

@@ -301,11 +301,12 @@ def _verify_root_lemma(args, report: _Report) -> int:
 def _verify_denominators(args, report: _Report) -> int:
     matrix = _load_matrix(args)
     ok, detail = roots.verify_denominator_bijection(matrix, max_seeds=args.limit)
+    if ok is None:
+        report.add("status", "limit-exceeded")
+        return EXIT_LIMIT
     report.add("status", "verified" if ok else "mismatch")
     if detail:
         report.add("detail", detail)
-    if not ok and detail == "enumeration did not close within the limit":
-        return EXIT_LIMIT
     return EXIT_OK if ok else EXIT_WITNESS
 
 

@@ -137,13 +137,6 @@ class ExchangeMatrix:
     def symmetrizer(self) -> tuple[int, ...]:
         return self._symmetrizer
 
-    def is_skew_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
-
     def mutate(self, k: int) -> "ExchangeMatrix":
         """Matrix mutation in direction k (0-based).
 
@@ -289,9 +282,9 @@ def from_valued_graph(graph: ValuedGraph) -> ExchangeMatrix:
     return ExchangeMatrix(entries, graph.labels)
 
 
-def to_dot(graph: ValuedGraph, name: str = "Q") -> str:
+def to_dot(graph: ValuedGraph) -> str:
     """DOT rendering with edge labels "(a,b)" and arrowheads per orientation."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph Q {"]
     for i, label in enumerate(graph.labels):
         lines.append(f'  v{i} [label="{label}"];')
     for edge in graph.edges:

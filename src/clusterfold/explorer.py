@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from .exchange import ExchangeMatrix, find_symmetrizer
 from .folding import FoldingPair, check_stability, quotient_matrix
-from .search import bfs, same_move
+from .search import bfs
 from .seeds import initial_seed, mutate_seed, search_seeds
 
 
@@ -53,7 +53,7 @@ def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClass
         slots += 1 if source == target else 2
 
     search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit,
-                 on_edge=count_slots, back=same_move)
+                 on_edge=count_slots, involutive=True)
     visited = search.visited
     if search.status != "closed":
         return MutationClassReport(search.status, len(visited))

@@ -37,7 +37,7 @@ from itertools import permutations
 from operator import attrgetter
 
 from .exchange import ExchangeMatrix
-from .search import bfs, same_move
+from .search import bfs
 from .seeds import LimitExceededError, Seed, initial_seed, is_invariant_seed, mutate_seed
 
 GROUP_ORDER_CAP = 10_080
@@ -354,7 +354,7 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
         attrgetter("entries"),
         max_nodes,
         on_new=lambda matrix, word: admissibility_witness(matrix, orbits),
-        back=same_move,
+        involutive=True,
     )
     size = len(search.visited)
     if search.status == "witness":

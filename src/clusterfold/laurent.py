@@ -155,11 +155,6 @@ class LaurentPolynomial:
         exps[i] = 1
         return cls(n, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "LaurentPolynomial":
-        exps = tuple(exps)
-        return cls(len(exps), {exps: coeff})
-
     # -- basic queries -----------------------------------------------
 
     @property
@@ -168,9 +163,6 @@ class LaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def is_positive(self) -> bool:
         """True iff every stored coefficient is positive (vacuously true for 0)."""

@@ -8,8 +8,6 @@ by saturating the simple roots under all reflections.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .exchange import cartan_counterpart, classify
 from .folding import FoldingPair, project_vector, quotient_matrix
 
@@ -63,29 +61,6 @@ def almost_positive_roots(cartan) -> frozenset[tuple[int, ...]]:
     return positive_roots(cartan) | negatives
 
 
-def orbit_reflection(cartan, orbit, v) -> tuple[int, ...]:
-    """Product of the (commuting) simple reflections of one orbit.
-
-    Requires the orbit members to be pairwise non-adjacent in the Cartan
-    matrix, which is what admissibility guarantees.
-    """
-    orbit = tuple(orbit)
-    for i in orbit:
-        for j in orbit:
-            if i != j and cartan[i][j] != 0:
-                raise ValueError("orbit members must be pairwise non-adjacent")
-    reference = None
-    for ordering in permutations(orbit) if len(orbit) <= 4 else [orbit]:
-        w = v
-        for i in ordering:
-            w = reflect(cartan, i, w)
-        if reference is None:
-            reference = w
-        elif w != reference:
-            raise AssertionError("orbit reflection is order-dependent")
-    return reference
-
-
 def _permute_root(g, v) -> tuple[int, ...]:
     """Action alpha_i -> alpha_{g i} in coordinates."""
     out = [0] * len(v)
@@ -134,7 +109,8 @@ def verify_denominator_bijection(matrix, max_seeds: int = 100_000):
     """Check that denominator vectors biject the cluster variables of a
     finite-type matrix onto its almost positive roots.
 
-    Returns (ok, detail) where detail reports the first discrepancy.
+    Returns (ok, detail) where detail reports the first discrepancy; ok
+    is None when the enumeration did not close within ``max_seeds``.
     """
     from .seeds import enumerate_cluster_variables
 
@@ -142,7 +118,7 @@ def verify_denominator_bijection(matrix, max_seeds: int = 100_000):
     roots = almost_positive_roots(cartan)
     result = enumerate_cluster_variables(matrix, max_seeds=max_seeds)
     if not result.complete:
-        return False, "enumeration did not close within the limit"
+        return None, "enumeration did not close within the limit"
     deltas = {}
     for poly in result.variables:
         delta = poly.denominator_vector()

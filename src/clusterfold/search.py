@@ -5,6 +5,9 @@ denominator searches and group closures all run through :func:`bfs`.
 The engine owns the visited map, the FIFO queue, shortest words, the
 node and depth limits and the mapping of entry overflow to a verdict;
 callers supply the moves, the step function and the deduplication key.
+A caller whose moves are involutions says so (``involutive=True``), and a
+seed search labels each edge by the facet its two ends share; either way
+each edge is stepped once.
 """
 
 from __future__ import annotations
@@ -35,12 +38,6 @@ class Search:
     word: tuple | None = None
 
 
-def same_move(stored, neighbour, move):
-    """The ``back`` of a labeled search whose key identifies a node exactly
-    and whose moves are involutions: the way back along move m is m."""
-    return move
-
-
 def bfs(
     start,
     moves,
@@ -52,7 +49,7 @@ def bfs(
     max_depth: int | None = None,
     on_new=None,
     on_edge=None,
-    back=None,
+    involutive: bool = False,
     edge=None,
 ) -> Search:
     """Breadth-first search from ``start`` over ``step(node, move)`` for each move.
@@ -68,15 +65,11 @@ def bfs(
     EntryOverflowError from ``step`` ends the search with status
     "overflow".
 
-    ``back(stored, neighbour, move)`` (int moves, each an involution:
-    ``step(step(u, m), m)`` has the key of ``u``) names the way back along
-    a computed edge.  On a hit, ``neighbour`` is ``step(source, move)`` and
-    ``stored`` is the admitted node with its key, perhaps relabeled; the
-    return is the move from ``stored``, in its own labeling, back to the
-    key of ``source``.  That move, like move m on a node admitted along m,
-    is skipped: it would be a hit, so the outcome is unchanged while
-    ``step`` runs and ``on_edge`` fires once per undirected edge.  Only
-    queued nodes are asked, since a skip on an expanded node is never read.
+    ``involutive`` (int moves, each an involution: ``step(step(u, m), m)``
+    has the key of ``u``) skips move m on a node admitted along m and on a
+    queued node that a step along m reached.  Either would be a hit, so
+    the outcome is unchanged while ``step`` runs and ``on_edge`` fires once
+    per undirected edge.
 
     ``edge(node, move)`` (moves ``range(n)``) labels an edge with a value
     both its ends give it.  The labels of every admitted node and refused
@@ -89,7 +82,6 @@ def bfs(
     AssertionError.
     """
     visited = {key(start): 0}
-    queued = [start]  # by discovery index: the node until it is expanded
     skips = [0]  # by discovery index: bit m set once the edge along move m is computed
     labels = {}  # edge label -> the nodes it names: discovery indices, None if refused
 
@@ -105,7 +97,6 @@ def bfs(
     try:
         while queue:
             node, word, source, lists = queue.popleft()
-            queued[source] = None
             depth = len(word)
             if max_depth is not None and depth >= max_depth:
                 refused += 1
@@ -126,8 +117,8 @@ def bfs(
                 target = visited.get(k)
                 if target is not None:
                     assert not lists or target == source, "a label missed the node a step reached"
-                    if back and target > source:  # nodes are expanded in discovery order
-                        skips[target] |= 1 << back(queued[target], neighbour, move)
+                    if involutive and target > source:  # nodes are expanded in discovery order
+                        skips[target] |= 1 << move
                     if on_edge is not None:
                         on_edge(source, target)
                     continue
@@ -144,8 +135,7 @@ def bfs(
                     continue
                 target = len(visited)
                 visited[k] = target
-                queued.append(neighbour)
-                skips.append(1 << move if back else 0)
+                skips.append(1 << move if involutive else 0)
                 if on_edge is not None:
                     on_edge(source, target)
                 queue.append((neighbour, new_word, target, index(neighbour, target)))

@@ -186,6 +186,9 @@ def search_seeds(start: Seed, limit: int, *, max_depth: int | None = None,
                edge=lambda seed, k: frozenset(seed.cluster[:k] + seed.cluster[k + 1:]))
 
 
+_MAX_DEPTH = 64  # the word length at which a cluster-variable enumeration stops expanding
+
+
 @dataclass
 class EnumerationResult:
     """Outcome of a cluster-variable BFS."""
@@ -200,10 +203,10 @@ class EnumerationResult:
     def variable_count(self) -> int:
         return len(self.variables)
 
-    def to_dot(self, name: str = "exchange") -> str:
+    def to_dot(self) -> str:
         """DOT text of the exchange graph: vertices are clusters in
         discovery order, edges are single mutations."""
-        lines = [f"graph {name} {{"]
+        lines = ["graph exchange {"]
         for i in range(self.cluster_count):
             lines.append(f'  s{i} [label="s{i}"];')
         for a, b in self.dot_edges:
@@ -215,14 +218,13 @@ class EnumerationResult:
 def enumerate_cluster_variables(
     matrix: ExchangeMatrix,
     max_seeds: int = 100_000,
-    max_depth: int = 64,
 ) -> EnumerationResult:
     """BFS over seeds from the initial seed, deduplicated by cluster-as-set.
 
     Returns every distinct cluster variable with a shortest mutation word
     producing it, including the variables of neighbours refused by the
-    seed limit.  ``complete`` is True when the BFS closed before the
-    limits.
+    seed limit.  ``complete`` is True when the BFS closed before the seed
+    limit and before words of length ``_MAX_DEPTH``.
     """
     start = initial_seed(matrix)
     variables: dict[LaurentPolynomial, tuple[int, ...]] = {
@@ -239,7 +241,7 @@ def enumerate_cluster_variables(
         if source != target:
             edge_set.add((min(source, target), max(source, target)))
 
-    search = search_seeds(start, max_seeds, max_depth=max_depth, on_new=record, on_edge=link)
+    search = search_seeds(start, max_seeds, max_depth=_MAX_DEPTH, on_new=record, on_edge=link)
     return EnumerationResult(
         variables=variables,
         cluster_count=len(search.visited),

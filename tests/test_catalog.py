@@ -29,12 +29,8 @@ class TestDynkinConstructor:
         assert {abs(m.entries[0][1]), abs(m.entries[1][0])} == {1, 2}
         assert classify(cartan_counterpart(m)).name == "B2"
 
-    def test_linear_orientation(self):
-        m = catalog.dynkin("A", 3, orientation="linear")
-        assert m.entries == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
-
     def test_explicit_orientation(self):
-        m = catalog.dynkin("A", 3, orientation=[(1, 0), (1, 2)])
+        m = catalog.orient_cartan(cartan_counterpart(catalog.dynkin("A", 3)), [(1, 0), (1, 2)])
         assert m.entries == ((0, -1, 0), (1, 0, 1), (0, -1, 0))
 
     @pytest.mark.parametrize(

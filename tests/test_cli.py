@@ -463,6 +463,15 @@ class TestVerify:
         assert code == 0
         assert "status: verified" in out
 
+    def test_denominators_at_the_limit(self, capsys):
+        code, out = run_cli(capsys, "verify", "denominators", "--pair", "A5toC3", "--limit", "5")
+        assert code == 3
+        assert out == "status: limit-exceeded\nexit: 3\n"
+        code, out = run_cli(capsys, "verify", "denominators", "--pair", "A5toC3", "--limit", "5",
+                            "--json")
+        assert code == 3
+        assert json.loads(out) == {"status": "limit-exceeded", "exit": "3"}
+
     def test_finite_type_equality(self, capsys):
         code, out = run_cli(
             capsys, "verify", "finite-type-equality", "--pair", "A3toB2"

@@ -137,6 +137,22 @@ class TestPermutationGroup:
         s4 = PermutationGroup(5, [(0, 2, 1, 3, 4), (0, 2, 3, 4, 1)])
         assert s4.order() == 24
 
+    @pytest.mark.parametrize("group, order", [
+        pytest.param(PermutationGroup(4, [(1, 2, 3, 0)]), 4, id="lone 4-cycle"),
+        pytest.param(catalog.folding_pair("E6t-G2t2").pair.group, 3, id="E6t-G2t2"),
+        pytest.param(catalog.folding_pair("D4t-A1t2-c4").pair.group, 4, id="D4t-A1t2-c4"),
+    ])
+    def test_one_generator_of_order_above_two(self, group, order):
+        # the closure must expand g along g: its powers are not just the identity and g
+        (g,) = group.generators
+        powers = {tuple(range(group.n))}
+        h = g
+        while h not in powers:
+            powers.add(h)
+            h = compose(g, h)
+        assert group.order() == len(powers) == order
+        assert set(group.elements()) == powers
+
     def test_stabilizer_order(self):
         s3 = PermutationGroup(4, [(0, 2, 1, 3), (0, 2, 3, 1)])
         assert s3.stabilizer_order(0) == 6  # fixed point

@@ -28,3 +28,55 @@ def test_sources_import_only_the_standard_library():
 def test_no_runtime_dependencies_are_declared():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+# Library code that only tests call, each kept as an independent reference.
+CALLED_ONLY_BY_TESTS = {
+    "from_valued_graph",  # its round trip is the only full check of to_valued_graph
+    "all_orbit_orderings_agree",  # every ordering of an orbit, against orbit_mutate_seed's one
+    "parse_polynomial",  # builds the expected Laurent polynomials of the hand-worked examples
+}
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _names_used(tree):
+    """(name, line) for every identifier the code names: variables, attributes,
+    imports and the words of string constants (getattr tables), not docstrings."""
+    skip = set(map(id, _docstrings(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            for word in re.findall(r"\w+", node.value):
+                yield word, node.lineno
+
+
+def test_every_library_function_and_class_has_a_caller():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "demos", "bench") for path in sorted((ROOT / folder).rglob("*.py"))}
+    uses = {(name, path, line) for path, tree in trees.items() if path.name != "__init__.py"
+            for name, line in _names_used(tree)}
+    uncalled = []
+    for path, tree in trees.items():
+        if path.parent.name != "clusterfold" or path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if not any(name == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+                       for name, where, line in uses):
+                uncalled.append(f"{path.name}:{node.lineno} {node.name}")
+    assert sorted(name.split()[-1] for name in uncalled) == sorted(CALLED_ONLY_BY_TESTS), uncalled

@@ -6,7 +6,6 @@ from clusterfold.exchange import ExchangeMatrix, cartan_counterpart
 from clusterfold.roots import (
     NotFiniteTypeError,
     almost_positive_roots,
-    orbit_reflection,
     positive_roots,
     reflect,
     simple_roots,
@@ -36,13 +35,6 @@ class TestReflections:
         for v in simple_roots(3):
             for i in range(3):
                 assert reflect(c, i, reflect(c, i, v)) == v
-
-    def test_orbit_reflection(self):
-        c = cartan_counterpart(ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]]))
-        # vertices 0 and 2 are non-adjacent: s_0 s_2 acts coordinatewise
-        assert orbit_reflection(c, (0, 2), (0, 1, 0)) == (1, 1, 1)
-        with pytest.raises(ValueError):
-            orbit_reflection(c, (0, 1), (1, 0, 0))  # adjacent
 
 
 class TestPositiveRoots:
@@ -98,6 +90,11 @@ class TestDenominatorBijection:
     def test_finite_types(self, matrix):
         ok, detail = verify_denominator_bijection(matrix)
         assert ok, detail
+
+    def test_an_enumeration_stopped_at_its_limit_decides_nothing(self):
+        ok, detail = verify_denominator_bijection(catalog.dynkin("A", 5), max_seeds=5)
+        assert ok is None
+        assert detail == "enumeration did not close within the limit"
 
     def test_quotients(self):
         for name in ["A3toB2", "D4toG2"]:

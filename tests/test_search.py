@@ -10,7 +10,7 @@ from clusterfold import catalog, cli, seeds
 from clusterfold.exchange import EntryOverflowError, ExchangeMatrix
 from clusterfold.folding import admissibility_witness, compose_orbit_mutations, quotient_matrix
 from clusterfold.seeds import Seed, initial_seed, mutate_seed, search_seeds
-from clusterfold.search import Search, bfs, same_move
+from clusterfold.search import Search, bfs
 
 # node -> its neighbour under move 0 and under move 1
 GRAPH = {
@@ -172,7 +172,7 @@ def test_edge_reuse_matches_the_plain_search(name):
                                       case.get("on_new"))
     edges = []
     result = bfs(case["start"], case["moves"], case["step"], key, limit, on_new=case.get("on_new"),
-                 on_edge=lambda source, target: edges.append((source, target)), back=same_move)
+                 on_edge=lambda source, target: edges.append((source, target)), involutive=True)
     assert result == expected
     if result.status == "closed":
         # each undirected edge is reported once; the plain search looks it up from both ends
@@ -188,7 +188,7 @@ def test_pinned_outcomes_under_edge_reuse():
     for name in ("E6t-F4t1 at its limit", "remark-stabilite", "indefinite control", "isolated vertex"):
         case, limit = LABELED_CASES[name]
         result = bfs(case["start"], case["moves"], case["step"], attrgetter("entries"), limit,
-                     on_new=case.get("on_new"), back=same_move)
+                     on_new=case.get("on_new"), involutive=True)
         outcomes[name] = (result.status, len(result.visited), result.word, result.witness)
     assert outcomes == {
         "E6t-F4t1 at its limit": ("limit-exceeded", 2_000, None, None),
