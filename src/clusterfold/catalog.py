@@ -15,8 +15,6 @@ Chain conventions (reading the Cartan matrix along the chain):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exchange import ExchangeMatrix
 from .folding import FoldingPair, PermutationGroup
 
@@ -248,14 +246,18 @@ def affine(name: str) -> ExchangeMatrix:
 # folding pairs
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    pair: FoldingPair
-    expected_quotient_name: str | None = None
-    expected_quotient: ExchangeMatrix | None = None
-    rank: int | None = None
-    note: str = ""
+    __slots__ = ("name", "pair", "expected_quotient_name", "expected_quotient", "rank", "note")
+
+    def __init__(self, name: str, pair: FoldingPair, expected_quotient_name: str | None = None,
+                 expected_quotient: ExchangeMatrix | None = None, rank: int | None = None,
+                 note: str = ""):
+        self.name = name
+        self.pair = pair
+        self.expected_quotient_name = expected_quotient_name
+        self.expected_quotient = expected_quotient
+        self.rank = rank
+        self.note = note
 
 
 def _pair(matrix: ExchangeMatrix, generators, name: str) -> FoldingPair:

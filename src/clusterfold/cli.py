@@ -28,7 +28,8 @@ import random
 import sys
 
 from . import catalog, explorer, io, roots
-from .exchange import ExchangeMatrix, cartan_counterpart, classify, to_dot, to_valued_graph
+from .exchange import (EntryOverflowError, ExchangeMatrix, cartan_counterpart, classify, to_dot,
+                       to_valued_graph)
 from .folding import (
     FoldingPair,
     NotAdmissibleError,
@@ -212,9 +213,7 @@ def _cmd_explore(args, report: _Report) -> int:
     outcome = explorer.mutation_class(matrix, args.limit)
     report.add("verdict", outcome.verdict)
     report.add("size", outcome.size)
-    if outcome.verdict == "limit-exceeded":
-        return EXIT_LIMIT
-    return EXIT_OK if outcome.finite else EXIT_WITNESS
+    return EXIT_OK if outcome.finite else EXIT_LIMIT
 
 
 def _cmd_catalog_list(args, report: _Report) -> int:
@@ -512,12 +511,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         code = args.func(args, report)
+    except EntryOverflowError:  # a computed entry; io reports an input one as a ValueError
+        report.add("status", "overflow")
+        code = EXIT_LIMIT
     except LimitExceededError as exc:
         report.add("error", str(exc))
         report.emit(args.json)
         return EXIT_LIMIT
     except (ValueError, KeyError, OSError, IndexError) as exc:
-        report.add("error", str(exc))
+        # str() of a KeyError is the repr of its message
+        report.add("error", exc.args[0] if isinstance(exc, KeyError) else exc)
         report.emit(args.json)
         return EXIT_USAGE
     if args.expect_fail and code in (EXIT_OK, EXIT_WITNESS):

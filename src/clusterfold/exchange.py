@@ -10,8 +10,7 @@ carry the 1-based external numbering used in files and reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -240,18 +239,9 @@ def cartan_counterpart(matrix: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
 # valued graphs
 
 
-@dataclass(frozen=True)
-class ValuedEdge:
-    source: int
-    target: int
-    value: tuple[int, int]  # (|b_st|, |b_ts|)
-
-
-@dataclass(frozen=True)
-class ValuedGraph:
-    n: int
-    edges: tuple[ValuedEdge, ...]
-    labels: tuple[str, ...]
+# value is (|b_st|, |b_ts|)
+ValuedEdge = namedtuple("ValuedEdge", "source target value")
+ValuedGraph = namedtuple("ValuedGraph", "n edges labels")
 
 
 def to_valued_graph(matrix: ExchangeMatrix) -> ValuedGraph:
@@ -298,13 +288,13 @@ def to_dot(graph: ValuedGraph) -> str:
 # Cartan classification
 
 
-@dataclass(frozen=True)
-class CartanType:
-    tag: str  # "Finite" | "Affine" | "Indefinite"
-    name: str | None = None
+# tag is "Finite", "Affine" or "Indefinite"
+CartanType = namedtuple("CartanType", "tag name", defaults=(None,))
 
 
-def _symmetrize(cartan) -> tuple[tuple[Fraction, ...], ...]:
+def _symmetrize(cartan) -> tuple[tuple[int, ...], ...]:
+    """The symmetric integer matrix DA of a symmetrizable generalized Cartan
+    matrix A, with D its minimal positive symmetrizer; ValueError otherwise."""
     n = len(cartan)
     # d_i c_ij = d_j c_ji is the same constraint as skew-symmetrizing the
     # signed pattern s_ij = |c_ij| for i < j, s_ij = -|c_ij| for i > j.
@@ -329,39 +319,40 @@ def _symmetrize(cartan) -> tuple[tuple[Fraction, ...], ...]:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
                     raise ValueError("Cartan matrix is not symmetrizable")
-    return tuple(
-        tuple(Fraction(d[i] * cartan[i][j]) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(d[i] * cartan[i][j] for j in range(n)) for i in range(n))
 
 
 def _definiteness(sym) -> tuple[bool, bool, int]:
-    """(positive definite, positive semidefinite, corank) of a symmetric matrix.
+    """(positive definite, positive semidefinite, corank) of a symmetric integer matrix.
 
-    Symmetric Gaussian elimination over exact rationals: a negative pivot
-    refutes semidefiniteness, as does a zero diagonal with a nonzero row.
+    Symmetric fraction-free (Bareiss) elimination on the upper triangle.
+    After pivots P, entry (i, j) is the minor on rows P+i and columns P+j,
+    an integer, so each division by the previous pivot is exact (checked:
+    a remainder raises AssertionError).  The pivot is the previous one
+    times the rational pivot, so a negative pivot refutes semidefiniteness,
+    as does a zero pivot with a nonzero row; a zero pivot with a zero row
+    adds one to the corank and is skipped.
     """
     n = len(sym)
     a = [list(row) for row in sym]
+    previous = 1
     corank = 0
-    definite = True
-    semidefinite = True
     for k in range(n):
-        pivot = a[k][k]
-        if pivot < 0:
+        row = a[k]
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1:])):
             return False, False, 0
         if pivot == 0:
-            definite = False
-            if any(a[k][j] != 0 for j in range(k, n)):
-                return False, False, 0
             corank += 1
             continue
         for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            factor = a[i][k] / pivot
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return definite and semidefinite, semidefinite, corank
+            target, rik = a[i], row[i]
+            for j in range(i, n):
+                target[j], rest = divmod(pivot * target[j] - rik * row[j], previous)
+                if rest:
+                    raise AssertionError("Bareiss division left a remainder")
+        previous = pivot
+    return corank == 0, True, corank
 
 
 def classify(cartan, name_diagram: bool = True) -> CartanType:

@@ -15,7 +15,6 @@ through mutation: that is the independent route to D.
 from __future__ import annotations
 
 from collections.abc import KeysView
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .exchange import ExchangeMatrix, find_symmetrizer
@@ -24,7 +23,6 @@ from .search import bfs
 from .seeds import initial_seed, mutate_seed, search_seeds
 
 
-@dataclass
 class MutationClassReport:
     """Outcome of a matrix mutation-class BFS.
 
@@ -33,9 +31,12 @@ class MutationClassReport:
     the verdict is finite.
     """
 
-    verdict: str
-    size: int
-    members: KeysView | None = None
+    __slots__ = ("verdict", "size", "members")
+
+    def __init__(self, verdict: str, size: int, members: KeysView | None = None):
+        self.verdict = verdict
+        self.size = size
+        self.members = members
 
     @property
     def finite(self) -> bool:
@@ -66,15 +67,18 @@ def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClass
     return MutationClassReport("finite", len(visited), members=visited.keys())
 
 
-@dataclass
 class MonotonicityReport:
     """Sizes along |Mut(quotient)| <= |Mut^G(ambient)| <= |Mut(ambient)|."""
 
-    quotient_size: int
-    orbit_size: int
-    ambient_size: int
-    ambient_complete: bool
-    holds: bool
+    __slots__ = ("quotient_size", "orbit_size", "ambient_size", "ambient_complete", "holds")
+
+    def __init__(self, quotient_size: int, orbit_size: int, ambient_size: int,
+                 ambient_complete: bool, holds: bool):
+        self.quotient_size = quotient_size
+        self.orbit_size = orbit_size
+        self.ambient_size = ambient_size
+        self.ambient_complete = ambient_complete
+        self.holds = holds
 
 
 def verify_monotonicity_chain(pair: FoldingPair, limit: int = 10_000) -> MonotonicityReport:

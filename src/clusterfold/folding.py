@@ -32,7 +32,6 @@ and grows with the distinct nodes reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from operator import attrgetter
 
@@ -145,7 +144,6 @@ def admissibility_witness(matrix: ExchangeMatrix, orbits):
     return None
 
 
-@dataclass
 class StabilityVerdict:
     """Outcome of :func:`check_stability`.
 
@@ -157,11 +155,15 @@ class StabilityVerdict:
     unstable, else of the longest orbit word expanded.
     """
 
-    status: str
-    depth: int
-    class_size: int
-    witness_word: tuple | None = None
-    witness_path: tuple | None = None
+    __slots__ = ("status", "depth", "class_size", "witness_word", "witness_path")
+
+    def __init__(self, status: str, depth: int, class_size: int,
+                 witness_word: tuple | None = None, witness_path: tuple | None = None):
+        self.status = status
+        self.depth = depth
+        self.class_size = class_size
+        self.witness_word = witness_word
+        self.witness_path = witness_path
 
     @property
     def stable(self) -> bool:
@@ -436,12 +438,14 @@ class OrbitSeedGraph:
         return node.verdict
 
 
-@dataclass
 class CommutationReport:
-    ok: bool
-    word: tuple
-    quotient_side: Seed
-    projected_side: Seed
+    __slots__ = ("ok", "word", "quotient_side", "projected_side")
+
+    def __init__(self, ok: bool, word: tuple, quotient_side: Seed, projected_side: Seed):
+        self.ok = ok
+        self.word = word
+        self.quotient_side = quotient_side
+        self.projected_side = projected_side
 
 
 def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> CommutationReport:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .exchange import ExchangeMatrix
+from .exchange import EntryOverflowError, ExchangeMatrix
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -104,7 +104,10 @@ def parse_matrix_text(text: str):
             generators.append(parse_permutation(line[len("group:"):], n))
         else:
             raise ValueError(f"unexpected line in matrix file: {line!r}")
-    return ExchangeMatrix(rows), generators
+    try:
+        return ExchangeMatrix(rows), generators
+    except EntryOverflowError as exc:  # an input error, not an overflow of a computation
+        raise ValueError(str(exc)) from None
 
 
 def render_matrix_text(matrix: ExchangeMatrix, generators=()) -> str:

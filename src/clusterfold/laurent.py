@@ -34,8 +34,8 @@ equal polynomials have equal keys, and no field wraps for any exponent.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 _WIDTH = 16  # the common field width; wider fields only for larger exponents
 

@@ -13,12 +13,10 @@ each edge is stepped once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .exchange import EntryOverflowError
 
 
-@dataclass
 class Search:
     """Outcome of one BFS.
 
@@ -30,12 +28,16 @@ class Search:
     the node limit plus the nodes left unexpanded by the depth limit.
     """
 
-    status: str
-    visited: dict
-    depth: int
-    refused: int
-    witness: object = None
-    word: tuple | None = None
+    __slots__ = ("status", "visited", "depth", "refused", "witness", "word")
+
+    def __init__(self, status: str, visited: dict, depth: int, refused: int,
+                 witness=None, word: tuple | None = None):
+        self.status = status
+        self.visited = visited
+        self.depth = depth
+        self.refused = refused
+        self.witness = witness
+        self.word = word
 
 
 def bfs(

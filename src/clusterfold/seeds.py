@@ -17,8 +17,6 @@ checked division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exchange import ExchangeMatrix
 from .laurent import LaurentPolynomial, NotDivisibleError, divide_exact
 from .search import Search, bfs
@@ -189,15 +187,18 @@ def search_seeds(start: Seed, limit: int, *, max_depth: int | None = None,
 _MAX_DEPTH = 64  # the word length at which a cluster-variable enumeration stops expanding
 
 
-@dataclass
 class EnumerationResult:
     """Outcome of a cluster-variable BFS."""
 
-    variables: dict  # LaurentPolynomial -> shortest provenance word (tuple of 0-based vertices)
-    cluster_count: int
-    complete: bool
-    frontier: int = 0
-    dot_edges: list = field(default_factory=list)
+    __slots__ = ("variables", "cluster_count", "complete", "frontier", "dot_edges")
+
+    def __init__(self, variables: dict, cluster_count: int, complete: bool, frontier: int = 0,
+                 dot_edges=()):
+        self.variables = variables  # LaurentPolynomial -> shortest provenance word (0-based)
+        self.cluster_count = cluster_count
+        self.complete = complete
+        self.frontier = frontier
+        self.dot_edges = dot_edges
 
     @property
     def variable_count(self) -> int:

@@ -75,6 +75,14 @@ group: (1 4)(2 5)(3 6)
 """
 
 
+# entries of 2**62: mutation at vertex 2 makes b_13 = 2**62 + 2**62, past the 64-bit range
+P = 2**62
+OVERFLOWING = f"n = 3\n0 {P} {P}\n-1 0 1\n-1 -1 0\n"
+# vertices 3 and 4 form one orbit; the orbit step at vertex 2 overflows the same way
+OVERFLOWING_PAIR = f"n = 4\n0 {P} {P} {P}\n-1 0 1 1\n-1 -1 0 0\n-1 -1 0 0\ngroup: (3 4)\n"
+# an input entry one past the 64-bit range
+TOO_WIDE = f"n = 2\n0 {2**63}\n-1 0\n"
+
 # S8 on eight isolated vertices: order 40,320, past the group-order cap
 S8_ON_ZERO_MATRIX = "n = 8\n" + "0 0 0 0 0 0 0 0\n" * 8 + "group: (1 2 3 4 5 6 7 8)\ngroup: (1 2)\n"
 
@@ -337,6 +345,40 @@ class TestExplore:
         assert not target.exists()
 
 
+class TestOverflow:
+    """An entry that leaves the 64-bit range while computing decides nothing
+    (exit 3); one in the input file is an input error (exit 2)."""
+
+    @pytest.mark.parametrize("command, text, expected", [
+        ("explore", OVERFLOWING, "verdict: overflow\nsize: 2\nexit: 3\n"),
+        ("mutate", OVERFLOWING, "status: overflow\nexit: 3\n"),
+        ("orbit-mutate", OVERFLOWING_PAIR, "status: overflow\nexit: 3\n"),
+    ], ids=["explore", "mutate", "orbit-mutate"])
+    def test_overflow_exits_3(self, capsys, tmp_path, command, text, expected):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        argv = [command, "--matrix", str(path)] + (["--word", "2"] if command != "explore" else [])
+        assert run_cli(capsys, *argv) == (3, expected)
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(out) == dict(line.split(": ") for line in expected.splitlines())
+
+    @pytest.mark.parametrize("command", [c for c, flags in READS.items() if "--matrix" in flags])
+    def test_input_entry_past_64_bits_is_an_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "m.txt"
+        path.write_text(TOO_WIDE + ("group: (1 2)\n" if "--group" in READS[command] else ""))
+        argv = [*command.split(), "--matrix", str(path)]
+        message = f"entry {2**63} exceeds 64-bit range"
+        assert run_cli(capsys, *argv) == (2, f"error: {message}\n")
+        assert run_cli(capsys, *argv, "--json") == (2, json.dumps({"error": message}, indent=2) + "\n")
+
+
+def assert_unknown_name_quoted_once(capsys, *argv):
+    message = "unknown catalog entry 'nope'"
+    assert run_cli(capsys, *argv) == (2, f"error: {message}\n")
+    assert run_cli(capsys, *argv, "--json") == (2, '{\n  "error": "' + message + '"\n}\n')
+
+
 class TestCatalog:
     def test_list(self, capsys):
         code, out = run_cli(capsys, "catalog", "list")
@@ -356,8 +398,10 @@ class TestCatalog:
         assert "expected: C3" in out
 
     def test_show_unknown(self, capsys):
-        code, out = run_cli(capsys, "catalog", "show", "nope")
-        assert code == 2
+        assert_unknown_name_quoted_once(capsys, "catalog", "show", "nope")
+
+    def test_fold_unknown_pair(self, capsys):
+        assert_unknown_name_quoted_once(capsys, "fold", "--pair", "nope")
 
     def test_show_without_name(self, capsys):
         code, out = run_cli(capsys, "catalog", "show")

@@ -15,6 +15,7 @@ from clusterfold.exchange import (
     ExchangeMatrix,
     NotSkewSymmetrizableError,
     _canonical_form,
+    _definiteness,
     cartan_counterpart,
     classify,
     find_symmetrizer,
@@ -149,6 +150,58 @@ def fraction_symmetrizer(entries) -> tuple[int, ...]:
         for i, v in zip(component, values):
             d[i] = Fraction(v // common)
     return tuple(int(x) for x in d)
+
+
+def fraction_definiteness(sym) -> tuple[bool, bool, int]:
+    """Reference: symmetric Gaussian elimination over exact rationals.
+
+    A negative pivot refutes semidefiniteness, as does a zero diagonal with
+    a nonzero row.
+    """
+    n = len(sym)
+    a = [[Fraction(x) for x in row] for row in sym]
+    corank = 0
+    definite = True
+    semidefinite = True
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0:
+            return False, False, 0
+        if pivot == 0:
+            definite = False
+            if any(a[k][j] != 0 for j in range(k, n)):
+                return False, False, 0
+            corank += 1
+            continue
+        for i in range(k + 1, n):
+            if a[i][k] == 0:
+                continue
+            factor = a[i][k] / pivot
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+    return definite and semidefinite, semidefinite, corank
+
+
+@st.composite
+def symmetric_integer_matrices(draw, max_n=6):
+    """Arbitrary symmetric matrices (mostly indefinite), Gram matrices G^T G
+    of a k x n integer G (positive semidefinite, singular when k < n or G
+    has dependent columns), and Gram matrices with one diagonal entry lowered."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(("arbitrary", "gram", "lowered gram")))
+    if kind == "arbitrary":
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+        return a
+    g = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+         for _ in range(draw(st.integers(1, n + 1)))]
+    a = [[sum(row[i] * row[j] for row in g) for j in range(n)] for i in range(n)]
+    if kind == "lowered gram":
+        i = draw(st.integers(0, n - 1))
+        a[i][i] -= draw(st.integers(1, 3))
+    return a
 
 
 def full_check_mutate(matrix, k):
@@ -514,6 +567,22 @@ class TestClassification:
         kind = classify(cartan)
         assert time.perf_counter() - began < 1.0
         assert (kind.tag, kind.name) == ("Finite", None)
+
+    @given(symmetric_integer_matrices())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @example([[0]])
+    @example([[1, 1], [1, 1]])  # singular, positive semidefinite
+    @example([[0, 1], [1, 0]])  # a zero pivot with a nonzero row
+    @example([[1, 2], [2, 1]])  # a negative pivot
+    @example([[0, 0, 0], [0, 2, 1], [0, 1, 2]])  # a zero row skipped before positive pivots
+    def test_integer_definiteness_matches_the_fraction_reference(self, sym):
+        assert _definiteness(sym) == fraction_definiteness(sym)
+
+    def test_a_division_with_a_remainder_raises(self):
+        # only a non-integer matrix can leave one: its leading 3 x 3 minor is 5/2
+        sym = [[2, 1, 1], [1, 2, 1], [1, 1, Fraction(3, 2)]]
+        with pytest.raises(AssertionError, match="remainder"):
+            _definiteness(sym)
 
     def test_rejects_bad_cartan(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +29,19 @@ def test_sources_import_only_the_standard_library():
 def test_no_runtime_dependencies_are_declared():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+# loaded for nothing but a decorator, an annotation or a number type; each costs start-up time
+NOT_AT_IMPORT = ("dataclasses", "inspect", "fractions", "decimal", "typing")
+
+
+def test_import_loads_no_decorator_annotation_or_number_modules():
+    script = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+              "import clusterfold, clusterfold.cli; print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", script, str(ROOT / "src")],
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert "clusterfold.cli" in loaded
+    assert sorted(set(NOT_AT_IMPORT) & set(loaded)) == []
 
 
 # Library code that only tests call, each kept as an independent reference.

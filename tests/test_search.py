@@ -104,6 +104,12 @@ def test_entry_overflow_is_a_verdict():
     assert list(result.visited) == ["a", "b", "c", "d", "e"]
 
 
+def fields(result: Search) -> tuple:
+    """A Search's fields in order: the record compares by identity, they by value."""
+    return (result.status, result.visited, result.depth, result.refused, result.witness,
+            result.word)
+
+
 def reference_bfs(start, moves, step, key, limit, on_new=None, drain=False, max_depth=None):
     """Plain BFS that computes every lookup from both ends of an edge.
 
@@ -173,7 +179,7 @@ def test_edge_reuse_matches_the_plain_search(name):
     edges = []
     result = bfs(case["start"], case["moves"], case["step"], key, limit, on_new=case.get("on_new"),
                  on_edge=lambda source, target: edges.append((source, target)), involutive=True)
-    assert result == expected
+    assert fields(result) == fields(expected)
     if result.status == "closed":
         # each undirected edge is reported once; the plain search looks it up from both ends
         reported = Counter()
@@ -261,7 +267,8 @@ def test_seed_search_takes_each_edge_once(name):
     *observed, mutations = observed_seed_search(matrix, limit, max_depth)
     *expected, plain_mutations = plain_seed_search(matrix, limit, max_depth)
     result, visited, news, edges, table = observed
-    assert observed[:4] == expected[:4]
+    assert fields(result) == fields(expected[0])
+    assert observed[1:4] == expected[1:4]
     # the labeled search divides only what it meets, and the same quotients
     assert table.items() <= expected[4].items()
     # one mutation per admitted seed after the first and per distinct refused neighbour
