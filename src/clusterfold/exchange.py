@@ -141,14 +141,16 @@ class ExchangeMatrix:
 
         b'_ij = -b_ij if i == k or j == k, else
         b_ij + (b_ik*|b_kj| + |b_ik|*b_kj)/2; the input is unmodified.
-        The result carries this matrix's symmetrizer D, which mutation
-        preserves (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), and is
-        checked against it: d_i*b'_ij == -d_j*b'_ji for i <= j with both
-        rows rebuilt (row k and every row i with b_ik != 0), in ascending
-        order, else :class:`NotSkewSymmetrizableError`.  Every other pair
-        keeps both its entries, because b_ik == 0 iff b_ki == 0 in a matrix
-        that satisfies D, so the result satisfies D whenever this matrix
-        does.  Changed entries are range-checked (:class:`EntryOverflowError`).
+        Only row k and the rows of k's neighbours are visited: b_ik != 0
+        iff b_ki != 0 in a matrix that satisfies its symmetrizer D, so the
+        nonzero positions of row k name every row that changes, and the
+        other rows are reused as they are.  The result carries D, which
+        mutation preserves (Fomin-Zelevinsky, Cluster algebras I, Prop.
+        4.5), and is checked against it: d_i*b'_ij == -d_j*b'_ji for i <= j
+        with both rows rebuilt, in ascending order, else
+        :class:`NotSkewSymmetrizableError`.  Every other pair keeps both its
+        entries, so the result satisfies D whenever this matrix does.
+        Changed entries are range-checked (:class:`EntryOverflowError`).
         """
         n = self.n
         if not 0 <= k < n:
@@ -156,25 +158,27 @@ class ExchangeMatrix:
         b = self.entries
         row_k = b[k]
         # the update adds |b_ik|*b_kj exactly where b_ik and b_kj share a sign
-        positive = [(j, x) for j, x in enumerate(row_k) if x > 0]
-        negative = [(j, x) for j, x in enumerate(row_k) if x < 0]
-        rows = []
-        rebuilt = []
-        for i, row in enumerate(b):
-            bik = row[k]
-            if i == k:
-                rows.append(tuple(-x for x in row))
-            elif bik == 0:
-                rows.append(row)
+        positive, negative, rebuilt = [], [], []
+        for j, x in enumerate(row_k):
+            if x:
+                (positive if x > 0 else negative).append((j, x))
+            elif j != k:
                 continue
-            else:
+            rebuilt.append(j)
+        rows = list(b)
+        rows[k] = tuple([-x for x in row_k])
+        for i in rebuilt:
+            row = b[i]
+            bik = row[k]
+            if bik:  # i != k
                 new = list(row)
                 new[k] = -bik
                 weight = abs(bik)
                 for j, bkj in positive if bik > 0 else negative:
-                    new[j] = _check_entry(row[j] + weight * bkj)
-                rows.append(tuple(new))
-            rebuilt.append(i)
+                    x = new[j] = row[j] + weight * bkj
+                    if not -INT64_MAX <= x <= INT64_MAX:
+                        _check_entry(x)
+                rows[i] = tuple(new)
         d = self._symmetrizer
         for a, i in enumerate(rebuilt):
             di = d[i]

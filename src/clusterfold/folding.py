@@ -243,7 +243,7 @@ def quotient_symmetrizer(pair: FoldingPair) -> tuple[int, ...]:
     delta = tuple(
         d[orbit[0]] * pair.group.stabilizer_order(orbit[0]) for orbit in pair.orbits
     )
-    q = quotient_entries(pair.matrix, pair.orbits)
+    q = quotient_matrix(pair).entries
     m = len(q)
     for i in range(m):
         for j in range(m):

@@ -56,12 +56,13 @@ def bfs(
 ) -> Search:
     """Breadth-first search from ``start`` over ``step(node, move)`` for each move.
 
-    Nodes are deduplicated by ``key``; at most ``limit`` nodes are
-    admitted.  ``on_new(node, word)`` runs on every neighbour whose key
-    is unseen, before the limit test, and a non-None return stops the
-    search with that witness.  At the node limit the search stops unless
-    ``drain``, in which case refused neighbours are counted and the queue
-    is emptied.  Nodes at depth ``max_depth`` are admitted but not
+    Nodes are deduplicated by ``key``; at most ``max(limit, 1)`` nodes
+    are admitted, because the start always is, even at limit 0.
+    ``on_new(node, word)`` runs on every neighbour whose key is unseen,
+    before the limit test, and a non-None return stops the search with
+    that witness.  At the node limit the search stops unless ``drain``,
+    in which case refused neighbours are counted and the queue is
+    emptied.  Nodes at depth ``max_depth`` are admitted but not
     expanded; each counts as refused.  ``on_edge(source, target)``
     receives the discovery indices of every admitted edge.  An
     EntryOverflowError from ``step`` ends the search with status

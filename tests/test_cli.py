@@ -80,6 +80,8 @@ P = 2**62
 OVERFLOWING = f"n = 3\n0 {P} {P}\n-1 0 1\n-1 -1 0\n"
 # vertices 3 and 4 form one orbit; the orbit step at vertex 2 overflows the same way
 OVERFLOWING_PAIR = f"n = 4\n0 {P} {P} {P}\n-1 0 1 1\n-1 -1 0 0\n-1 -1 0 0\ngroup: (3 4)\n"
+# admissible, but the quotient entry b_{23,1} = -2P leaves the 64-bit range
+OVERFLOWING_QUOTIENT = f"n = 3\n0 {P} {P}\n-{P} 0 0\n-{P} 0 0\ngroup: (2 3)\n"
 # an input entry one past the 64-bit range
 TOO_WIDE = f"n = 2\n0 {2**63}\n-1 0\n"
 
@@ -329,6 +331,13 @@ class TestExplore:
         assert code == 3
         assert "verdict: limit-exceeded" in out
 
+    def test_limit_0_still_admits_the_start(self, capsys):
+        expected = "verdict: limit-exceeded\nsize: 1\nexit: 3\n"
+        assert run_cli(capsys, "explore", "--pair", "A3toB2", "--limit", "0") == (3, expected)
+        code, out = run_cli(capsys, "explore", "--pair", "A3toB2", "--limit", "0", "--json")
+        assert code == 3
+        assert out == json.dumps({"verdict": "limit-exceeded", "size": "1", "exit": "3"}, indent=2) + "\n"
+
     @pytest.mark.parametrize("argv", [
         ["explore", "--pair", "A3toB2"],
         ["mutate", "--pair", "A3toB2", "--word", "1"],
@@ -353,11 +362,13 @@ class TestOverflow:
         ("explore", OVERFLOWING, "verdict: overflow\nsize: 2\nexit: 3\n"),
         ("mutate", OVERFLOWING, "status: overflow\nexit: 3\n"),
         ("orbit-mutate", OVERFLOWING_PAIR, "status: overflow\nexit: 3\n"),
-    ], ids=["explore", "mutate", "orbit-mutate"])
+        # the quotient is built before the first line, so the overflow is reported alone
+        ("fold", OVERFLOWING_QUOTIENT, "status: overflow\nexit: 3\n"),
+    ], ids=["explore", "mutate", "orbit-mutate", "fold"])
     def test_overflow_exits_3(self, capsys, tmp_path, command, text, expected):
         path = tmp_path / "m.txt"
         path.write_text(text)
-        argv = [command, "--matrix", str(path)] + (["--word", "2"] if command != "explore" else [])
+        argv = [command, "--matrix", str(path)] + (["--word", "2"] if "mutate" in command else [])
         assert run_cli(capsys, *argv) == (3, expected)
         code, out = run_cli(capsys, *argv, "--json")
         assert code == 3

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterfold.exchange import (
+    INT64_MAX,
     EntryOverflowError,
     ExchangeMatrix,
     NotSkewSymmetrizableError,
@@ -232,6 +233,47 @@ def full_check_mutate(matrix, k):
     return tuple(rows), matrix.labels, d
 
 
+def rebuilt_rows_mutate(matrix, k):
+    """Reference: the mutation kernel that reads b_ik of every row i to find
+    the rows to rebuild, with the same checks in the same order."""
+    b = matrix.entries
+    positive = [(j, x) for j, x in enumerate(b[k]) if x > 0]
+    negative = [(j, x) for j, x in enumerate(b[k]) if x < 0]
+    rows = []
+    rebuilt = []
+    for i, row in enumerate(b):
+        bik = row[k]
+        if i == k:
+            rows.append(tuple(-x for x in row))
+        elif bik == 0:
+            rows.append(row)
+            continue
+        else:
+            new = list(row)
+            new[k] = -bik
+            weight = abs(bik)
+            for j, bkj in positive if bik > 0 else negative:
+                new[j] = row[j] + weight * bkj
+                if abs(new[j]) > INT64_MAX:
+                    raise EntryOverflowError(f"entry {new[j]} exceeds 64-bit range")
+            rows.append(tuple(new))
+        rebuilt.append(i)
+    d = matrix.symmetrizer
+    for a, i in enumerate(rebuilt):
+        for j in rebuilt[a:]:
+            if d[i] * rows[i][j] != -d[j] * rows[j][i]:
+                raise NotSkewSymmetrizableError((i, j))
+    return tuple(rows), matrix.labels, d
+
+
+def outcome(function, matrix, k):
+    """The result, or the type and witness (else message) of the error."""
+    try:
+        return function(matrix, k)
+    except (EntryOverflowError, NotSkewSymmetrizableError) as exc:
+        return type(exc), getattr(exc, "witness", str(exc))
+
+
 def symmetrizer_or_witness(function, entries):
     try:
         return function(entries)
@@ -388,6 +430,8 @@ class TestMutation:
         assert mutated.entries[2] is m.entries[2]
         assert mutated.entries[3] is m.entries[3]
         assert mutated.entries[1] == (-1, 0, 1, 0)
+        # row k is rebuilt as a new tuple, -row k
+        assert mutated.entries[0] == (0, 2, 0, 0) and mutated.entries[0] is not m.entries[0]
 
     def test_overflow_raised_by_mutate(self):
         # row 3 has no edge to vertex 1 and is reused; row 0 gains
@@ -416,6 +460,26 @@ class TestMutation:
             assert (mutated.entries, mutated.labels, mutated.symmetrizer) == (
                 full_check_mutate(labelled, k)
             )
+
+    @given(skew_symmetrizable_matrices(), st.sampled_from(["valid", "corrupted D", "overflow"]),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rebuilt_rows_reference(self, m, case, data):
+        # the same results, and the same first failing entry or pair on error
+        entries = m.entries
+        if case == "overflow":  # entries up to 12 * 2**31, products past 2**63
+            entries = [[x * 2**31 for x in row] for row in entries]
+        labelled = ExchangeMatrix(entries, tuple("abcde"[: m.n]))
+        if case == "corrupted D":
+            labelled._symmetrizer = tuple(
+                data.draw(st.lists(st.integers(1, 4), min_size=m.n, max_size=m.n))
+            )
+        for k in range(m.n):
+            expected = outcome(rebuilt_rows_mutate, labelled, k)
+            got = outcome(ExchangeMatrix.mutate, labelled, k)
+            if isinstance(got, ExchangeMatrix):
+                got = got.entries, got.labels, got.symmetrizer
+            assert got == expected
 
     @given(skew_symmetrizable_matrices())
     @settings(max_examples=100, deadline=None)
