@@ -2,21 +2,26 @@
 
 Diagram names use ASCII: finite types "A3", "B2", "C3", "D4", "E6",
 "F4", "G2"; affine types are prefixed with "~" ("~A3", "~B2", "~BC2",
-"~A1(2)", "~F4(1)", "~G2(2)", ...).
+"~A1(2)", "~F4(1)", "~G2(2)", ...).  One table per tag holds each family
+with its smallest rank, and the names of fixed rank.
 
 Chain conventions (reading the Cartan matrix along the chain):
   B_n has its short end last (c[n-1][n] = -1, c[n][n-1] = -2),
   C_n the other way (c[n-1][n] = -2, c[n][n-1] = -1);
   at rank 2 the two coincide up to relabeling and the single name "B2"
-  is used.  Ambient quivers are oriented bipartitely (arrows from odd
-  to even BFS layers), except cycles, which get an acyclic linear
-  orientation; these choices are invariant under every catalog group.
+  is used, as "A3" is for D3.  Diagrams are oriented bipartitely (arrows
+  from odd to even BFS layers), except the cycles ~An, which get an
+  acyclic linear orientation.  Each folding pair's row states how its
+  ambient quiver is oriented, and every row's group preserves it.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .exchange import ExchangeMatrix
 from .folding import FoldingPair, PermutationGroup
+from .io import parse_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -32,155 +37,87 @@ def _cartan_from_edges(n: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _chain(pairs) -> tuple[tuple[int, ...], ...]:
-    """A chain 0-1-...-k with (a, b) value pairs per consecutive edge."""
-    n = len(pairs) + 1
-    return _cartan_from_edges(
-        n, [(i, i + 1, a, b) for i, (a, b) in enumerate(pairs)]
-    )
+def _chain(pairs, start: int = 0, forks=()) -> tuple[tuple[int, ...], ...]:
+    """A chain from vertex ``start`` with (a, b) value pairs per consecutive
+    edge, plus the simple edges (i, j) of ``forks``."""
+    edges = [(start + i, start + i + 1, a, b) for i, (a, b) in enumerate(pairs)]
+    edges += [(i, j, 1, 1) for i, j in forks]
+    n = 1 + max([start + len(pairs), *(max(fork) for fork in forks)])
+    return _cartan_from_edges(n, edges)
 
 
 def _simply_laced(n: int, adjacency) -> tuple[tuple[int, ...], ...]:
     return _cartan_from_edges(n, [(i, j, 1, 1) for i, j in adjacency])
 
 
-def _dynkin_cartan(family: str, n: int) -> tuple[tuple[int, ...], ...]:
-    if family == "A" and n >= 1:
-        return _chain([(1, 1)] * (n - 1))
-    if family == "B" and n >= 2:
-        return _chain([(1, 1)] * (n - 2) + [(1, 2)])
-    if family == "C" and n >= 2:
-        return _chain([(1, 1)] * (n - 2) + [(2, 1)])
-    if family == "D" and n >= 3:
-        edges = [(i, i + 1) for i in range(n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
-        return _simply_laced(n, edges)
-    if family == "E" and n in (6, 7, 8):
-        edges = [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]
-        return _simply_laced(n, edges)
-    if family == "F" and n == 4:
-        return _chain([(1, 1), (1, 2), (1, 1)])
-    if family == "G" and n == 2:
-        return _chain([(1, 3)])
-    raise ValueError(f"unknown Dynkin type {family}{n}")
+# tag -> ({family: (smallest n, Cartan builder)}, {name of fixed rank: Cartan matrix})
+_DIAGRAMS = {
+    "Finite": ({
+        "A": (1, lambda n: _chain([(1, 1)] * (n - 1))),
+        "B": (2, lambda n: _chain([(1, 1)] * (n - 2) + [(1, 2)])),
+        "C": (3, lambda n: _chain([(1, 1)] * (n - 2) + [(2, 1)])),
+        "D": (4, lambda n: _chain([(1, 1)] * (n - 2), forks=[(n - 3, n - 1)])),
+    }, {
+        **{f"E{n}": _chain([(1, 1)] * (n - 2), forks=[(2, n - 1)]) for n in (6, 7, 8)},
+        "F4": _chain([(1, 1), (1, 2), (1, 1)]),
+        "G2": _chain([(1, 3)]),
+    }),
+    "Affine": ({
+        "~A": (2, lambda n: _chain([(1, 1)] * n, forks=[(0, n)])),
+        "~B": (2, lambda n: _chain([(1, 2)] + [(1, 1)] * (n - 2) + [(2, 1)])),
+        "~C": (2, lambda n: _chain([(2, 1)] + [(1, 1)] * (n - 2) + [(1, 2)])),
+        "~BC": (2, lambda n: _chain([(1, 2)] + [(1, 1)] * (n - 2) + [(1, 2)])),
+        "~BD": (2, lambda n: _chain([(1, 1)] * (n - 2) + [(2, 1)], 2, [(0, 2), (1, 2)])),
+        "~CD": (3, lambda n: _chain([(1, 1)] * (n - 3) + [(1, 2)], 2, [(0, 2), (1, 2)])),
+        "~D": (4, lambda n: _chain([(1, 1)] * (n - 4), 2,
+                                   [(0, 2), (1, 2), (n - 2, n - 1), (n - 2, n)])),
+    }, {
+        "~A1": _chain([(2, 2)]),
+        "~A1(2)": _chain([(1, 4)]),
+        "~E6": _chain([(1, 1)] * 4, forks=[(2, 5), (5, 6)]),
+        "~E7": _chain([(1, 1)] * 6, forks=[(3, 7)]),
+        "~E8": _chain([(1, 1)] * 7, forks=[(2, 8)]),
+        "~F4(1)": _chain([(1, 1), (1, 1), (1, 2), (1, 1)]),
+        "~F4(2)": _chain([(1, 1), (1, 1), (2, 1), (1, 1)]),
+        "~G2(1)": _chain([(1, 1), (1, 3)]),
+        "~G2(2)": _chain([(1, 1), (3, 1)]),
+    }),
+}
 
 
-def _affine_cartan(name: str) -> tuple[tuple[int, ...], ...]:
-    """Affine diagrams; ``name`` without the leading '~'."""
-    if name == "A1":
-        return _chain([(2, 2)])
-    if name == "A1(2)":
-        return _chain([(1, 4)])
-    if name.startswith("A") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 2:
-            raise ValueError("affine ~An needs n >= 2")
-        m = n + 1
-        return _simply_laced(m, [(i, (i + 1) % m) for i in range(m)])
-    if name.startswith("BC") and name[2:].isdigit():
-        n = int(name[2:])
-        if n < 2:
-            raise ValueError("affine ~BCn needs n >= 2")
-        return _chain([(1, 2)] + [(1, 1)] * (n - 2) + [(1, 2)])
-    if name.startswith("BD") and name[2:].isdigit():
-        n = int(name[2:])
-        if n < 2:
-            raise ValueError("affine ~BDn needs n >= 2")
-        edges = [(0, 2, 1, 1), (1, 2, 1, 1)]
-        edges += [(i, i + 1, 1, 1) for i in range(2, n)]
-        edges += [(n, n + 1, 2, 1)]
-        return _cartan_from_edges(n + 2, edges)
-    if name.startswith("CD") and name[2:].isdigit():
-        n = int(name[2:])
-        if n < 3:
-            raise ValueError("affine ~CDn needs n >= 3")
-        edges = [(0, 2, 1, 1), (1, 2, 1, 1)]
-        edges += [(i, i + 1, 1, 1) for i in range(2, n - 1)]
-        edges += [(n - 1, n, 1, 2)]
-        return _cartan_from_edges(n + 1, edges)
-    if name.startswith("B") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 2:
-            raise ValueError("affine ~Bn needs n >= 2")
-        return _chain([(1, 2)] + [(1, 1)] * (n - 2) + [(2, 1)])
-    if name.startswith("C") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 2:
-            raise ValueError("affine ~Cn needs n >= 2")
-        return _chain([(2, 1)] + [(1, 1)] * (n - 2) + [(1, 2)])
-    if name.startswith("D") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 4:
-            raise ValueError("affine ~Dn needs n >= 4")
-        edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 2)]
-        edges += [(n - 2, n - 1), (n - 2, n)]
-        return _simply_laced(n + 1, edges)
-    if name == "E6":
-        base = [(i, i + 1) for i in range(4)] + [(2, 5), (5, 6)]
-        return _simply_laced(7, base)
-    if name == "E7":
-        return _simply_laced(8, [(i, i + 1) for i in range(6)] + [(3, 7)])
-    if name == "E8":
-        return _simply_laced(9, [(i, i + 1) for i in range(7)] + [(2, 8)])
-    if name == "F4(1)":
-        return _chain([(1, 1), (1, 1), (1, 2), (1, 1)])
-    if name == "F4(2)":
-        return _chain([(1, 1), (1, 1), (2, 1), (1, 1)])
-    if name == "G2(1)":
-        return _chain([(1, 1), (1, 3)])
-    if name == "G2(2)":
-        return _chain([(1, 1), (3, 1)])
-    raise ValueError(f"unknown affine diagram ~{name}")
+def _cartan(name: str, tag: str) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of a name in the tag's table ("B3", "~A1(2)")."""
+    families, fixed = _DIAGRAMS[tag]
+    if name in fixed:
+        return fixed[name]
+    family = name.rstrip("0123456789")
+    if family in families and family != name:
+        smallest, build = families[family]
+        if (n := int(name[len(family):])) >= smallest:
+            return build(n)
+    raise ValueError(f"unknown {tag.lower()} diagram {name!r}")
 
 
+@functools.cache
 def named_cartan_matrices(tag: str):
     """Reference (name, cartan) diagrams of a classification tag, rank <= 12.
 
-    Consumed by the classifier for diagram naming.
+    Consumed by the classifier for diagram naming; the names of fixed rank
+    come first, then each family in rank order.
     """
-    out = []
-    if tag == "Finite":
-        for n in range(1, 13):
-            out.append((f"A{n}", _dynkin_cartan("A", n)))
-        out.append(("B2", _dynkin_cartan("B", 2)))
-        for n in range(3, 13):
-            out.append((f"B{n}", _dynkin_cartan("B", n)))
-            out.append((f"C{n}", _dynkin_cartan("C", n)))
-        for n in range(4, 13):
-            out.append((f"D{n}", _dynkin_cartan("D", n)))
-        for n in (6, 7, 8):
-            out.append((f"E{n}", _dynkin_cartan("E", n)))
-        out.append(("F4", _dynkin_cartan("F", 4)))
-        out.append(("G2", _dynkin_cartan("G", 2)))
-    elif tag == "Affine":
-        out.append(("~A1", _affine_cartan("A1")))
-        out.append(("~A1(2)", _affine_cartan("A1(2)")))
-        for n in range(2, 12):
-            out.append((f"~A{n}", _affine_cartan(f"A{n}")))
-            out.append((f"~B{n}", _affine_cartan(f"B{n}")))
-            out.append((f"~C{n}", _affine_cartan(f"C{n}")))
-            out.append((f"~BC{n}", _affine_cartan(f"BC{n}")))
-        for n in range(2, 11):
-            out.append((f"~BD{n}", _affine_cartan(f"BD{n}")))
-        for n in range(3, 12):
-            out.append((f"~CD{n}", _affine_cartan(f"CD{n}")))
-        for n in range(4, 12):
-            out.append((f"~D{n}", _affine_cartan(f"D{n}")))
-        for n in (6, 7, 8):
-            out.append((f"~E{n}", _affine_cartan(f"E{n}")))
-        for name in ("F4(1)", "F4(2)", "G2(1)", "G2(2)"):
-            out.append((f"~{name}", _affine_cartan(name)))
-    else:
+    if tag not in _DIAGRAMS:
         raise ValueError(f"no named diagrams for tag {tag!r}")
+    families, fixed = _DIAGRAMS[tag]
+    out = list(fixed.items())
+    for family, (n, build) in families.items():
+        while len(cartan := build(n)) <= 12:
+            out.append((f"{family}{n}", cartan))
+            n += 1
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # orientation
-
-
-def _edges_of_cartan(cartan):
-    n = len(cartan)
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0]
 
 
 def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
@@ -191,7 +128,7 @@ def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
     target) pairs selects an explicit orientation.
     """
     n = len(cartan)
-    edges = _edges_of_cartan(cartan)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0]
     if orientation == "alternating":
         color = [-1] * n
         for start in list(range(n)):
@@ -223,7 +160,7 @@ def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
 
 def dynkin(family: str, n: int) -> ExchangeMatrix:
     """An exchange matrix whose Cartan counterpart is the named finite type."""
-    return orient_cartan(_dynkin_cartan(family, n))
+    return orient_cartan(_cartan(f"{family}{n}", "Finite"))
 
 
 def affine(name: str) -> ExchangeMatrix:
@@ -232,12 +169,9 @@ def affine(name: str) -> ExchangeMatrix:
     ``name`` carries the leading '~'.  Cycles (~An) get an acyclic
     linear-cycle orientation; everything else is alternating.
     """
-    if not name.startswith("~"):
-        raise ValueError("affine names start with '~'")
-    bare = name[1:]
-    cartan = _affine_cartan(bare)
-    if bare.startswith("A") and bare[1:].isdigit() and int(bare[1:]) >= 2:
-        m = len(cartan)
+    cartan = _cartan(name, "Affine")
+    m = len(cartan)
+    if name[1] == "A" and m > 2:
         return orient_cartan(cartan, [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)])
     return orient_cartan(cartan)
 
@@ -247,288 +181,115 @@ def affine(name: str) -> ExchangeMatrix:
 
 
 class CatalogEntry:
-    __slots__ = ("name", "pair", "expected_quotient_name", "expected_quotient", "rank", "note")
+    __slots__ = ("name", "pair", "expected_quotient_name", "note")
 
-    def __init__(self, name: str, pair: FoldingPair, expected_quotient_name: str | None = None,
-                 expected_quotient: ExchangeMatrix | None = None, rank: int | None = None,
-                 note: str = ""):
+    def __init__(self, name: str, pair: FoldingPair, expected_quotient_name: str | None, note: str):
         self.name = name
         self.pair = pair
         self.expected_quotient_name = expected_quotient_name
-        self.expected_quotient = expected_quotient
-        self.rank = rank
         self.note = note
 
 
-def _pair(matrix: ExchangeMatrix, generators, name: str) -> FoldingPair:
-    return FoldingPair(matrix, PermutationGroup(matrix.n, generators), name=name)
+def _entry(name: str, matrix: ExchangeMatrix, generators: str, quotient: str | None,
+           note: str = "") -> CatalogEntry:
+    """``generators``: 1-based cycle notation, one generator per ';'-separated part."""
+    group = PermutationGroup(matrix.n, [parse_permutation(g, matrix.n)
+                                        for g in generators.split(";")])
+    return CatalogEntry(name, FoldingPair(matrix, group, name=name), quotient, note)
 
 
-def _transposition(n, i, j):
-    g = list(range(n))
-    g[i], g[j] = j, i
-    return tuple(g)
+def _star(leaves: int) -> ExchangeMatrix:
+    """Vertex 0 with ``leaves`` leaves, every arrow pointing into it (bipartite)."""
+    return orient_cartan(_simply_laced(leaves + 1, [(0, k) for k in range(1, leaves + 1)]))
 
 
-def _from_cycles(n, cycles):
-    g = list(range(n))
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            g[a] = b
-    return tuple(g)
+def _quiver(n: int, arrows) -> ExchangeMatrix:
+    """The simply-laced quiver with the given (source, target) arrows."""
+    return orient_cartan(_simply_laced(n, arrows), arrows)
 
 
-def _star(center: int, leaves: int) -> ExchangeMatrix:
-    """A star quiver with all arrows pointing into the center (vertex 0)."""
-    n = leaves + 1
-    b = [[0] * n for _ in range(n)]
-    for leaf in range(1, n):
-        b[leaf][0] = 1
-        b[0][leaf] = -1
-    return ExchangeMatrix(b)
+# name -> (ambient, generators, expected quotient name, note); an ambient is
+# oriented bipartitely unless _quiver lists its arrows
+_FIXED = {
+    "A3toB2": (lambda: dynkin("A", 3), "(1 3)", "B2", ""),
+    "A5toC3": (lambda: dynkin("A", 5), "(1 5)(2 4)", "C3", ""),
+    "D4toB3": (lambda: dynkin("D", 4), "(3 4)", "B3", ""),
+    "E6toF4": (lambda: dynkin("E", 6), "(1 5)(2 4)", "F4", ""),
+    "D4toG2": (lambda: _star(3), "(2 3); (2 3 4)", "G2", ""),
+    # the square and the hexagon: arrows from even to odd layers
+    "squaretoK2": (lambda: _quiver(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+                   "(1 2); (3 4)", "~A1", ""),
+    "hexagontoK2": (lambda: _quiver(6, [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)]),
+                    "(1 2 3)(4 5 6)", "~A1",
+                    "single diagonal generator; the two 3-cycles are not separately automorphisms"),
+    "D4t-A1t2": (lambda: _star(4), "(2 3); (2 3 4 5)", "~A1(2)", ""),
+    "D4t-G2t1": (lambda: _star(4), "(2 3); (2 3 4)", "~G2(1)", ""),
+    "D4t-A1t2-c4": (lambda: _star(4), "(2 3 4 5)", "~A1(2)",
+                    "two-orbit pair used for the strict-inclusion experiment"),
+    # a2=0, a1=1, z=2, b1=3, b2=4, c1=5, c2=6
+    "E6t-F4t1": (lambda: affine("~E6"), "(4 6)(5 7)", "~F4(1)", ""),
+    # b=0, z=1, a-chain 2,3,4, c-chain 5,6,7
+    "E7t-F4t2": (lambda: orient_cartan(_chain([(1, 1)] * 4, forks=[(1, 5), (5, 6), (6, 7)])),
+                 "(3 6)(4 7)(5 8)", "~F4(2)", ""),
+    "E6t-G2t2": (lambda: affine("~E6"), "(1 5 7)(2 4 6)", "~G2(2)", "single diagonal 3-cycle "
+                 "generator; the arm cycles are not separately automorphisms"),
+    # the oriented 6-cycle
+    "remark-stabilite": (lambda: _quiver(6, [(i, (i + 1) % 6) for i in range(6)]),
+                         "(1 4)(2 5)(3 6)", None,
+                         "admissible but not stable; the known commutation counterexample"),
+}
 
 
-def _a3_to_b2() -> CatalogEntry:
-    matrix = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
-    pair = _pair(matrix, [_transposition(3, 0, 2)], "A3toB2")
-    expected = ExchangeMatrix([[0, -2], [1, 0]], labels=("1", "2"))
-    return CatalogEntry("A3toB2", pair, "B2", expected)
+# Each parametric family: n -> (name, ambient, generators, expected quotient name).
 
 
-def _a_to_c(n: int) -> CatalogEntry:
-    if n < 2:
-        raise ValueError("AtoC needs n >= 2")
-    matrix = dynkin("A", 2 * n - 1)
-    g = tuple(2 * n - 2 - k for k in range(2 * n - 1))
-    name = f"A{2 * n - 1}toC{n}"
-    pair = _pair(matrix, [g], name)
-    return CatalogEntry(name, pair, "B2" if n == 2 else f"C{n}", rank=n)
+def _a_to_c(n: int):
+    flip = "".join(f"({k} {2 * n - k})" for k in range(1, n))
+    return f"A{2 * n - 1}toC{n}", dynkin("A", 2 * n - 1), flip, "B2" if n == 2 else f"C{n}"
 
 
-def _d_to_b(n: int) -> CatalogEntry:
-    if n < 2:
-        raise ValueError("DtoB needs n >= 2")
-    if n == 2:
-        # D3 = A3 as a chain; its two symmetric leaves are the endpoints
-        matrix, swap = dynkin("A", 3), (0, 2)
-    else:
-        matrix, swap = dynkin("D", n + 1), (n - 1, n)
-    pair = _pair(matrix, [_transposition(matrix.n, *swap)], f"D{n + 1}toB{n}")
-    return CatalogEntry(f"D{n + 1}toB{n}", pair, f"B{n}" if n > 2 else "B2", rank=n)
+def _d_to_b(n: int):
+    # D3 = A3 as a chain; its two symmetric leaves are the endpoints
+    matrix, swap = (dynkin("A", 3), "(1 3)") if n == 2 else (dynkin("D", n + 1), f"({n} {n + 1})")
+    return f"D{n + 1}toB{n}", matrix, swap, f"B{n}"
 
 
-def _e6_to_f4() -> CatalogEntry:
-    matrix = orient_cartan(_dynkin_cartan("E", 6), "alternating")
-    g = _from_cycles(6, [[0, 4], [1, 3]])
-    pair = _pair(matrix, [g], "E6toF4")
-    return CatalogEntry("E6toF4", pair, "F4")
+def _at_to_bt(n: int):
+    # the even cycle ~A_{2n-1}, oriented bipartitely, reflected through 0 and n
+    matrix = orient_cartan(_cartan(f"~A{2 * n - 1}", "Affine"))
+    return f"At-Bt{n}", matrix, "".join(f"({i + 1} {2 * n - i + 1})" for i in range(1, n)), f"~B{n}"
 
 
-def _d4_to_g2() -> CatalogEntry:
-    matrix = _star(0, 3)
-    gens = [_transposition(4, 1, 2), _from_cycles(4, [[1, 2, 3]])]
-    pair = _pair(matrix, gens, "D4toG2")
-    expected = ExchangeMatrix([[0, -1], [3, 0]])
-    return CatalogEntry("D4toG2", pair, "G2", expected)
-
-
-def _square_to_kronecker() -> CatalogEntry:
-    b = [[0, 0, 1, 1], [0, 0, 1, 1], [-1, -1, 0, 0], [-1, -1, 0, 0]]
-    matrix = ExchangeMatrix(b)
-    gens = [_transposition(4, 0, 1), _transposition(4, 2, 3)]
-    pair = _pair(matrix, gens, "squaretoK2")
-    expected = ExchangeMatrix([[0, 2], [-2, 0]])
-    return CatalogEntry("squaretoK2", pair, "~A1", expected)
-
-
-def _hexagon_to_kronecker() -> CatalogEntry:
-    # vertices a1 a2 a3 b1 b2 b3; arrows a1->b1, a1->b3, a2->b1, a2->b2,
-    # a3->b2, a3->b3
-    arrows = [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)]
-    b = [[0] * 6 for _ in range(6)]
-    for s, t in arrows:
-        b[s][t] = 1
-        b[t][s] = -1
-    matrix = ExchangeMatrix(b)
-    g = _from_cycles(6, [[0, 1, 2], [3, 4, 5]])
-    pair = _pair(matrix, [g], "hexagontoK2")
-    expected = ExchangeMatrix([[0, 2], [-2, 0]])
-    return CatalogEntry(
-        "hexagontoK2",
-        pair,
-        "~A1",
-        expected,
-        note="single diagonal generator; the two 3-cycles are not separately automorphisms",
-    )
-
-
-def _d4t_to_a1t2() -> CatalogEntry:
-    matrix = _star(0, 4)
-    gens = [_transposition(5, 1, 2), _from_cycles(5, [[1, 2, 3, 4]])]
-    pair = _pair(matrix, gens, "D4t-A1t2")
-    expected = ExchangeMatrix([[0, -1], [4, 0]])
-    return CatalogEntry("D4t-A1t2", pair, "~A1(2)", expected)
-
-
-def _d4t_to_g2t1() -> CatalogEntry:
-    matrix = _star(0, 4)
-    gens = [_transposition(5, 1, 2), _from_cycles(5, [[1, 2, 3]])]
-    pair = _pair(matrix, gens, "D4t-G2t1")
-    return CatalogEntry("D4t-G2t1", pair, "~G2(1)")
-
-
-def _d4t_cyclic() -> CatalogEntry:
-    """The all-arrows-in star with the cyclic leaf rotation (order 4)."""
-    matrix = _star(0, 4)
-    pair = _pair(matrix, [_from_cycles(5, [[1, 2, 3, 4]])], "D4t-A1t2-c4")
-    expected = ExchangeMatrix([[0, -1], [4, 0]])
-    return CatalogEntry(
-        "D4t-A1t2-c4",
-        pair,
-        "~A1(2)",
-        expected,
-        note="two-orbit pair used for the strict-inclusion experiment",
-    )
-
-
-def _at_to_bt(n: int) -> CatalogEntry:
-    if n < 2:
-        raise ValueError("At-Bt needs n >= 2")
-    m = 2 * n
-    cartan = _simply_laced(m, [(i, (i + 1) % m) for i in range(m)])
-    matrix = orient_cartan(cartan, "alternating")
-    g = tuple((m - i) % m for i in range(m))
-    name = f"At-Bt{n}"
-    pair = _pair(matrix, [g], name)
-    return CatalogEntry(name, pair, f"~B{n}", rank=n)
-
-
-def _dt_to_ct(n: int) -> CatalogEntry:
-    if n < 2:
-        raise ValueError("Dt-Ct needs n >= 2")
-    # forks 0,1 on 2; chain 2..n; forks n+1, n+2 on n
-    edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n)] + [(n, n + 1), (n, n + 2)]
-    matrix = orient_cartan(_simply_laced(n + 3, edges), "alternating")
-    gens = [_transposition(n + 3, 0, 1), _transposition(n + 3, n + 1, n + 2)]
-    name = f"Dt-Ct{n}"
-    pair = _pair(matrix, gens, name)
-    return CatalogEntry(name, pair, f"~C{n}", rank=n)
+def _dt_to_ct(n: int):
+    return f"Dt-Ct{n}", affine(f"~D{n + 2}"), f"(1 2); ({n + 2} {n + 3})", f"~C{n}"
 
 
 def _d_tilde_double(n: int) -> ExchangeMatrix:
     """Ambient ~D_{2n+2}: a=0, b-chain 1..n-1, c-chain n..2n-2, z = 2n-1..2n+2."""
-    edges = [(0, 1), (0, n)]
-    edges += [(i, i + 1) for i in range(1, n - 1)]
-    edges += [(n + i, n + i + 1) for i in range(n - 2)]
-    edges += [(n - 1, 2 * n - 1), (n - 1, 2 * n), (2 * n - 2, 2 * n + 1), (2 * n - 2, 2 * n + 2)]
-    return orient_cartan(_simply_laced(2 * n + 3, edges), "alternating")
+    edges = [(0, 1), (0, n), *((i, i + 1) for i in range(1, n - 1)),
+             *((n + i, n + i + 1) for i in range(n - 2)),
+             (n - 1, 2 * n - 1), (n - 1, 2 * n), (2 * n - 2, 2 * n + 1), (2 * n - 2, 2 * n + 2)]
+    return orient_cartan(_simply_laced(2 * n + 3, edges))
 
 
-def _sigma_z(n: int, z_pairs):
-    cycles = [[i, n - 1 + i] for i in range(1, n)]
-    cycles += [[2 * n - 1 + a, 2 * n - 1 + b] for a, b in z_pairs]
-    return _from_cycles(2 * n + 3, cycles)
+def _sigma_z(n: int, z_pairs) -> str:
+    """Swap the b and c chains of ``_d_tilde_double(n)`` and the z leaves in ``z_pairs``."""
+    swaps = [(i + 1, n + i) for i in range(1, n)] + [(2 * n + a, 2 * n + b) for a, b in z_pairs]
+    return "".join(f"({i} {j})" for i, j in swaps)
 
 
-def _dt_to_bct(n: int) -> CatalogEntry:
-    if n < 2:
-        raise ValueError("Dt-BCt needs n >= 2")
-    matrix = _d_tilde_double(n)
-    g1 = _sigma_z(n, [(0, 2), (1, 3)])
-    g2 = _sigma_z(n, [(0, 3), (1, 2)])
-    name = f"Dt-BCt{n}"
-    pair = _pair(matrix, [g1, g2], name)
-    return CatalogEntry(name, pair, f"~BC{n}", rank=n)
+def _dt_to_bct(n: int):
+    generators = f"{_sigma_z(n, [(0, 2), (1, 3)])}; {_sigma_z(n, [(0, 3), (1, 2)])}"
+    return f"Dt-BCt{n}", _d_tilde_double(n), generators, f"~BC{n}"
 
 
-def _dt_to_bdt(n: int) -> CatalogEntry:
-    if n < 2:
-        raise ValueError("Dt-BDt needs n >= 2")
-    matrix = _d_tilde_double(n)
-    g1 = _sigma_z(n, [(0, 2), (1, 3)])
-    name = f"Dt-BDt{n}"
-    pair = _pair(matrix, [g1], name)
-    return CatalogEntry(name, pair, f"~BD{n}", rank=n)
+def _dt_to_bdt(n: int):
+    return f"Dt-BDt{n}", _d_tilde_double(n), _sigma_z(n, [(0, 2), (1, 3)]), f"~BD{n}"
 
 
-def _dt_to_cdt(n: int) -> CatalogEntry:
-    if n < 3:
-        raise ValueError("Dt-CDt needs n >= 3")
-    # ambient ~D_{n+1}: forks 0,1 on 2; chain 2..n-1; forks n, n+1 on n-1
-    edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 1)]
-    edges += [(n - 1, n), (n - 1, n + 1)]
-    matrix = orient_cartan(_simply_laced(n + 2, edges), "alternating")
-    name = f"Dt-CDt{n}"
-    pair = _pair(matrix, [_transposition(n + 2, n, n + 1)], name)
-    return CatalogEntry(name, pair, f"~CD{n}", rank=n)
+def _dt_to_cdt(n: int):
+    return f"Dt-CDt{n}", affine(f"~D{n + 1}"), f"({n + 1} {n + 2})", f"~CD{n}"
 
-
-def _e6t_ambient() -> ExchangeMatrix:
-    # a2=0, a1=1, z=2, b1=3, b2=4, c1=5, c2=6
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]
-    return orient_cartan(_simply_laced(7, edges), "alternating")
-
-
-def _e6t_to_f4t1() -> CatalogEntry:
-    matrix = _e6t_ambient()
-    g = _from_cycles(7, [[3, 5], [4, 6]])
-    pair = _pair(matrix, [g], "E6t-F4t1")
-    return CatalogEntry("E6t-F4t1", pair, "~F4(1)")
-
-
-def _e7t_to_f4t2() -> CatalogEntry:
-    # b=0, z=1, a-chain 2,3,4, c-chain 5,6,7
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7)]
-    matrix = orient_cartan(_simply_laced(8, edges), "alternating")
-    g = _from_cycles(8, [[2, 5], [3, 6], [4, 7]])
-    pair = _pair(matrix, [g], "E7t-F4t2")
-    return CatalogEntry("E7t-F4t2", pair, "~F4(2)")
-
-
-def _e6t_to_g2t2() -> CatalogEntry:
-    matrix = _e6t_ambient()
-    g = _from_cycles(7, [[1, 3, 5], [0, 4, 6]])
-    pair = _pair(matrix, [g], "E6t-G2t2")
-    return CatalogEntry(
-        "E6t-G2t2",
-        pair,
-        "~G2(2)",
-        note="single diagonal 3-cycle generator; the arm cycles are not separately automorphisms",
-    )
-
-
-def _remark_stabilite() -> CatalogEntry:
-    b = [[0] * 6 for _ in range(6)]
-    for i in range(6):
-        b[i][(i + 1) % 6] = 1
-        b[(i + 1) % 6][i] = -1
-    matrix = ExchangeMatrix(b)
-    g = _from_cycles(6, [[0, 3], [1, 4], [2, 5]])
-    pair = _pair(matrix, [g], "remark-stabilite")
-    return CatalogEntry(
-        "remark-stabilite",
-        pair,
-        None,
-        note="admissible but not stable; the known commutation counterexample",
-    )
-
-
-_FIXED = {
-    "A3toB2": _a3_to_b2,
-    "A5toC3": lambda: _a_to_c(3),
-    "D4toB3": lambda: _d_to_b(3),
-    "E6toF4": _e6_to_f4,
-    "D4toG2": _d4_to_g2,
-    "squaretoK2": _square_to_kronecker,
-    "hexagontoK2": _hexagon_to_kronecker,
-    "D4t-A1t2": _d4t_to_a1t2,
-    "D4t-G2t1": _d4t_to_g2t1,
-    "D4t-A1t2-c4": _d4t_cyclic,
-    "E6t-F4t1": _e6t_to_f4t1,
-    "E7t-F4t2": _e7t_to_f4t2,
-    "E6t-G2t2": _e6t_to_g2t2,
-    "remark-stabilite": _remark_stabilite,
-}
 
 _PARAMETRIC = {
     "AtoC": (_a_to_c, 2),
@@ -550,10 +311,13 @@ def folding_pair(name: str, n: int | None = None) -> CatalogEntry:
     if name in _FIXED:
         if n is not None:
             raise ValueError(f"{name} does not take a rank parameter")
-        return _FIXED[name]()
+        ambient, generators, quotient, note = _FIXED[name]
+        return _entry(name, ambient(), generators, quotient, note)
     if name in _PARAMETRIC:
         builder, min_n = _PARAMETRIC[name]
         if n is None:
             raise ValueError(f"{name} needs a rank parameter (n >= {min_n})")
-        return builder(n)
+        if n < min_n:
+            raise ValueError(f"{name} needs n >= {min_n}")
+        return _entry(*builder(n))
     raise KeyError(f"unknown catalog entry {name!r}")

@@ -5,7 +5,8 @@ Exit codes: 0 verified/success, 1 a verification found a witness,
 ``--expect-fail`` swaps 0 and 1 so expected counterexamples read as
 green in CI.
 Reports are plain ``key: value`` lines; ``--json`` mirrors the same
-data as a JSON object.
+data as a JSON object.  When the reader closes stdout early, the rest of
+the report is dropped and the exit code stays the command's own.
 
 One table drives the parser: ``_FLAGS`` holds each flag's
 ``add_argument`` keywords, and ``_COMMANDS`` maps each command, and
@@ -24,6 +25,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -46,17 +48,6 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-# Figure-2-style affine diagram names checked by `verify affine-finiteness`,
-# restricted to the requested rank window at run time.
-_AFFINE_NAMES = (
-    ["~A1", "~A1(2)", "~F4(1)", "~F4(2)", "~G2(1)", "~G2(2)"]
-    + [f"~B{n}" for n in range(2, 6)]
-    + [f"~C{n}" for n in range(2, 6)]
-    + [f"~BC{n}" for n in range(2, 6)]
-    + [f"~BD{n}" for n in range(2, 5)]
-    + [f"~CD{n}" for n in range(3, 6)]
-)
 
 _INDEFINITE_CONTROL = ((0, 2, 0), (-2, 0, 2), (0, -2, 0))
 
@@ -82,10 +73,14 @@ class _Report:
                         data[key] = [existing, value]
                 else:
                     data[key] = value
-            print(json.dumps(data, indent=2))
+            text = json.dumps(data, indent=2)
         else:
-            for key, value in self.items:
-                print(f"{key}: {value}")
+            text = "\n".join(f"{key}: {value}" for key, value in self.items)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone; the rest and the exit-time flush go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _matrix_lines(report: _Report, matrix: ExchangeMatrix, prefix: str = "matrix"):
@@ -103,9 +98,20 @@ def _parse_generators(spec: str, n: int):
     return [io.parse_permutation(part, n) for part in spec.split(";") if part.strip()]
 
 
+def _catalog_pair(args) -> FoldingPair | None:
+    """The catalog pair --pair names, or None; a second source or a stray --rank is an error."""
+    if args.pair and args.matrix:
+        raise ValueError("--pair and --matrix are two sources; give one")
+    if args.rank is not None and not args.pair:
+        raise ValueError("--rank applies only to --pair")
+    return catalog.folding_pair(args.pair, args.rank).pair if args.pair else None
+
+
 def _load_pair(args) -> FoldingPair:
-    if args.pair:
-        return catalog.folding_pair(args.pair, args.rank).pair
+    if args.pair and args.group:
+        raise ValueError("--group applies only to --matrix, not to --pair")
+    if (pair := _catalog_pair(args)) is not None:
+        return pair
     if not args.matrix:
         raise ValueError("need --pair or --matrix")
     matrix, generators = io.parse_matrix_text(_read_text(args.matrix))
@@ -117,8 +123,8 @@ def _load_pair(args) -> FoldingPair:
 
 
 def _load_matrix(args) -> ExchangeMatrix:
-    if args.pair:
-        return catalog.folding_pair(args.pair, args.rank).pair.matrix
+    if (pair := _catalog_pair(args)) is not None:
+        return pair.matrix
     if not args.matrix:
         raise ValueError("need --matrix or --pair")
     matrix, _ = io.parse_matrix_text(_read_text(args.matrix))
@@ -344,13 +350,14 @@ def _verify_finite_type_equality(args, report: _Report) -> int:
 
 
 def _verify_affine_finiteness(args, report: _Report) -> int:
-    matrices = [(name, matrix) for name in _AFFINE_NAMES
-                if (matrix := catalog.affine(name)).n <= args.max_rank]
-    if not matrices:
+    # the affine diagrams that are not simply laced (some |c_ij| > 1), up to --max-rank
+    names = [name for name, cartan in catalog.named_cartan_matrices("Affine")
+             if len(cartan) <= args.max_rank and any(c < -1 for row in cartan for c in row)]
+    if not names:
         raise ValueError(f"no affine diagram has rank <= {args.max_rank}; the smallest has rank 2")
     largest = 0
-    for name, matrix in matrices:
-        outcome = explorer.mutation_class(matrix, args.limit)
+    for name in names:
+        outcome = explorer.mutation_class(catalog.affine(name), args.limit)
         report.add(name, f"{outcome.verdict} size={outcome.size}")
         if not outcome.finite:  # a limit or an overflow decides nothing
             report.add("status", outcome.verdict)

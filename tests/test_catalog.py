@@ -1,10 +1,27 @@
 """Catalog: constructors, every folding pair's invariants, parametric families."""
 
+from pathlib import Path
+
 import pytest
 
 from clusterfold.exchange import cartan_counterpart, classify
 from clusterfold.folding import check_stability, quotient_matrix
-from clusterfold import catalog
+from clusterfold import catalog, io
+
+
+def pinned_entries():
+    """Entry key ("A3toB2", "AtoC 2") -> its fields in catalog_entries.txt."""
+    text = (Path(__file__).parent / "catalog_entries.txt").read_text(encoding="utf-8")
+    records = {}
+    for block in text.split("\n\n"):
+        lines = [line for line in block.splitlines() if not line.startswith("#")]
+        if lines:
+            fields = dict(line.split(": ", 1) for line in lines)
+            records[fields.pop("entry")] = fields
+    return records
+
+
+PINNED = pinned_entries()
 
 FIXED_ADMISSIBLE = [
     "A3toB2", "A5toC3", "D4toB3", "E6toF4", "D4toG2",
@@ -88,14 +105,40 @@ class TestAffineConstructor:
 
 
 class TestFoldingPairs:
+    @pytest.mark.parametrize("key", PINNED)
+    def test_entry_matches_its_pin(self, key):
+        family, _, rank = key.partition(" ")
+        entry = catalog.folding_pair(family, int(rank) if rank else None)
+        pair = entry.pair
+        shown = {
+            "name": entry.name,
+            "ambient": io.render_matrix_text(pair.matrix, pair.group.generators)
+            .rstrip("\n").replace("\n", " / "),
+            "orbits": " ".join("{" + " ".join(str(v + 1) for v in orbit) + "}"
+                               for orbit in pair.orbits),
+            "expected": entry.expected_quotient_name or "-",
+        }
+        if entry.note:
+            shown["note"] = entry.note
+        assert shown == {k: v for k, v in PINNED[key].items() if k != "quotient"}
+
+    def test_every_entry_is_pinned(self):
+        families = [name.removesuffix("(n)") for name in catalog.list_names()]
+        assert sorted({key.split()[0] for key in PINNED}) == sorted(families)
+        for name in families:
+            if name in catalog._PARAMETRIC:
+                smallest = catalog._PARAMETRIC[name][1]
+                assert {f"{name} {smallest}", f"{name} {smallest + 1}"} <= set(PINNED)
+
     @pytest.mark.parametrize("name", FIXED_ADMISSIBLE)
     def test_fixed_pair_invariants(self, name):
         entry = catalog.folding_pair(name)
         pair = entry.pair
         assert pair.admissible, name
         quotient = quotient_matrix(pair)
-        if entry.expected_quotient is not None:
-            assert quotient.entries == entry.expected_quotient.entries, name
+        if "quotient" in PINNED[name]:
+            rows = PINNED[name]["quotient"].split(" / ")
+            assert quotient.entries == tuple(tuple(map(int, row.split())) for row in rows), name
         kind = classify(cartan_counterpart(quotient))
         assert kind.name == entry.expected_quotient_name, name
 

@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -603,6 +604,20 @@ class TestVerify:
             "indefinite control: limit-exceeded size=3", "status: verified", "exit: 0",
         ]
 
+    def test_affine_finiteness_sweeps_past_rank_6(self, capsys):
+        # ~B6 has rank 7; a sweep that stopped at rank 6 reported `verified` here
+        argv = ["verify", "affine-finiteness", "--max-rank", "7", "--limit", "50000"]
+        report = {"~A1": "finite size=2", "~A1(2)": "finite size=2",
+                  "~F4(1)": "finite size=720", "~F4(2)": "finite size=720",
+                  "~G2(1)": "finite size=12", "~G2(2)": "finite size=12",
+                  "~B2": "finite size=6", "~B3": "finite size=40", "~B4": "finite size=420",
+                  "~B5": "finite size=6048", "~B6": "limit-exceeded size=50000",
+                  "status": "limit-exceeded", "exit": "3"}
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == (3, "".join(f"{key}: {value}\n" for key, value in report.items()))
+        code, out = run_cli(capsys, *argv, "--json")
+        assert (code, out) == (3, json.dumps(report, indent=2) + "\n")
+
     @pytest.mark.parametrize("max_rank", ["0", "1"])
     def test_affine_finiteness_empty_window_is_an_input_error(self, capsys, max_rank):
         code = main(["verify", "affine-finiteness", "--max-rank", max_rank])
@@ -670,6 +685,30 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv, error", [
+        (["fold", "--pair", "A3toB2", "--matrix", "m.txt", "--group", "(1 2)"],
+         "--group applies only to --matrix, not to --pair"),
+        (["fold", "--pair", "A3toB2", "--group", "(1 2)"],
+         "--group applies only to --matrix, not to --pair"),
+        (["fold", "--pair", "A3toB2", "--matrix", "m.txt"],
+         "--pair and --matrix are two sources; give one"),
+        (["mutate", "--pair", "A3toB2", "--matrix", "m.txt"],
+         "--pair and --matrix are two sources; give one"),
+        (["explore", "--matrix", "m.txt", "--rank", "3"], "--rank applies only to --pair"),
+        (["fold", "--matrix", "m.txt", "--rank", "3"], "--rank applies only to --pair"),
+        (["enumerate", "--rank", "3"], "--rank applies only to --pair"),
+    ], ids=["pair-matrix-group", "pair-group", "pair-matrix", "mutate-pair-matrix",
+            "explore-matrix-rank", "fold-matrix-rank", "enumerate-rank"])
+    def test_conflicting_sources_are_input_errors(self, capsys, tmp_path, monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text(A3_WITH_GROUP)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, f"error: {error}\n", "")
+        code = main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, f'{{\n  "error": "{error}"\n}}\n', "")
+
     def test_json_on_error(self, capsys):
         code, out = run_cli(capsys, "catalog", "show", "nope", "--json")
         assert code == 2
@@ -704,6 +743,18 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "quotient 1: 0 -2" in proc.stdout
+
+
+def test_closed_pipe_is_neither_a_traceback_nor_a_witness():
+    # the report is 317 KB, past any pipe buffer; the reader keeps 100 bytes and closes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = [sys.executable, "-m", "clusterfold.cli", "catalog", "show", "AtoC", "--rank", "150"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100).startswith(b"name: A299toC150\nambient: n = 299 / ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")  # catalog show's own code
 
 
 def test_console_script_entry_point(capsys, monkeypatch):
