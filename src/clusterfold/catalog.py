@@ -291,14 +291,17 @@ def _dt_to_cdt(n: int):
     return f"Dt-CDt{n}", affine(f"~D{n + 1}"), f"({n + 1} {n + 2})", f"~CD{n}"
 
 
+VERTEX_CAP = 300  # the most vertices a parametric entry may build; A299toC150 is the largest in use
+
+# family -> (builder, smallest n, (a, b)): the ambient at n has a*n + b vertices
 _PARAMETRIC = {
-    "AtoC": (_a_to_c, 2),
-    "DtoB": (_d_to_b, 2),
-    "At-Bt": (_at_to_bt, 2),
-    "Dt-Ct": (_dt_to_ct, 2),
-    "Dt-BCt": (_dt_to_bct, 2),
-    "Dt-BDt": (_dt_to_bdt, 2),
-    "Dt-CDt": (_dt_to_cdt, 3),
+    "AtoC": (_a_to_c, 2, (2, -1)),
+    "DtoB": (_d_to_b, 2, (1, 1)),
+    "At-Bt": (_at_to_bt, 2, (2, 0)),
+    "Dt-Ct": (_dt_to_ct, 2, (1, 3)),
+    "Dt-BCt": (_dt_to_bct, 2, (2, 3)),
+    "Dt-BDt": (_dt_to_bdt, 2, (2, 3)),
+    "Dt-CDt": (_dt_to_cdt, 3, (1, 2)),
 }
 
 
@@ -314,10 +317,13 @@ def folding_pair(name: str, n: int | None = None) -> CatalogEntry:
         ambient, generators, quotient, note = _FIXED[name]
         return _entry(name, ambient(), generators, quotient, note)
     if name in _PARAMETRIC:
-        builder, min_n = _PARAMETRIC[name]
+        builder, min_n, (a, b) = _PARAMETRIC[name]
         if n is None:
             raise ValueError(f"{name} needs a rank parameter (n >= {min_n})")
         if n < min_n:
             raise ValueError(f"{name} needs n >= {min_n}")
+        if a * n + b > VERTEX_CAP:
+            raise ValueError(
+                f"{name} at n = {n} has {a * n + b} vertices, past the cap of {VERTEX_CAP}")
         return _entry(*builder(n))
     raise KeyError(f"unknown catalog entry {name!r}")

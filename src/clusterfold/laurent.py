@@ -29,11 +29,16 @@ first width of the ladder 16, 32, 64, ... that holds the bound, and
 packs the result at the first width that holds its exact largest
 exponent.  The width is thus a function of the polynomial alone, so
 equal polynomials have equal keys, and no field wraps for any exponent.
+
+The kernels.  A square (``p * p`` on one object, as in ``**``) forms each
+cross term once, as 2*c_i*c_j; :func:`divide_exact` takes each leading
+term from an ascending list of the remainder's keys.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import insort
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
@@ -223,10 +228,20 @@ class LaurentPolynomial:
             terms = {}
             get = terms.get
             shifted = [(key - zero, coeff) for key, coeff in b.items()]
-            for k1, c1 in a.items():
-                for shift, c2 in shifted:
-                    key = k1 + shift
-                    terms[key] = get(key, 0) + c1 * c2
+            if other is self:
+                # a square: each diagonal term, then each cross term once, doubled
+                for i, (k1, c1) in enumerate(a.items()):
+                    key = k1 + shifted[i][0]
+                    terms[key] = get(key, 0) + c1 * c1
+                    c1 += c1
+                    for shift, c2 in shifted[i + 1:]:
+                        key = k1 + shift
+                        terms[key] = get(key, 0) + c1 * c2
+            else:
+                for k1, c1 in a.items():
+                    for shift, c2 in shifted:
+                        key = k1 + shift
+                        terms[key] = get(key, 0) + c1 * c2
             for key in [key for key, c in terms.items() if not c]:
                 del terms[key]
         return LaurentPolynomial._result(self.n, w, bound, terms)
@@ -410,6 +425,11 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     [min(p)-min(q), max(p)-max(q)] because extreme terms of a product
     cannot cancel; any candidate term outside that box proves
     non-divisibility, which bounds the loop.
+
+    The remainder's keys are kept ascending in a list whose last key is
+    the lead.  A key a step creates lies below the lead and is inserted in
+    order; a key that cancels keeps a zero coefficient and is skipped when
+    it surfaces, so the leads are those of taking the largest key each time.
     """
     p._check_compatible(q)
     if q.is_zero():
@@ -443,10 +463,13 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     box = [(s, l + half, h + half) for s, l, h in zip(shifts, lo, hi)]
     steps = [(key - lead_q, coeff) for key, coeff in divisor.items() if key != lead_q]
     remainder = dict(dividend)
+    order = sorted(remainder)
     get = remainder.get
-    while remainder:
-        lead_p = max(remainder)
+    while order:
+        lead_p = order.pop()
         cp = remainder.pop(lead_p)
+        if not cp:
+            continue
         if cp % cq != 0:
             raise NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
         t = lead_p - lead_q + zero
@@ -457,10 +480,11 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
         quotient[t] = c
         for step, coeff_q in steps:
             key = lead_p + step
-            new = get(key, 0) - c * coeff_q
-            if new:
-                remainder[key] = new
+            old = get(key)
+            if old is None:
+                insort(order, key)
+                remainder[key] = -c * coeff_q
             else:
-                del remainder[key]
+                remainder[key] = old - c * coeff_q
     bound = max(max(-l, h) for l, h in zip(lo, hi))
     return LaurentPolynomial._result(n, w, bound, quotient)

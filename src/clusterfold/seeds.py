@@ -78,16 +78,20 @@ def initial_seed(matrix: ExchangeMatrix) -> Seed:
 
 
 def exchange_binomial(seed: Seed, k: int) -> LaurentPolynomial:
-    """The right-hand side of the exchange relation at vertex k."""
-    n = seed.matrix.n
-    b = seed.matrix.entries
-    plus = LaurentPolynomial.one(n)
-    minus = LaurentPolynomial.one(n)
-    for i in range(n):
-        if b[i][k] > 0:
-            plus = plus * seed.cluster[i] ** b[i][k]
-        elif b[i][k] < 0:
-            minus = minus * seed.cluster[i] ** (-b[i][k])
+    """The right-hand side of the exchange relation at vertex k, M+ + M-.
+
+    M+ is the product of x_i ** b_ik over the cluster variables x_i with
+    b_ik > 0, M- that of x_i ** -b_ik over b_ik < 0.  Each side starts
+    from its first factor; a side with no factor is 1.
+    """
+    sides = [None, None]  # M-, M+
+    for x, row in zip(seed.cluster, seed.matrix.entries):
+        b = row[k]
+        if b:
+            factor = x if b in (1, -1) else x ** abs(b)
+            side = sides[b > 0]
+            sides[b > 0] = factor if side is None else side * factor
+    minus, plus = (LaurentPolynomial.one(seed.matrix.n) if s is None else s for s in sides)
     return plus + minus
 
 

@@ -194,6 +194,15 @@ class TestFoldingPairs:
         with pytest.raises(ValueError):
             catalog.folding_pair("Dt-CDt", 2)  # below minimum rank
 
+    @pytest.mark.parametrize("name", sorted(catalog._PARAMETRIC))
+    def test_vertex_cap(self, name):
+        _, smallest, (a, b) = catalog._PARAMETRIC[name]
+        for n in range(smallest, smallest + 4):  # the vertex count the cap reads
+            assert catalog.folding_pair(name, n).pair.matrix.n == a * n + b
+        past = (catalog.VERTEX_CAP - b) // a + 1
+        with pytest.raises(ValueError, match=f"has {a * past + b} vertices, past the cap of 300"):
+            catalog.folding_pair(name, past)
+
     def test_list_names(self):
         names = catalog.list_names()
         assert "A3toB2" in names

@@ -415,6 +415,15 @@ class TestCatalog:
     def test_fold_unknown_pair(self, capsys):
         assert_unknown_name_quoted_once(capsys, "fold", "--pair", "nope")
 
+    @pytest.mark.parametrize("command", [["catalog", "show", "AtoC"], ["fold", "--pair", "AtoC"]])
+    def test_rank_past_the_vertex_cap_is_refused_at_once(self, capsys, command):
+        message = "AtoC at n = 100000 has 199999 vertices, past the cap of 300"
+        start = time.perf_counter()
+        assert run_cli(capsys, *command, "--rank", "100000") == (2, f"error: {message}\n")
+        assert run_cli(capsys, *command, "--rank", "100000", "--json") == (
+            2, '{\n  "error": "' + message + '"\n}\n')
+        assert time.perf_counter() - start < 1
+
     def test_show_without_name(self, capsys):
         code, out = run_cli(capsys, "catalog", "show")
         assert code == 2

@@ -310,10 +310,11 @@ def tuple_divide_exact(p, q):
     if not p.terms:
         return TupleLaurent(p.n)
     n = p.n
+    refused = NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
     lo = [min(e[i] for e in p.terms) - min(e[i] for e in q.terms) for i in range(n)]
     hi = [max(e[i] for e in p.terms) - max(e[i] for e in q.terms) for i in range(n)]
     if any(l > h for l, h in zip(lo, hi)):
-        raise NotDivisibleError("box")
+        raise refused
     lead_q = max(q.terms)
     cq = q.terms[lead_q]
     remainder = dict(p.terms)
@@ -323,7 +324,7 @@ def tuple_divide_exact(p, q):
         cp = remainder[lead_p]
         t = tuple(a - b for a, b in zip(lead_p, lead_q))
         if cp % cq or any(e < l or e > h for e, l, h in zip(t, lo, hi)):
-            raise NotDivisibleError("term")
+            raise refused
         c = cp // cq
         quotient[t] = c
         for eq, coeff_q in q.terms.items():
@@ -353,6 +354,21 @@ def poly_pairs(draw, max_terms=4):
     return LaurentPolynomial(n, terms), TupleLaurent(n, terms)
 
 
+@st.composite
+def dense_pairs(draw, max_terms=40):
+    """(packed, reference) polynomials on the grid {-3..3}^n, scaled once per
+    example, with signed coefficients: many products of two terms meet on
+    one key, and some of them cancel.  The scales 2**13 and 2**15 - 1 put
+    squares and cubes on the 32-bit fields, and 2**40 on the 64-bit ones."""
+    n = draw(st.shared(st.integers(1, 3), key="n"))
+    scale = draw(st.shared(st.sampled_from([1, 2**13, 2**15 - 1, 2**40]), key="scale"))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(scale * e for e in draw(st.tuples(*[st.integers(-3, 3)] * n)))
+        terms[exps] = terms.get(exps, 0) + draw(st.integers(-3, 3))
+    return LaurentPolynomial(n, terms), TupleLaurent(n, terms)
+
+
 def same(packed, reference):
     """The packed result equals the reference and hashes like a fresh copy,
     and so does its square, which relies on the exponent bound it carries."""
@@ -365,6 +381,32 @@ def same(packed, reference):
         and square.terms == (reference * reference).terms
         and square == fresh * fresh
     )
+
+
+def assert_same_division(p, q, rp, rq):
+    """divide_exact agrees with the reference: the same quotient, or the same
+    NotDivisibleError message."""
+    try:
+        expected = tuple_divide_exact(rp, rq)
+    except NotDivisibleError as refused:
+        with pytest.raises(NotDivisibleError) as raised:
+            divide_exact(p, q)
+        assert str(raised.value) == str(refused)
+        return
+    assert same(divide_exact(p, q), expected)
+
+
+def assert_signed_division(q, rq, r, rr, variant):
+    """q*r divided by q (variant 0), q*r plus 1 on its last term divided by q
+    (1), or q*r divided by 2q (2), against the reference; 1 and 2 are mostly
+    not divisible and fail late in the loop."""
+    p, rp = q * r, rq * rr
+    if variant == 1 and rp.terms:
+        last = {min(rp.terms): 1}
+        p, rp = p + LaurentPolynomial(q.n, last), rp + TupleLaurent(q.n, last)
+    elif variant == 2:
+        q, rq = q + q, rq + rq
+    assert_same_division(p, q, rp, rq)
 
 
 DIFFERENTIAL = settings(max_examples=100, deadline=None, derandomize=True)
@@ -395,13 +437,7 @@ class TestAgainstTupleKernel:
             return
         if exact:
             p, rp = p * q, rp * rq
-        try:
-            expected = tuple_divide_exact(rp, rq)
-        except NotDivisibleError:
-            with pytest.raises(NotDivisibleError):
-                divide_exact(p, q)
-            return
-        assert same(divide_exact(p, q), expected)
+        assert_same_division(p, q, rp, rq)
 
     @given(poly_pairs(), st.tuples(*[EXPONENTS] * 3), st.integers(1, 3))
     @DIFFERENTIAL
@@ -409,13 +445,55 @@ class TestAgainstTupleKernel:
         p, rp = a
         exps = exps[:p.n]
         q, rq = LaurentPolynomial(p.n, {exps: coeff}), TupleLaurent(p.n, {exps: coeff})
-        try:
-            expected = tuple_divide_exact(rp, rq)
-        except NotDivisibleError:
-            with pytest.raises(NotDivisibleError):
-                divide_exact(p, q)
-            return
-        assert same(divide_exact(p, q), expected)
+        assert_same_division(p, q, rp, rq)
+
+    @given(dense_pairs())
+    @DIFFERENTIAL
+    def test_squares_and_cubes(self, a):
+        # the square kernel (p * p, and each squaring inside **) against
+        # the reference's products of distinct operands
+        p, rp = a
+        square = rp * rp
+        for packed, reference in ((p * p, square), (p ** 2, square), (p ** 3, square * rp)):
+            fresh = LaurentPolynomial(p.n, reference.terms)
+            assert packed.terms == reference.terms
+            assert packed == fresh and hash(packed) == hash(fresh)
+
+    def test_square_cancels_a_cross_term_against_a_diagonal_term(self):
+        # (1 + 2x - 2x^2)^2 has no x^2 term: 4x^2 from the diagonal, -4x^2 from
+        # the cross terms; x^4 needs the 32-bit fields
+        terms = {(0, 0): 1, (2**13, -1): 2, (2**14, -2): -2}
+        p, rp = LaurentPolynomial(2, terms), TupleLaurent(2, terms)
+        assert (2**14, -2) not in (p * p).terms
+        assert same(p * p, rp * rp)
+        assert p * p == p * LaurentPolynomial(2, terms) == p ** 2
+
+    @given(dense_pairs(max_terms=12), dense_pairs(max_terms=12), st.integers(0, 2))
+    @DIFFERENTIAL
+    def test_divide_signed_products(self, a, b, variant):
+        # q*r with signed q and r: the remainder cancels keys and meets them again
+        (q, rq), (r, rr) = a, b
+        if not q.is_zero():
+            assert_signed_division(q, rq, r, rr, variant)
+
+    @pytest.mark.parametrize("scale", [1, 2**13, 2**40])
+    @pytest.mark.parametrize("variant", [0, 1, 2])
+    def test_remainder_meets_a_cancelled_key_again(self, scale, variant):
+        # dividing q*r by q cancels the remainder's constant term, and a later
+        # step forms it again (found by a random search over such products)
+        q = {(scale,): 2, (-scale,): -1, (-2 * scale,): -2}
+        r = {(2 * scale,): -1, (scale,): 2, (-scale,): 1, (-2 * scale,): -3}
+        assert_signed_division(LaurentPolynomial(1, q), TupleLaurent(1, q),
+                               LaurentPolynomial(1, r), TupleLaurent(1, r), variant)
+
+    @pytest.mark.parametrize("p, q", [("1", "1 + u1"), ("1 + u1^-4", "1 + u1")])
+    def test_box_bound_ends_an_endless_division(self, p, q):
+        # in lex order 1/(1 + u1) is the endless u1^-1 - u1^-2 + ...; the box
+        # refuses it (empty for 1, past u1^-4 for 1 + u1^-4)
+        with pytest.raises(NotDivisibleError, match="is not divisible by"):
+            divide_exact(poly(p, 1), poly(q, 1))
+        assert_same_division(poly(p, 1), poly(q, 1),
+                             TupleLaurent(1, poly(p, 1).terms), TupleLaurent(1, poly(q, 1).terms))
 
     @given(poly_pairs(), st.data())
     @DIFFERENTIAL

@@ -262,6 +262,56 @@ class TestOneDivisionPerEdge:
         assert len(calls) == DIVISIONS["A", 5]
 
 
+def unit_seeded_binomial(seed, k):
+    """The exchange binomial with both sides started from 1, kept as a reference."""
+    n = seed.matrix.n
+    b = seed.matrix.entries
+    plus = LaurentPolynomial.one(n)
+    minus = LaurentPolynomial.one(n)
+    for i in range(n):
+        if b[i][k] > 0:
+            plus = plus * seed.cluster[i] ** b[i][k]
+        elif b[i][k] < 0:
+            minus = minus * seed.cluster[i] ** (-b[i][k])
+    return plus + minus
+
+
+class TestExchangeBinomial:
+    # G2 has |b_ik| = 3; the affine run is the bench's ambient D4t-A1t2 at 450 seeds
+    @pytest.mark.parametrize("matrix, limit", [
+        pytest.param(catalog.dynkin("A", 5), 100_000, id="A5"),
+        pytest.param(catalog.dynkin("D", 4), 100_000, id="D4"),
+        pytest.param(catalog.dynkin("G", 2), 100_000, id="G2"),
+        pytest.param(catalog.folding_pair("D4t-A1t2").pair.matrix, 450, id="D4t-A1t2"),
+    ])
+    def test_same_binomial_as_the_unit_seeded_reference(self, matrix, limit):
+        # every seed the search meets, refused neighbours included
+        met = [initial_seed(matrix)]
+        seeds.search_seeds(met[0], limit, on_new=lambda seed, word: met.append(seed))
+        for seed in met:
+            for k in range(matrix.n):
+                assert exchange_binomial(seed, k) == unit_seeded_binomial(seed, k)
+
+    def test_products_of_the_affine_run(self, monkeypatch):
+        # one product per factor after the first on each side, and the
+        # squarings inside **: no product by 1
+        products = []
+        multiply = LaurentPolynomial.__mul__
+
+        def counted(p, q):
+            products.append(1)
+            return multiply(p, q)
+
+        monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+        enumerate_cluster_variables(catalog.folding_pair("D4t-A1t2").pair.matrix, max_seeds=450)
+        assert len(products) == 586
+
+    def test_a_side_without_factors_is_one(self):
+        seed = initial_seed(ExchangeMatrix([[0, 0], [0, 0]]))
+        assert exchange_binomial(seed, 0) == LaurentPolynomial.constant(2, 2)
+        assert exchange_binomial(initial_seed(B2Q), 1) == poly("u1^2 + 1", 2)
+
+
 def binomial_of_key(key, n):
     """The exchange binomial an exchange-table key stands for, built from the key alone."""
     total = LaurentPolynomial.zero(n)
