@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
+from operator import neg
 
 INT64_MAX = 2**63 - 1
 
@@ -47,8 +49,19 @@ def find_symmetrizer(entries) -> tuple[int, ...]:
     rescaled as a whole, and each component is finally divided by its gcd
     so its entries are coprime.  Raises :class:`NotSkewSymmetrizableError`
     with a witness pair.
+
+    Rows given as a tuple of tuples, as :class:`ExchangeMatrix` keeps
+    them, are first compared with the negated columns in one tuple
+    comparison, which holds exactly when the matrix is square with
+    B^T = -B; such a matrix gets all ones at once.  That answer is exact:
+    B^T = -B gives a zero diagonal, sign coherence and the ratio 1 on every
+    edge, so ones satisfy every pair and are minimal; and all ones satisfy
+    d_i*b_ij == -d_j*b_ji only when B^T = -B.  Any other input takes the
+    scan, so its symmetrizer or witness is the scan's.
     """
     n = len(entries)
+    if entries == tuple(zip(*map(map, repeat(neg), entries))):
+        return (1,) * n
     # The pattern checks are symmetric in (i, j), so scanning j > i finds the
     # same first failure as a scan of every pair in row-major order.
     for i in range(n):

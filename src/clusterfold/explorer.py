@@ -9,7 +9,11 @@ n·s (member, vertex) slots, two per edge and one per self-loop (μ_k B = B
 at an isolated vertex k), so every neighbour of every member was found in
 the class.  And every member's symmetrizer is re-derived from its entries
 by :func:`find_symmetrizer` and must equal the one the BFS carried
-through mutation: that is the independent route to D.
+through mutation: that is the independent route to D.  In a class whose
+carried D is all ones, a member passes exactly when B^T = -B, which
+find_symmetrizer tests as one comparison over the whole matrix; any
+other member is scanned, and its different D or the scan's
+NotSkewSymmetrizableError stops the verdict.
 """
 
 from __future__ import annotations

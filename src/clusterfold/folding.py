@@ -203,22 +203,26 @@ class FoldingPair:
 def quotient_entries(matrix: ExchangeMatrix, orbits) -> tuple[tuple[int, ...], ...]:
     """Raw quotient entries b_{I,J} = sum over k in I of b[k][min J].
 
-    Only requires the orbits to be matrix-invariant (representative
-    independence is asserted); admissibility is checked by callers that
-    need a valid exchange matrix.
+    The rows of each orbit I are summed once, and the sum must not depend
+    on the member of J it is read at.  Only requires the orbits
+    to be matrix-invariant (representative independence is asserted, the
+    first failing (I, J) in row-major order raising ValueError);
+    admissibility is checked by callers that need a valid exchange matrix.
     """
     b = matrix.entries
     rows = []
     for orbit_i in orbits:
+        sums = list(map(sum, zip(*[b[k] for k in orbit_i])))
         row = []
         for orbit_j in orbits:
-            values = {sum(b[k][j] for k in orbit_i) for j in orbit_j}
-            if len(values) != 1:
-                raise ValueError(
-                    "quotient entry depends on the representative; "
-                    "the group does not preserve the matrix"
-                )
-            row.append(values.pop())
+            value = sums[orbit_j[0]]
+            for j in orbit_j:
+                if sums[j] != value:
+                    raise ValueError(
+                        "quotient entry depends on the representative; "
+                        "the group does not preserve the matrix"
+                    )
+            row.append(value)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -283,8 +287,9 @@ def orbit_mutate_word(pair: FoldingPair, seed: Seed, word) -> tuple[Seed, tuple 
     if not is_invariant_seed(seed, pair.group.generators):
         raise NotInvariantError("orbit mutation requires a G-invariant seed")
     witness = admissibility_witness(seed.matrix, pair.orbits)
+    count = pair.orbit_count
     for idx in word:
-        if not 0 <= idx < pair.orbit_count:
+        if not 0 <= idx < count:
             raise ValueError(f"orbit index {idx + 1} out of range")
         if witness is not None:
             raise NotAdmissibleError(witness)
@@ -468,8 +473,9 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
     """
     pair.require_admissible()
     word = tuple(word)
+    count = pair.orbit_count
     for idx in word:
-        if not 0 <= idx < pair.orbit_count:
+        if not 0 <= idx < count:
             raise ValueError(f"orbit index {idx + 1} out of range")
     if pair._orbit_seeds is None:
         pair._orbit_seeds = OrbitSeedGraph(pair)

@@ -300,6 +300,31 @@ def small_integer_matrices(draw, max_n=5):
     return entries
 
 
+@st.composite
+def skew_symmetric_entries(draw, min_n=0, max_n=5):
+    """Raw rows with B^T = -B, the 0x0 and 1x1 matrices included, as lists
+    or as tuples."""
+    n = draw(st.integers(min_n, max_n))
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.integers(-3, 3))
+            entries[i][j], entries[j][i] = v, -v
+    return tuple(map(tuple, entries)) if draw(st.booleans()) else entries
+
+
+@st.composite
+def perturbed_skew_symmetric_entries(draw, max_n=5):
+    """A skew-symmetric matrix with one entry, diagonal ones included,
+    changed, as lists or as tuples."""
+    entries = [list(row) for row in draw(skew_symmetric_entries(1, max_n))]
+    n = len(entries)
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1))
+    entries[i][j] += draw(st.integers(-3, 3).filter(bool))
+    return tuple(map(tuple, entries)) if draw(st.booleans()) else entries
+
+
 class TestConstruction:
     def test_basic(self):
         m = ExchangeMatrix(A3)
@@ -391,6 +416,39 @@ class TestSymmetrizer:
         assert symmetrizer_or_witness(find_symmetrizer, entries) == (
             symmetrizer_or_witness(fraction_symmetrizer, entries)
         )
+
+    @given(skew_symmetric_entries())
+    @settings(max_examples=300, deadline=None)
+    def test_skew_symmetric_gets_all_ones(self, entries):
+        assert find_symmetrizer(entries) == fraction_symmetrizer(entries) == (1,) * len(entries)
+
+    @given(perturbed_skew_symmetric_entries())
+    @settings(max_examples=400, deadline=None)
+    def test_perturbed_skew_symmetric_matches_fraction_reference(self, entries):
+        # the transpose test refuses these, so the scan's answer or witness counts
+        assert symmetrizer_or_witness(find_symmetrizer, entries) == (
+            symmetrizer_or_witness(fraction_symmetrizer, entries)
+        )
+
+    def test_empty_and_single_vertex(self):
+        assert find_symmetrizer(()) == ()
+        assert find_symmetrizer(((0,),)) == (1,)
+        with pytest.raises(NotSkewSymmetrizableError) as exc:
+            find_symmetrizer(((2,),))
+        assert exc.value.witness == (0, 0)
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 1]],
+        [[0], [0]],
+        # as many entries as a 2x2 matrix, and the first column negates the
+        # start of the first row: only the length of row 2 tells
+        [[0, 1, 0], [-1]],
+        [[0, -1], [1, 0, 7]],
+    ])
+    def test_non_square_input_raises_index_error(self, entries):
+        for rows in (entries, tuple(map(tuple, entries))):
+            with pytest.raises(IndexError):
+                find_symmetrizer(rows)
 
     @given(skew_symmetric_matrices())
     @settings(max_examples=50, deadline=None)

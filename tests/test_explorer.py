@@ -108,6 +108,30 @@ class TestMutationClass:
         with pytest.raises(AssertionError):
             mutation_class(b2)
 
+    def test_member_breaking_skew_symmetry_is_caught(self, monkeypatch):
+        # A3's class is skew-symmetric (D = (1, 1, 1)), so its members' D
+        # comes from find_symmetrizer's transpose test.  A mutant kernel
+        # runs the real mutation and its D-check, then hands back a member
+        # with one entry doubled in place of mu_1(A3), and mutates it as
+        # mu_1(A3): the search sees the same graph and closes, and only the
+        # re-derived D of that member, (1, 2, 2), shows the fault
+        target = A3.mutate(0)
+        corrupt = ((0, 2, 0), (-1, 0, 1), (0, -1, 0))
+        mutate = ExchangeMatrix.mutate
+
+        def mutant(self, k):
+            child = mutate(target if self.entries == corrupt else self, k)
+            if child.entries != target.entries:
+                return child
+            bad = object.__new__(ExchangeMatrix)
+            bad.n, bad.entries, bad.labels = child.n, corrupt, child.labels
+            bad._symmetrizer = child.symmetrizer
+            return bad
+
+        monkeypatch.setattr(ExchangeMatrix, "mutate", mutant)
+        with pytest.raises(AssertionError, match="symmetrizer differs from the carried one"):
+            mutation_class(A3)
+
 
 class TestOrbitMutationClass:
     """The orbit-mutation class as searched by check_stability."""

@@ -208,7 +208,83 @@ class TestAdmissibility:
             assert exc.value.witness == (0, 1)
 
 
+def quotient_entries_per_entry(matrix, orbits):
+    """Reference: each b_{I,J} summed at every member of J, in row-major order."""
+    b = matrix.entries
+    rows = []
+    for orbit_i in orbits:
+        row = []
+        for orbit_j in orbits:
+            values = {sum(b[k][j] for k in orbit_i) for j in orbit_j}
+            if len(values) != 1:
+                raise ValueError(
+                    "quotient entry depends on the representative; "
+                    "the group does not preserve the matrix"
+                )
+            row.append(values.pop())
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def invariant_matrix(rng, n, generators):
+    """A random skew-symmetric matrix preserved by the generators: one value
+    per orbit of ordered pairs, 0 on an orbit that holds a pair's reverse."""
+    b = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if b[i][j] is not None:
+                continue
+            orbit, stack = {(i, j)}, [(i, j)]
+            while stack:
+                p, q = stack.pop()
+                for g in generators:
+                    if (g[p], g[q]) not in orbit:
+                        orbit.add((g[p], g[q]))
+                        stack.append((g[p], g[q]))
+            value = 0 if (j, i) in orbit else rng.randint(-2, 2)
+            for p, q in orbit:
+                b[p][q], b[q][p] = value, -value
+    return ExchangeMatrix(b)
+
+
+def quotient_outcome(function, matrix, orbits):
+    try:
+        return function(matrix, orbits)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestQuotients:
+    def test_matches_per_entry_formula(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            generators = []
+            for _ in range(rng.randint(1, 2)):
+                g = list(range(n))
+                rng.shuffle(g)
+                generators.append(tuple(g))
+            orbits = PermutationGroup(n, generators).orbits()
+            matrix = invariant_matrix(rng, n, generators)
+            assert all(is_automorphism(matrix, g) for g in generators)
+            assert quotient_entries(matrix, orbits) == quotient_entries_per_entry(matrix, orbits)
+            if n > 1:  # one pair changed: the group may no longer preserve it
+                i, j = rng.sample(range(n), 2)
+                rows = [list(row) for row in matrix.entries]
+                rows[i][j] += 1
+                rows[j][i] -= 1
+                changed = ExchangeMatrix(rows)
+                assert quotient_outcome(quotient_entries, changed, orbits) == (
+                    quotient_outcome(quotient_entries_per_entry, changed, orbits))
+
+    def test_non_invariant_matrix_raises(self):
+        # (1 2) does not preserve A3: row orbit {1, 2} sums to (1, -1, 1),
+        # which differs at the two members of column orbit {1, 2}
+        orbits = PermutationGroup(3, [(1, 0, 2)]).orbits()
+        expected = quotient_outcome(quotient_entries_per_entry, A3, orbits)
+        assert expected.startswith("quotient entry depends on the representative")
+        assert quotient_outcome(quotient_entries, A3, orbits) == expected
+
     def test_a3_quotient(self):
         assert quotient_matrix(a3_pair()).entries == ((0, -2), (1, 0))
 
