@@ -57,11 +57,14 @@ def find_symmetrizer(entries) -> tuple[int, ...]:
     B^T = -B gives a zero diagonal, sign coherence and the ratio 1 on every
     edge, so ones satisfy every pair and are minimal; and all ones satisfy
     d_i*b_ij == -d_j*b_ji only when B^T = -B.  Any other input takes the
-    scan, so its symmetrizer or witness is the scan's.
+    scan, so its symmetrizer or witness is the scan's; a matrix that is
+    not square raises ValueError first.
     """
     n = len(entries)
     if entries == tuple(zip(*map(map, repeat(neg), entries))):
         return (1,) * n
+    if any(len(row) != n for row in entries):
+        raise ValueError("matrix must be square")
     # The pattern checks are symmetric in (i, j), so scanning j > i finds the
     # same first failure as a scan of every pair in row-major order.
     for i in range(n):

@@ -3,13 +3,16 @@
 Every search here runs on the engine in :mod:`clusterfold.search`.
 Mutation classes use labeled-matrix identity: two matrices are the same
 class member only when equal entrywise.  Mutation is an involution, so
-each labeled edge is mutated once: n·s/2 mutations close a class of size
-s.  A finite verdict is checked twice.  The reported edges must fill the
-n·s (member, vertex) slots, two per edge and one per self-loop (μ_k B = B
-at an isolated vertex k), so every neighbour of every member was found in
-the class.  And every member's symmetrizer is re-derived from its entries
-by :func:`find_symmetrizer` and must equal the one the BFS carried
-through mutation: that is the independent route to D.  In a class whose
+each labeled edge is mutated at most once; and mutations at j and k commute
+where b_jk = 0 (Fomin-Zelevinsky, Cluster algebras I), so there μ_j B is
+read off a known square μ_k μ_j μ_k B without mutating.  A class of size s
+has n·s/2 edges, and fewer mutations close it.  A finite verdict is
+checked twice.  The reported edges must fill the n·s (member, vertex)
+slots, two per edge and one per self-loop (μ_k B = B at an isolated
+vertex k), so every neighbour of every member was found in the class.
+And every member's symmetrizer is re-derived from its entries by
+:func:`find_symmetrizer` and must equal the one the BFS carried through
+mutation: that is the independent route to D.  In a class whose
 carried D is all ones, a member passes exactly when B^T = -B, which
 find_symmetrizer tests as one comparison over the whole matrix; any
 other member is scanned, and its different D or the scan's
@@ -49,7 +52,9 @@ class MutationClassReport:
 
 def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClassReport:
     """BFS over all single-vertex mutations, deduplicated entrywise; a closed
-    class of size s costs n·s/2 mutations, one per labeled edge."""
+    class of size s has n·s/2 labeled edges.  Each is mutated at most once,
+    and an edge μ_j B with b_jk = 0 whose square through μ_k B is known is
+    not mutated at all."""
     n = matrix.n
     slots = 0
 
@@ -58,7 +63,7 @@ def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClass
         slots += 1 if source == target else 2
 
     search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit,
-                 on_edge=count_slots, involutive=True)
+                 on_edge=count_slots, commutes=lambda b, j, k: not b.entries[j][k])
     visited = search.visited
     if search.status != "closed":
         return MutationClassReport(search.status, len(visited))

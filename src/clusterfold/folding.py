@@ -32,7 +32,7 @@ and grows with the distinct nodes reached.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import attrgetter
 
 from .exchange import ExchangeMatrix
@@ -348,12 +348,24 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
     The search stops at the first inadmissible member, at the first
     member refused by ``max_nodes``, or on entry overflow.  Members are
     admissible before they are expanded, so orbit mutation is an involution
-    on them and each edge is composed once (n·s/2 mutations for size s): an
-    overflow that only the uncomputed reverse composition could hit is not
-    reported, though members' entries are still range-checked.
+    on them and each edge is composed at most once.  Where the block of B
+    on the orbits J ∪ K is zero, the mutations at its vertices pairwise
+    commute and keep it zero, so μ_J B = μ_K μ_J μ_K B, and that edge is
+    read off a known square without composing.  An overflow that only an
+    uncomputed composition could hit is not reported, though members'
+    entries are still range-checked.
     """
     pair.require_admissible()
     orbits = pair.orbits
+    # the block on orbits J and K is zero when b_uv = 0 for u < v in J ∪ K: an
+    # exchange matrix has b_uu = 0, and b_vu = 0 exactly when b_uv = 0
+    blocks = [[tuple(combinations(sorted(orbit_j + orbit_k), 2)) for orbit_k in orbits]
+              for orbit_j in orbits]
+
+    def zero_block(matrix, j, k):
+        b = matrix.entries
+        return not any(b[u][v] for u, v in blocks[j][k])
+
     search = bfs(
         pair.matrix,
         range(len(orbits)),
@@ -361,7 +373,7 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
         attrgetter("entries"),
         max_nodes,
         on_new=lambda matrix, word: admissibility_witness(matrix, orbits),
-        involutive=True,
+        commutes=zero_block,
     )
     size = len(search.visited)
     if search.status == "witness":

@@ -5,9 +5,10 @@ denominator searches and group closures all run through :func:`bfs`.
 The engine owns the visited map, the FIFO queue, shortest words, the
 node and depth limits and the mapping of entry overflow to a verdict;
 callers supply the moves, the step function and the deduplication key.
-A caller whose moves are involutions says so (``involutive=True``), and a
-seed search labels each edge by the facet its two ends share; either way
-each edge is stepped once.
+A caller whose moves are involutions passes a ``commutes`` predicate, and
+the engine then steps each edge at most once and reads the edges of
+commuting squares off the ones it knows; a seed search labels each edge by
+the facet its two ends share, and steps each edge once.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def bfs(
     max_depth: int | None = None,
     on_new=None,
     on_edge=None,
-    involutive: bool = False,
+    commutes=None,
     edge=None,
 ) -> Search:
     """Breadth-first search from ``start`` over ``step(node, move)`` for each move.
@@ -68,11 +69,19 @@ def bfs(
     EntryOverflowError from ``step`` ends the search with status
     "overflow".
 
-    ``involutive`` (int moves, each an involution: ``step(step(u, m), m)``
-    has the key of ``u``) skips move m on a node admitted along m and on a
-    queued node that a step along m reached.  Either would be a hit, so
-    the outcome is unchanged while ``step`` runs and ``on_edge`` fires once
-    per undirected edge.
+    ``commutes(node, j, k)`` (moves ``range(n)``) declares that every move
+    is an involution (``step(step(u, m), m)`` has the key of ``u``) and
+    returns True only where ``step(node, j)`` has the key of
+    ``step(step(step(node, k), j), k)``, whatever node is given.  The
+    engine then keeps, per admitted node, the target of each move it
+    knows: the way back along the move that admitted the node, each step
+    from an earlier node that reached it, and its own edges.  A known move
+    is not stepped again, and a move j of node u whose square u -k-> p
+    -j-> c -k-> t is known is taken as the edge u -j-> t, with no step,
+    once ``commutes(node, j, k)`` holds.  Either target is already
+    admitted, so the outcome and the ``on_edge`` calls are those of a search
+    that steps every move, except that ``on_edge`` fires once per
+    undirected edge.
 
     ``edge(node, move)`` (moves ``range(n)``) labels an edge with a value
     both its ends give it.  The labels of every admitted node and refused
@@ -85,7 +94,8 @@ def bfs(
     AssertionError.
     """
     visited = {key(start): 0}
-    skips = [0]  # by discovery index: bit m set once the edge along move m is computed
+    # by discovery index: the target of each known move of the node, else None
+    table = [[None] * len(moves)] if commutes else None
     labels = {}  # edge label -> the nodes it names: discovery indices, None if refused
 
     def index(node, name):  # add name to the name list of each label of node; those lists
@@ -104,10 +114,24 @@ def bfs(
             if max_depth is not None and depth >= max_depth:
                 refused += 1
                 continue
-            skip = skips[source]
+            row = table[source] if table else None
             for move in moves:
-                if skip and skip >> move & 1:
-                    continue
+                if row:
+                    if row[move] is not None:  # a way back, or an edge found from its other end
+                        continue
+                    for via, p in enumerate(row):  # a known square via, move, via closes the edge
+                        if p is not None:
+                            c = table[p][move]
+                            if c is not None:
+                                t = table[c][via]
+                                if t is not None and commutes(node, move, via):
+                                    row[move] = t
+                                    table[t][move] = source
+                                    if on_edge is not None:
+                                        on_edge(source, t)
+                                    break
+                    if row[move] is not None:
+                        continue
                 if lists and len(lists[move]) == 2:  # the label names the other end
                     other = lists[move][lists[move][0] == source]
                     if other is None:
@@ -120,8 +144,9 @@ def bfs(
                 target = visited.get(k)
                 if target is not None:
                     assert not lists or target == source, "a label missed the node a step reached"
-                    if involutive and target > source:  # nodes are expanded in discovery order
-                        skips[target] |= 1 << move
+                    if row:
+                        row[move] = target
+                        table[target][move] = source
                     if on_edge is not None:
                         on_edge(source, target)
                     continue
@@ -138,7 +163,10 @@ def bfs(
                     continue
                 target = len(visited)
                 visited[k] = target
-                skips.append(1 << move if involutive else 0)
+                if row:
+                    row[move] = target
+                    table.append([None] * len(moves))
+                    table[target][move] = source
                 if on_edge is not None:
                     on_edge(source, target)
                 queue.append((neighbour, new_word, target, index(neighbour, target)))

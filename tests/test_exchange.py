@@ -111,6 +111,19 @@ def skew_symmetrizable_matrices(draw, max_n=5, max_multiple=2):
     return ExchangeMatrix(entries)
 
 
+@st.composite
+def bounded_skew_symmetrizable_rows(draw, max_n=5, max_entry=4):
+    """The rows, as lists, of a skew-symmetrizable matrix with n <= max_n and
+    |entries| <= max_entry: each pair past the bound is set to 0, which keeps
+    D*B skew-symmetric."""
+    rows = [list(row) for row in draw(skew_symmetrizable_matrices(max_n)).entries]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if max(abs(row[j]), abs(rows[j][i])) > max_entry:
+                row[j] = rows[j][i] = 0
+    return rows
+
+
 def fraction_symmetrizer(entries) -> tuple[int, ...]:
     """Reference: ratio propagation with Fractions, every pair checked."""
     n = len(entries)
@@ -444,10 +457,12 @@ class TestSymmetrizer:
         # start of the first row: only the length of row 2 tells
         [[0, 1, 0], [-1]],
         [[0, -1], [1, 0, 7]],
+        # the scan would read only b_00 and answer (1,)
+        [[0, 0]],
     ])
-    def test_non_square_input_raises_index_error(self, entries):
+    def test_non_square_input_is_refused(self, entries):
         for rows in (entries, tuple(map(tuple, entries))):
-            with pytest.raises(IndexError):
+            with pytest.raises(ValueError, match="matrix must be square"):
                 find_symmetrizer(rows)
 
     @given(skew_symmetric_matrices())
@@ -587,6 +602,17 @@ class TestMutation:
     def test_involution(self, m, k):
         k %= m.n
         assert m.mutate(k).mutate(k) == m
+
+    @given(bounded_skew_symmetrizable_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutations_at_unjoined_vertices_commute(self, rows, data):
+        # the identity behind the class search's squares: b_jk = 0 gives
+        # mu_j B = mu_k mu_j mu_k B
+        j, k = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        rows[j][k] = rows[k][j] = 0
+        b = ExchangeMatrix(rows)
+        assert b.mutate(j) == b.mutate(k).mutate(j).mutate(k)
 
     @given(skew_symmetric_matrices(), st.integers(0, 3))
     @settings(max_examples=50, deadline=None)

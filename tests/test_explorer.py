@@ -11,7 +11,7 @@ from clusterfold.explorer import (
 )
 from clusterfold.laurent import parse_polynomial
 from clusterfold.seeds import enumerate_cluster_variables
-from clusterfold import catalog, cli, explorer
+from clusterfold import catalog, cli, explorer, folding
 from clusterfold.folding import FoldingPair, PermutationGroup, check_stability, quotient_matrix
 
 A3 = ExchangeMatrix([[0, -1, 0], [1, 0, 1], [0, -1, 0]])
@@ -31,6 +31,26 @@ def count_mutations(monkeypatch):
 
     monkeypatch.setattr(ExchangeMatrix, "mutate", counting_mutate)
     return lambda: calls
+
+
+def count_derived(monkeypatch, module, weight=lambda move: 1):
+    """Count the edges that ``module``'s searches read off a commuting square,
+    each weighted by ``weight(move)``; returns the reader."""
+    derived = 0
+    bfs = module.bfs
+
+    def counting_bfs(*args, commutes, **kwargs):
+        def counting(node, j, k):
+            nonlocal derived
+            holds = commutes(node, j, k)
+            if holds:  # the engine takes the edge along j at once
+                derived += weight(j)
+            return holds
+
+        return bfs(*args, commutes=counting, **kwargs)
+
+    monkeypatch.setattr(module, "bfs", counting_bfs)
+    return lambda: derived
 
 
 class TestMutationClass:
@@ -72,10 +92,13 @@ class TestMutationClass:
     def test_closed_class_mutates_once_per_edge(self, monkeypatch, name, size):
         matrix = catalog.folding_pair(name).pair.matrix
         calls = count_mutations(monkeypatch)
+        derived = count_derived(monkeypatch, explorer)
         report = mutation_class(matrix, limit=50_000)
         assert (report.verdict, report.size) == ("finite", size)
-        # the way back along an edge is mu_k(mu_k B) = B, not mutated again
-        assert calls() == matrix.n * size // 2  # A5toC3 4,950; hexagontoK2 36,000; E6toF4 128,520
+        # the way back along an edge is mu_k(mu_k B) = B, not mutated again, and
+        # mu_j B = mu_k mu_j mu_k B where b_jk = 0 is read off a known square
+        assert calls() == {"A5toC3": 2_710, "hexagontoK2": 18_260, "E6toF4": 63_188}[name]
+        assert calls() + derived() == matrix.n * size // 2  # 4,950; 36,000; 128,520 edges
 
     def test_dropped_edge_fails_the_closure_check(self, monkeypatch):
         bfs = explorer.bfs
@@ -151,9 +174,12 @@ class TestOrbitMutationClass:
     def test_closed_class_composes_once_per_edge(self, monkeypatch):
         pair = catalog.folding_pair("E6t-F4t1").pair
         calls = count_mutations(monkeypatch)
+        derived = count_derived(monkeypatch, folding, lambda idx: len(pair.orbits[idx]))
         verdict = check_stability(pair)
         assert (verdict.status, verdict.class_size) == ("stable-exhaustive", 1_440)
-        assert calls() == pair.matrix.n * 1_440 // 2  # 5,040; twice that from both ends
+        assert calls() == 3_191
+        # an edge along orbit I composes |I| mutations: 5,040 over the whole class
+        assert calls() + derived() == pair.matrix.n * 1_440 // 2
 
     def test_unstable_witness(self):
         pair = catalog.folding_pair("remark-stabilite").pair

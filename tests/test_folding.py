@@ -4,6 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_exchange import bounded_skew_symmetrizable_rows
 
 from clusterfold import folding, seeds
 from clusterfold.exchange import ExchangeMatrix, NotSkewSymmetrizableError
@@ -346,6 +350,41 @@ class TestOrbitMutation:
             pair = catalog.folding_pair(name).pair
             for idx in range(pair.orbit_count):
                 assert all_orbit_orderings_agree(pair, idx)
+
+    @given(bounded_skew_symmetrizable_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_orbit_mutations_commute_on_a_zero_block(self, rows, data):
+        # the identity behind check_stability's squares: a zero block on the
+        # orbits J and K gives mu_J B = mu_K mu_J mu_K B; the orbits need not
+        # come from a group, composition reads only the partition
+        n = len(rows)
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        orbits = tuple(tuple(i for i in range(n) if labels[i] == label)
+                       for label in sorted(set(labels)))
+        if len(orbits) < 2:
+            orbits = ((0,), tuple(range(1, n)))
+        j, k = data.draw(st.lists(st.integers(0, len(orbits) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        block = orbits[j] + orbits[k]
+        for u in block:
+            for v in block:
+                rows[u][v] = 0
+        b = ExchangeMatrix(rows)
+        composed = compose_orbit_mutations(
+            compose_orbit_mutations(compose_orbit_mutations(b, orbits, k), orbits, j), orbits, k)
+        assert compose_orbit_mutations(b, orbits, j) == composed
+
+    @pytest.mark.parametrize("entries, orbits", [
+        # b_JK != 0 on the path A3: J = {1}, K = {2}
+        ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], ((0,), (1,), (2,))),
+        # b_JK = 0 but K = {2, 3} holds an edge, so mu_K is not an involution
+        ([[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], ((0,), (1, 2), (3,))),
+    ])
+    def test_orbit_mutations_need_the_whole_block_zero(self, entries, orbits):
+        b = ExchangeMatrix(entries)
+        composed = compose_orbit_mutations(
+            compose_orbit_mutations(compose_orbit_mutations(b, orbits, 1), orbits, 0), orbits, 1)
+        assert compose_orbit_mutations(b, orbits, 0) != composed
 
     def test_seed_mutation_requires_invariance(self):
         pair = a3_pair()

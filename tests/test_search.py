@@ -113,7 +113,8 @@ def fields(result: Search) -> tuple:
 def reference_bfs(start, moves, step, key, limit, on_new=None, drain=False, max_depth=None):
     """Plain BFS that computes every lookup from both ends of an edge.
 
-    Returns (Search, directed lookups as (source, target) discovery indices)."""
+    Returns (Search, directed lookups as (source, move, target), the ends as
+    discovery indices)."""
     visited = {key(start): 0}
     queue = deque([(start, (), 0)])
     lookups = []
@@ -140,7 +141,7 @@ def reference_bfs(start, moves, step, key, limit, on_new=None, drain=False, max_
                         continue
                     visited[k] = len(visited)
                     queue.append((neighbour, new_word, visited[k]))
-                lookups.append((source, visited[k]))
+                lookups.append((source, move, visited[k]))
     except EntryOverflowError:
         return Search("overflow", visited, depth, refused), lookups
     return Search("limit-exceeded" if refused else "closed", visited, depth, refused), lookups
@@ -148,16 +149,23 @@ def reference_bfs(start, moves, step, key, limit, on_new=None, drain=False, max_
 
 def orbit_class(name):
     pair = catalog.folding_pair(name).pair
+
+    def zero_block(matrix, j, k):
+        block = pair.orbits[j] + pair.orbits[k]
+        return all(matrix.entries[u][v] == 0 for u in block for v in block)
+
     return dict(
         start=pair.matrix,
         moves=range(pair.orbit_count),
         step=lambda matrix, idx: compose_orbit_mutations(matrix, pair.orbits, idx),
         on_new=lambda matrix, word: admissibility_witness(matrix, pair.orbits),
+        commutes=zero_block,
     )
 
 
 def mutation_class_of(matrix):
-    return dict(start=matrix, moves=range(matrix.n), step=ExchangeMatrix.mutate)
+    return dict(start=matrix, moves=range(matrix.n), step=ExchangeMatrix.mutate,
+                commutes=lambda b, j, k: b.entries[j][k] == 0)
 
 
 LABELED_CASES = {
@@ -170,31 +178,74 @@ LABELED_CASES = {
 }
 
 
+def table_search(case, limit, commutes=None):
+    """The engine with a case's commuting squares: (Search, on_edge edges, step count)."""
+    edges, steps = [], []
+
+    def step(node, move):
+        steps.append(move)
+        return case["step"](node, move)
+
+    result = bfs(case["start"], case["moves"], step, attrgetter("entries"), limit,
+                 on_new=case.get("on_new"),
+                 on_edge=lambda source, target: edges.append((source, target)),
+                 commutes=commutes or case["commutes"])
+    return result, edges, len(steps)
+
+
 @pytest.mark.parametrize("name", LABELED_CASES)
 def test_edge_reuse_matches_the_plain_search(name):
     case, limit = LABELED_CASES[name]
-    key = attrgetter("entries")
-    expected, lookups = reference_bfs(case["start"], case["moves"], case["step"], key, limit,
-                                      case.get("on_new"))
-    edges = []
-    result = bfs(case["start"], case["moves"], case["step"], key, limit, on_new=case.get("on_new"),
-                 on_edge=lambda source, target: edges.append((source, target)), involutive=True)
+    expected, lookups = reference_bfs(case["start"], case["moves"], case["step"],
+                                      attrgetter("entries"), limit, case.get("on_new"))
+    result, edges, steps = table_search(case, limit)
     assert fields(result) == fields(expected)
+    # each undirected edge (lower end, move, upper end) is reported once; the
+    # plain search looks it up from each end it expanded
+    plain = {(min(source, target), move, max(source, target)) for source, move, target in lookups}
+    assert Counter((min(edge), max(edge)) for edge in edges) == Counter(
+        (low, high) for low, _, high in plain)
     if result.status == "closed":
-        # each undirected edge is reported once; the plain search looks it up from both ends
-        reported = Counter()
-        for source, target in edges:
-            reported[min(source, target), max(source, target)] += 1 if source == target else 2
-        assert reported == Counter((min(edge), max(edge)) for edge in lookups)
-        assert len(edges) < len(lookups)
+        # a closed search steps along at most the edges it does not read off a square
+        assert steps <= len(edges) < len(lookups)
+
+
+def test_the_predicate_is_asked_only_about_closed_squares():
+    case, limit = LABELED_CASES["A5toC3"]
+    step, key, asked = case["step"], attrgetter("entries"), []
+
+    def recording(node, j, k):
+        asked.append((node, j, k))
+        return case["commutes"](node, j, k)
+
+    result, _, steps = table_search(case, limit, recording)
+    assert result.status == "closed" and asked
+    for node, j, k in asked:
+        assert j != k
+        p = step(node, k)
+        c = step(p, j)
+        assert {key(p), key(c), key(step(c, k))} <= result.visited.keys()
+    # A5's class has 1,980 members and n·s/2 = 4,950 edges
+    assert steps < 4_950
+
+
+def test_a_predicate_that_always_commutes_is_caught():
+    # an edge read off a square that does not commute lands on the wrong member,
+    # so whole parts of the class are never reached
+    case, limit = LABELED_CASES["A5toC3"]
+    expected, _ = reference_bfs(case["start"], case["moves"], case["step"],
+                                attrgetter("entries"), limit)
+    result, _, _ = table_search(case, limit, lambda node, j, k: True)
+    assert (expected.status, len(expected.visited)) == ("closed", 1_980)
+    assert (result.status, len(result.visited)) == ("closed", 21)
+    assert not result.visited.keys() - expected.visited.keys()
 
 
 def test_pinned_outcomes_under_edge_reuse():
     outcomes = {}
     for name in ("E6t-F4t1 at its limit", "remark-stabilite", "indefinite control", "isolated vertex"):
         case, limit = LABELED_CASES[name]
-        result = bfs(case["start"], case["moves"], case["step"], attrgetter("entries"), limit,
-                     on_new=case.get("on_new"), involutive=True)
+        result, _, _ = table_search(case, limit)
         outcomes[name] = (result.status, len(result.visited), result.word, result.witness)
     assert outcomes == {
         "E6t-F4t1 at its limit": ("limit-exceeded", 2_000, None, None),
