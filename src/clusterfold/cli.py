@@ -201,7 +201,7 @@ def _cmd_enumerate(args, report: _Report) -> int:
     matrix = _load_matrix(args)
     result = enumerate_cluster_variables(matrix, max_seeds=args.limit)
     if not result.complete:
-        report.add("status", "limit-exceeded")
+        report.add("status", result.search.status)
         report.add("seeds", result.cluster_count)
         return EXIT_LIMIT
     report.add("variables", result.variable_count)
@@ -332,9 +332,10 @@ def _verify_finite_type_equality(args, report: _Report) -> int:
                              "so it is not of finite type")
     ambient = enumerate_cluster_variables(pair.matrix, max_seeds=args.limit)
     quotient = enumerate_cluster_variables(quotient_matrix(pair), max_seeds=args.limit)
-    if not ambient.complete or not quotient.complete:
-        report.add("status", "limit-exceeded")
-        return EXIT_LIMIT
+    for side in (ambient, quotient):
+        if not side.complete:
+            report.add("status", side.search.status)
+            return EXIT_LIMIT
     projected = {poly.project(pair.orbits) for poly in ambient.variables}
     quotient_set = set(quotient.variables)
     report.add("ambient variables", ambient.variable_count)

@@ -21,33 +21,30 @@ NotSkewSymmetrizableError stops the verdict.
 
 from __future__ import annotations
 
-from collections.abc import KeysView
 from operator import attrgetter
 
 from .exchange import ExchangeMatrix, find_symmetrizer
 from .folding import FoldingPair, check_stability, quotient_matrix
-from .search import bfs
+from .search import Search, bfs
 from .seeds import initial_seed, mutate_seed, search_seeds
 
 
 class MutationClassReport:
-    """Outcome of a matrix mutation-class BFS.
+    """Outcome of a matrix mutation-class BFS: the engine's ``search``.
 
-    verdict is "finite", "limit-exceeded" or "overflow"; size counts
-    distinct labeled matrices visited; members holds their entries when
-    the verdict is finite.
+    verdict is its status, with "closed" read as "finite"; members are
+    the entries of the labeled matrices visited, when the class is finite.
     """
 
-    __slots__ = ("verdict", "size", "members")
+    __slots__ = ("search",)
 
-    def __init__(self, verdict: str, size: int, members: KeysView | None = None):
-        self.verdict = verdict
-        self.size = size
-        self.members = members
+    def __init__(self, search: Search):
+        self.search = search
 
-    @property
-    def finite(self) -> bool:
-        return self.verdict == "finite"
+    finite = property(lambda self: self.search.status == "closed")
+    verdict = property(lambda self: "finite" if self.finite else self.search.status)
+    size = property(lambda self: self.search.size)
+    members = property(lambda self: self.search.visited.keys() if self.finite else None)
 
 
 def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClassReport:
@@ -64,16 +61,14 @@ def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClass
 
     search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit,
                  on_edge=count_slots, commutes=lambda b, j, k: not b.entries[j][k])
-    visited = search.visited
-    if search.status != "closed":
-        return MutationClassReport(search.status, len(visited))
-    if slots != n * len(visited):
-        raise AssertionError("mutation-class BFS missed a neighbour lookup")
-    d = matrix.symmetrizer
-    for entries in visited:
-        if find_symmetrizer(entries) != d:
-            raise AssertionError("class member's symmetrizer differs from the carried one")
-    return MutationClassReport("finite", len(visited), members=visited.keys())
+    if search.status == "closed":
+        if slots != n * search.size:
+            raise AssertionError("mutation-class BFS missed a neighbour lookup")
+        d = matrix.symmetrizer
+        for entries in search.visited:
+            if find_symmetrizer(entries) != d:
+                raise AssertionError("class member's symmetrizer differs from the carried one")
+    return MutationClassReport(search)
 
 
 class MonotonicityReport:
@@ -104,11 +99,11 @@ def verify_monotonicity_chain(pair: FoldingPair, limit: int = 10_000) -> Monoton
             f"quotient/orbit classes must close within the limit "
             f"(got {quotient.verdict}/{orbit.status})"
         )
+    quotient_size, orbit_size = quotient.size, orbit.class_size
+    del quotient, orbit  # each holds its class; release them before the ambient class grows
     ambient = mutation_class(pair.matrix, limit)
-    holds = quotient.size <= orbit.class_size and orbit.class_size <= ambient.size
-    return MonotonicityReport(
-        quotient.size, orbit.class_size, ambient.size, ambient.finite, holds
-    )
+    holds = quotient_size <= orbit_size <= ambient.size
+    return MonotonicityReport(quotient_size, orbit_size, ambient.size, ambient.finite, holds)
 
 
 def find_variable_by_denominator(matrix: ExchangeMatrix, target, max_seeds: int = 100_000):

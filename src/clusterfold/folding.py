@@ -36,7 +36,7 @@ from itertools import combinations, permutations
 from operator import attrgetter
 
 from .exchange import ExchangeMatrix
-from .search import bfs
+from .search import Search, bfs
 from .seeds import LimitExceededError, Seed, initial_seed, is_invariant_seed, mutate_seed
 
 GROUP_ORDER_CAP = 10_080
@@ -144,30 +144,29 @@ def admissibility_witness(matrix: ExchangeMatrix, orbits):
     return None
 
 
-class StabilityVerdict:
-    """Outcome of :func:`check_stability`.
+_STABILITY_WORDS = {"closed": "stable-exhaustive", "witness": "unstable"}
 
-    status is "stable-exhaustive" (the orbit-mutation class closed with
-    every member admissible), "unstable" (with the shortest failing
-    orbit word and its directed-path witness), "limit-exceeded" or
-    "overflow"; the last two decide nothing.  class_size counts the
-    members visited; depth is the length of the witness word when
-    unstable, else of the longest orbit word expanded.
+
+class StabilityVerdict:
+    """Outcome of :func:`check_stability`: the engine's ``search`` over the
+    orbit-mutation class.
+
+    status is its status, with "closed" read as "stable-exhaustive" (every
+    member admissible) and "witness" as "unstable" (witness_word is the
+    shortest failing orbit word, witness_path its directed path);
+    "limit-exceeded" and "overflow" decide nothing.
     """
 
-    __slots__ = ("status", "depth", "class_size", "witness_word", "witness_path")
+    __slots__ = ("search",)
 
-    def __init__(self, status: str, depth: int, class_size: int,
-                 witness_word: tuple | None = None, witness_path: tuple | None = None):
-        self.status = status
-        self.depth = depth
-        self.class_size = class_size
-        self.witness_word = witness_word
-        self.witness_path = witness_path
+    def __init__(self, search: Search):
+        self.search = search
 
-    @property
-    def stable(self) -> bool:
-        return self.status == "stable-exhaustive"
+    status = property(lambda self: _STABILITY_WORDS.get(self.search.status, self.search.status))
+    stable = property(lambda self: self.search.status == "closed")
+    class_size = property(lambda self: self.search.size)
+    witness_word = property(lambda self: self.search.word)
+    witness_path = property(lambda self: self.search.witness)
 
 
 class FoldingPair:
@@ -375,11 +374,7 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
         on_new=lambda matrix, word: admissibility_witness(matrix, orbits),
         commutes=zero_block,
     )
-    size = len(search.visited)
-    if search.status == "witness":
-        return StabilityVerdict("unstable", len(search.word), size, search.word, search.witness)
-    status = "stable-exhaustive" if search.status == "closed" else search.status
-    return StabilityVerdict(status, search.depth, size)
+    return StabilityVerdict(search)
 
 
 class _OrbitSeedNode:

@@ -1,7 +1,10 @@
 """The breadth-first search engine behind every exhaustive search.
 
 Mutation classes, orbit-mutation classes (stability), seed enumeration,
-denominator searches and group closures all run through :func:`bfs`.
+denominator searches and group closures all run through :func:`bfs`, and
+every report of one holds the :class:`Search` it returned as ``.search``:
+its status is the one stopping vocabulary, and the reports' own words
+(finite, stable-exhaustive, unstable, complete) are views of it.
 The engine owns the visited map, the FIFO queue, shortest words, the
 node and depth limits and the mapping of entry overflow to a verdict;
 callers supply the moves, the step function and the deduplication key.
@@ -19,14 +22,15 @@ from .exchange import EntryOverflowError
 
 
 class Search:
-    """Outcome of one BFS.
+    """Outcome of one BFS, held as ``.search`` by every report built on one.
 
     status is "closed" (the queue drained with nothing refused),
     "witness" (``on_new`` returned ``witness`` for the node reached by
     ``word``), "limit-exceeded" or "overflow".  ``visited`` maps each
-    admitted key to its discovery index; ``depth`` is the word length of
-    the last node taken from the queue; ``refused`` counts the neighbours refused by
-    the node limit plus the nodes left unexpanded by the depth limit.
+    admitted key to its discovery index, and ``size`` counts them;
+    ``depth`` is the word length of the last node taken from the queue;
+    ``refused`` counts the neighbours refused by the node limit plus the
+    nodes left unexpanded by the depth limit.
     """
 
     __slots__ = ("status", "visited", "depth", "refused", "witness", "word")
@@ -39,6 +43,8 @@ class Search:
         self.refused = refused
         self.witness = witness
         self.word = word
+
+    size = property(lambda self: len(self.visited))
 
 
 def bfs(

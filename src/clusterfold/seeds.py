@@ -192,21 +192,19 @@ _MAX_DEPTH = 64  # the word length at which a cluster-variable enumeration stops
 
 
 class EnumerationResult:
-    """Outcome of a cluster-variable BFS."""
+    """Outcome of a cluster-variable BFS: the engine's ``search`` over seeds
+    (complete when it closed), the variables met and the exchange-graph edges."""
 
-    __slots__ = ("variables", "cluster_count", "complete", "frontier", "dot_edges")
+    __slots__ = ("search", "variables", "dot_edges")
 
-    def __init__(self, variables: dict, cluster_count: int, complete: bool, frontier: int = 0,
-                 dot_edges=()):
+    def __init__(self, search: Search, variables: dict, dot_edges):
+        self.search = search
         self.variables = variables  # LaurentPolynomial -> shortest provenance word (0-based)
-        self.cluster_count = cluster_count
-        self.complete = complete
-        self.frontier = frontier
         self.dot_edges = dot_edges
 
-    @property
-    def variable_count(self) -> int:
-        return len(self.variables)
+    complete = property(lambda self: self.search.status == "closed")
+    cluster_count = property(lambda self: self.search.size)
+    variable_count = property(lambda self: len(self.variables))
 
     def to_dot(self) -> str:
         """DOT text of the exchange graph: vertices are clusters in
@@ -247,10 +245,4 @@ def enumerate_cluster_variables(
             edge_set.add((min(source, target), max(source, target)))
 
     search = search_seeds(start, max_seeds, max_depth=_MAX_DEPTH, on_new=record, on_edge=link)
-    return EnumerationResult(
-        variables=variables,
-        cluster_count=len(search.visited),
-        complete=search.status == "closed",
-        frontier=search.refused,
-        dot_edges=sorted(edge_set),
-    )
+    return EnumerationResult(search, variables, sorted(edge_set))

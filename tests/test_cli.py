@@ -15,6 +15,7 @@ import pytest
 
 from clusterfold import cli, folding, seeds
 from clusterfold.cli import main
+from clusterfold.search import Search
 
 A3_FILE = """\
 n = 3
@@ -83,6 +84,8 @@ OVERFLOWING = f"n = 3\n0 {P} {P}\n-1 0 1\n-1 -1 0\n"
 OVERFLOWING_PAIR = f"n = 4\n0 {P} {P} {P}\n-1 0 1 1\n-1 -1 0 0\n-1 -1 0 0\ngroup: (3 4)\n"
 # admissible, but the quotient entry b_{23,1} = -2P leaves the 64-bit range
 OVERFLOWING_QUOTIENT = f"n = 3\n0 {P} {P}\n-{P} 0 0\n-{P} 0 0\ngroup: (2 3)\n"
+# a cyclic triangle, trivial group: the first mutation makes b_23 = P - P**2
+OVERFLOWING_CYCLE = f"n = 3\n0 {P} -{P}\n-{P} 0 {P}\n{P} -{P} 0\ngroup: (1)\n"
 # an input entry one past the 64-bit range
 TOO_WIDE = f"n = 2\n0 {2**63}\n-1 0\n"
 
@@ -365,11 +368,15 @@ class TestOverflow:
         ("orbit-mutate", OVERFLOWING_PAIR, "status: overflow\nexit: 3\n"),
         # the quotient is built before the first line, so the overflow is reported alone
         ("fold", OVERFLOWING_QUOTIENT, "status: overflow\nexit: 3\n"),
-    ], ids=["explore", "mutate", "orbit-mutate", "fold"])
+        # the seed searches stop on the overflow, not at the default limit of 100,000 seeds
+        ("enumerate", OVERFLOWING, "status: overflow\nseeds: 2\nexit: 3\n"),
+        ("verify finite-type-equality", OVERFLOWING_CYCLE, "status: overflow\nexit: 3\n"),
+    ], ids=["explore", "mutate", "orbit-mutate", "fold", "enumerate", "finite-type-equality"])
     def test_overflow_exits_3(self, capsys, tmp_path, command, text, expected):
         path = tmp_path / "m.txt"
         path.write_text(text)
-        argv = [command, "--matrix", str(path)] + (["--word", "2"] if "mutate" in command else [])
+        argv = [*command.split(), "--matrix", str(path)]
+        argv += ["--word", "2"] if "mutate" in command else []
         assert run_cli(capsys, *argv) == (3, expected)
         code, out = run_cli(capsys, *argv, "--json")
         assert code == 3
@@ -494,7 +501,8 @@ class TestVerify:
 
     def test_counterexample_found_stable_is_a_witness(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_stability",
-                            lambda pair, max_nodes: folding.StabilityVerdict("stable-exhaustive", 3, 7))
+                            lambda pair, max_nodes: folding.StabilityVerdict(
+                                Search("closed", dict.fromkeys(range(7)), 3, 0)))
         code, out = run_cli(capsys, "verify", "counterexamples")
         assert code == 1
         assert out.splitlines() == [

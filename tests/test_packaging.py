@@ -1,10 +1,15 @@
 """The package runs on the Python standard library alone."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import clusterfold
+from clusterfold.search import Search
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +29,17 @@ def test_sources_import_only_the_standard_library():
     for path in sources:
         for module in _imported_top_level_modules(path):
             assert module == "clusterfold" or module in sys.stdlib_module_names, (path.name, module)
+
+
+def test_reports_hold_the_search_and_copy_none_of_its_fields():
+    copied = {}
+    for info in pkgutil.iter_modules(clusterfold.__path__):
+        module = importlib.import_module(f"clusterfold.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and "search" in getattr(cls, "__slots__", ()):
+                copied[cls.__name__] = set(cls.__slots__) & set(Search.__slots__)
+    assert {"MutationClassReport", "StabilityVerdict", "EnumerationResult"} <= set(copied)
+    assert all(not fields for fields in copied.values()), copied
 
 
 def test_no_runtime_dependencies_are_declared():

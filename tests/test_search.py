@@ -8,8 +8,10 @@ import pytest
 
 from clusterfold import catalog, cli, seeds
 from clusterfold.exchange import EntryOverflowError, ExchangeMatrix
-from clusterfold.folding import admissibility_witness, compose_orbit_mutations, quotient_matrix
-from clusterfold.seeds import Seed, initial_seed, mutate_seed, search_seeds
+from clusterfold.explorer import MutationClassReport, mutation_class
+from clusterfold.folding import (StabilityVerdict, admissibility_witness, check_stability,
+                                 compose_orbit_mutations, quotient_matrix)
+from clusterfold.seeds import EnumerationResult, Seed, initial_seed, mutate_seed, search_seeds
 from clusterfold.search import Search, bfs
 
 # node -> its neighbour under move 0 and under move 1
@@ -102,6 +104,39 @@ def test_entry_overflow_is_a_verdict():
     result = bfs("a", MOVES, overflowing, key, 100)
     assert result.status == "overflow"
     assert list(result.visited) == ["a", "b", "c", "d", "e"]
+
+
+# stopping status -> what the reports read off it: MutationClassReport (verdict,
+# finite), StabilityVerdict (status, stable) and EnumerationResult complete
+REPORT_WORDS = {
+    "closed": (("finite", True), ("stable-exhaustive", True), True),
+    "witness": (("witness", False), ("unstable", False), False),
+    "limit-exceeded": (("limit-exceeded", False), ("limit-exceeded", False), False),
+    "overflow": (("overflow", False), ("overflow", False), False),
+}
+
+
+@pytest.mark.parametrize("status", REPORT_WORDS)
+def test_every_report_reads_its_words_off_the_search(status):
+    path, word = ((1, 2, 4), (0,)) if status == "witness" else (None, None)
+    search = Search(status, dict.fromkeys("abc"), 2, int(status == "limit-exceeded"), path, word)
+    mutations = MutationClassReport(search)
+    stability = StabilityVerdict(search)
+    enumeration = EnumerationResult(search, {"x": (), "y": (0,)}, ())
+    assert all(report.search is search for report in (mutations, stability, enumeration))
+    assert ((mutations.verdict, mutations.finite), (stability.status, stability.stable),
+            enumeration.complete) == REPORT_WORDS[status]
+    assert search.size == mutations.size == stability.class_size == enumeration.cluster_count == 3
+    assert mutations.members == ({"a", "b", "c"} if status == "closed" else None)
+    assert (stability.witness_word, stability.witness_path) == (word, path)
+    assert enumeration.variable_count == 2
+
+
+def test_reports_hold_the_engines_search():
+    control = mutation_class(ExchangeMatrix(cli._INDEFINITE_CONTROL), 50_000)
+    assert (control.search.status, control.size) == ("overflow", 456)
+    verdict = check_stability(catalog.folding_pair("remark-stabilite").pair)
+    assert (verdict.search.word, verdict.witness_path) == ((0,), (1, 2, 4))
 
 
 def fields(result: Search) -> tuple:

@@ -228,7 +228,7 @@ class TestOneDivisionPerEdge:
         calls = counting_divisions(monkeypatch)
         matrix = catalog.folding_pair("D4t-A1t2").pair.matrix
         result = enumerate_cluster_variables(matrix, max_seeds=450)
-        assert (result.variable_count, result.cluster_count, result.frontier) == (98, 450, 240)
+        assert (result.variable_count, result.cluster_count, result.search.refused) == (98, 450, 240)
         assert len(result.dot_edges) == 1005
         assert len(calls) == 432
         assert max(len(x.terms) for x in result.variables) == 133
