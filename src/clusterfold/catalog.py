@@ -11,8 +11,10 @@ Chain conventions (reading the Cartan matrix along the chain):
   at rank 2 the two coincide up to relabeling and the single name "B2"
   is used, as "A3" is for D3.  Diagrams are oriented bipartitely (arrows
   from odd to even BFS layers), except the cycles ~An, which get an
-  acyclic linear orientation.  Each folding pair's row states how its
-  ambient quiver is oriented, and every row's group preserves it.
+  acyclic linear orientation.  A quiver given by its arrows, as ~An and
+  some rows of the pair table are, is simply laced: each arrow s -> t is
+  b_st = 1, b_ts = -1.  Each folding pair's row states how its ambient
+  quiver is oriented, and every row's group preserves it.
 """
 
 from __future__ import annotations
@@ -120,37 +122,32 @@ def named_cartan_matrices(tag: str):
 # orientation
 
 
-def orient_cartan(cartan, orientation="alternating") -> ExchangeMatrix:
-    """Build an exchange matrix from a symmetrizable Cartan matrix.
+def orient_cartan(cartan) -> ExchangeMatrix:
+    """Build an exchange matrix from a symmetrizable Cartan matrix, with
+    arrows from odd to even BFS layers.
 
-    ``alternating``: arrows from odd to even BFS layers (requires the
-    diagram to be bipartite, which every tree is).  A list of (source,
-    target) pairs selects an explicit orientation.
+    The diagram must be bipartite, which every tree and even cycle is
+    (else ValueError).
     """
     n = len(cartan)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0]
-    if orientation == "alternating":
-        color = [-1] * n
-        for start in list(range(n)):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for i, j in edges:
-                    if v in (i, j):
-                        w = j if v == i else i
-                        if color[w] == -1:
-                            color[w] = 1 - color[v]
-                            stack.append(w)
-                        elif color[w] == color[v]:
-                            raise ValueError("diagram is not bipartite; pass an explicit orientation")
-        oriented = [(j, i) if color[i] == 0 else (i, j) for i, j in edges]
-    else:
-        oriented = [tuple(e) for e in orientation]
-        if {frozenset(e) for e in oriented} != {frozenset(e) for e in edges}:
-            raise ValueError("explicit orientation must cover exactly the diagram edges")
+    color = [-1] * n
+    for start in list(range(n)):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for i, j in edges:
+                if v in (i, j):
+                    w = j if v == i else i
+                    if color[w] == -1:
+                        color[w] = 1 - color[v]
+                        stack.append(w)
+                    elif color[w] == color[v]:
+                        raise ValueError("diagram is not bipartite")
+    oriented = [(j, i) if color[i] == 0 else (i, j) for i, j in edges]
     b = [[0] * n for _ in range(n)]
     for s, t in oriented:
         b[s][t] = abs(cartan[s][t])
@@ -172,7 +169,7 @@ def affine(name: str) -> ExchangeMatrix:
     cartan = _cartan(name, "Affine")
     m = len(cartan)
     if name[1] == "A" and m > 2:
-        return orient_cartan(cartan, [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)])
+        return _quiver(m, [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)])
     return orient_cartan(cartan)
 
 
@@ -195,7 +192,7 @@ def _entry(name: str, matrix: ExchangeMatrix, generators: str, quotient: str | N
     """``generators``: 1-based cycle notation, one generator per ';'-separated part."""
     group = PermutationGroup(matrix.n, [parse_permutation(g, matrix.n)
                                         for g in generators.split(";")])
-    return CatalogEntry(name, FoldingPair(matrix, group, name=name), quotient, note)
+    return CatalogEntry(name, FoldingPair(matrix, group), quotient, note)
 
 
 def _star(leaves: int) -> ExchangeMatrix:
@@ -205,7 +202,10 @@ def _star(leaves: int) -> ExchangeMatrix:
 
 def _quiver(n: int, arrows) -> ExchangeMatrix:
     """The simply-laced quiver with the given (source, target) arrows."""
-    return orient_cartan(_simply_laced(n, arrows), arrows)
+    b = [[0] * n for _ in range(n)]
+    for s, t in arrows:
+        b[s][t], b[t][s] = 1, -1
+    return ExchangeMatrix(b)
 
 
 # name -> (ambient, generators, expected quotient name, note); an ambient is

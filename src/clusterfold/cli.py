@@ -330,12 +330,14 @@ def _verify_finite_type_equality(args, report: _Report) -> int:
         if tag != "Finite" and _is_acyclic(matrix.entries):  # Fomin-Zelevinsky criterion
             raise ValueError(f"{side} matrix is acyclic and its Cartan counterpart is {tag}, "
                              "so it is not of finite type")
-    ambient = enumerate_cluster_variables(pair.matrix, max_seeds=args.limit)
-    quotient = enumerate_cluster_variables(quotient_matrix(pair), max_seeds=args.limit)
-    for side in (ambient, quotient):
-        if not side.complete:
+    sides = []
+    for matrix in (pair.matrix, quotient_matrix(pair)):
+        side = enumerate_cluster_variables(matrix, max_seeds=args.limit)
+        if not side.complete:  # so the quotient is enumerated only once the ambient closed
             report.add("status", side.search.status)
             return EXIT_LIMIT
+        sides.append(side)
+    ambient, quotient = sides
     projected = {poly.project(pair.orbits) for poly in ambient.variables}
     quotient_set = set(quotient.variables)
     report.add("ambient variables", ambient.variable_count)

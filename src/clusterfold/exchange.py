@@ -45,10 +45,14 @@ def find_symmetrizer(entries) -> tuple[int, ...]:
     """Minimal positive integer diagonal d with d_i*b_ij == -d_j*b_ji.
 
     Works by ratio propagation over the graph of nonzero entries, in
-    integers: a component whose values cannot carry the next ratio is
-    rescaled as a whole, and each component is finally divided by its gcd
-    so its entries are coprime.  Raises :class:`NotSkewSymmetrizableError`
-    with a witness pair.
+    integers: each component starts at d = 1 on its first vertex, and a
+    component whose values cannot carry the next ratio is rescaled as a
+    whole by the least factor s that makes the new value integral.  So
+    the values of a component stay coprime, which makes them minimal: a
+    new value keeps a coprime set coprime, and a rescale by
+    s = |b_ji|/g, with g = gcd(d_i*b_ij, b_ji), gives the new vertex
+    |d_i*b_ij|/g, which is coprime to s.  Raises
+    :class:`NotSkewSymmetrizableError` with a witness pair.
 
     Rows given as a tuple of tuples, as :class:`ExchangeMatrix` keeps
     them, are first compared with the negated columns in one tuple
@@ -106,12 +110,6 @@ def find_symmetrizer(entries) -> tuple[int, ...]:
                 d[j] = implied // bji
                 component.append(j)
                 stack.append(j)
-        common = 0
-        for v in component:
-            common = gcd(common, d[v])
-        if common > 1:
-            for v in component:
-                d[v] //= common
     return tuple(d)
 
 
@@ -120,7 +118,7 @@ class ExchangeMatrix:
 
     Immutable.  External construction validates: entries are coerced to
     int and range-checked, and the zero diagonal, sign coherence and the
-    (minimal, per-component normalised) symmetrizer are derived from the
+    (minimal, coprime on each component) symmetrizer are derived from the
     entries.  :meth:`mutate` does not re-derive it: mutation preserves D
     and the component partition, so the child carries the parent's D and
     is checked against it in integers instead.  :meth:`from_symmetrizer`

@@ -32,8 +32,8 @@ from .seeds import initial_seed, mutate_seed, search_seeds
 class MutationClassReport:
     """Outcome of a matrix mutation-class BFS: the engine's ``search``.
 
-    verdict is its status, with "closed" read as "finite"; members are
-    the entries of the labeled matrices visited, when the class is finite.
+    verdict is its status, with "closed" read as "finite"; the entries
+    of the labeled matrices visited are the keys of ``search.visited``.
     """
 
     __slots__ = ("search",)
@@ -44,7 +44,6 @@ class MutationClassReport:
     finite = property(lambda self: self.search.status == "closed")
     verdict = property(lambda self: "finite" if self.finite else self.search.status)
     size = property(lambda self: self.search.size)
-    members = property(lambda self: self.search.visited.keys() if self.finite else None)
 
 
 def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClassReport:

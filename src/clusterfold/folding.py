@@ -172,14 +172,13 @@ class StabilityVerdict:
 class FoldingPair:
     """An exchange matrix with an automorphism group and cached verdicts."""
 
-    def __init__(self, matrix: ExchangeMatrix, group: PermutationGroup, name: str | None = None):
+    def __init__(self, matrix: ExchangeMatrix, group: PermutationGroup):
         if group.n != matrix.n:
             raise ValueError("group degree must match matrix size")
         if not is_automorphism_group(matrix, group):
             raise ValueError("group generators must preserve the matrix")
         self.matrix = matrix
         self.group = group
-        self.name = name
         self.orbits = group.orbits()
         self._witness = admissibility_witness(matrix, self.orbits)
         self.admissible = self._witness is None
@@ -491,11 +490,11 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
     return CommutationReport(ok, word, node.quotient, projected)
 
 
-def all_orbit_orderings_agree(pair: FoldingPair, orbit_index: int, max_size: int = 4) -> bool:
-    """Check order independence of one orbit mutation on matrix and seed."""
+def all_orbit_orderings_agree(pair: FoldingPair, orbit_index: int) -> bool:
+    """Check order independence of one orbit mutation (at most 4 vertices) on matrix and seed."""
     pair.require_admissible()
     orbit = pair.orbits[orbit_index]
-    if len(orbit) > max_size:
+    if len(orbit) > 4:
         raise ValueError(f"orbit too large for exhaustive ordering check ({len(orbit)})")
     seed = initial_seed(pair.matrix)
     reference = None

@@ -148,10 +148,6 @@ class LaurentPolynomial:
         return cls._from_keys(n, _WIDTH, 0, {_layout(n, _WIDTH)[1]: 1})
 
     @classmethod
-    def constant(cls, n: int, c: int) -> "LaurentPolynomial":
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
     def variable(cls, i: int, n: int) -> "LaurentPolynomial":
         """The i-th variable (0-based) as a polynomial in n variables."""
         if not 0 <= i < n:
@@ -318,12 +314,11 @@ class LaurentPolynomial:
 
     # -- rendering and parsing ---------------------------------------
 
-    def render(self, names: list[str] | None = None) -> str:
-        """Canonical human-readable form, terms in decreasing lex order."""
+    def render(self) -> str:
+        """Canonical human-readable form in u1..un, terms in decreasing lex order."""
         if not self._terms:
             return "0"
-        if names is None:
-            names = [f"u{i + 1}" for i in range(self.n)]
+        names = [f"u{i + 1}" for i in range(self.n)]
         terms = self.terms
         pieces = []
         for exps in sorted(terms, reverse=True):

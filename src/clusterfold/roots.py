@@ -72,17 +72,16 @@ def _permute_root(g, v) -> tuple[int, ...]:
 def verify_root_projection(pair: FoldingPair):
     """Check pi(almost positive roots of B) == almost positive roots of B/G.
 
-    Returns (ok, witness) where the witness is a vector present on only
-    one side.
+    Returns (ok, witness) where the witness is the least vector that only
+    the projection has, or when there is none the least that only the
+    quotient has.
     """
     ambient = almost_positive_roots(cartan_counterpart(pair.matrix))
     quotient = almost_positive_roots(cartan_counterpart(quotient_matrix(pair)))
     projected = {project_vector(v, pair.orbits) for v in ambient}
     if projected == quotient:
         return True, None
-    for v in sorted(projected - quotient) + sorted(quotient - projected):
-        return False, v
-    return False, None
+    return False, min(projected - quotient or quotient - projected)
 
 
 def verify_fiber_orbits(pair: FoldingPair):

@@ -47,8 +47,12 @@ class TestDynkinConstructor:
         assert classify(cartan_counterpart(m)).name == "B2"
 
     def test_explicit_orientation(self):
-        m = catalog.orient_cartan(cartan_counterpart(catalog.dynkin("A", 3)), [(1, 0), (1, 2)])
+        m = catalog._quiver(3, [(1, 0), (1, 2)])
         assert m.entries == ((0, -1, 0), (1, 0, 1), (0, -1, 0))
+
+    def test_odd_cycle_has_no_alternating_orientation(self):
+        with pytest.raises(ValueError, match="not bipartite"):
+            catalog.orient_cartan(catalog._cartan("~A2", "Affine"))
 
     @pytest.mark.parametrize(
         "family,n", [("A", 5), ("B", 4), ("C", 3), ("D", 5), ("E", 7), ("F", 4), ("G", 2)]

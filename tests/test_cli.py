@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from clusterfold import cli, folding, seeds
+from clusterfold import cli, folding, roots, seeds
 from clusterfold.cli import main
+from clusterfold.laurent import LaurentPolynomial
 from clusterfold.search import Search
 
 A3_FILE = """\
@@ -531,10 +532,31 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "fibers", "--pair", "D4toG2")
         assert code == 0
 
+    @pytest.mark.parametrize("target,witness", [("roots", "(0, 0)"),
+                                                ("fibers", "((0, 0, -1), (0, 0, 1))")],
+                             ids=["roots", "fibers"])
+    def test_root_lemma_mismatch(self, capsys, monkeypatch, target, witness):
+        # a projection that reads one member of each orbit instead of summing it sends
+        # alpha_3 to (0, 0), which is no root of B2, and -alpha_3 there too
+        monkeypatch.setattr(roots, "project_vector", lambda v, orbits: tuple(v[o[0]] for o in orbits))
+        code, out = run_cli(capsys, "verify", target, "--pair", "A3toB2")
+        assert (code, out) == (1, f"status: mismatch\nwitness: {witness}\nexit: 1\n")
+
     def test_denominators(self, capsys):
         code, out = run_cli(capsys, "verify", "denominators", "--pair", "A3toB2")
         assert code == 0
         assert "status: verified" in out
+
+    @pytest.mark.parametrize("owner,name,stub,detail", [
+        (LaurentPolynomial, "denominator_vector", lambda self: (0, 0, 0),
+         "denominator vector (0, 0, 0) is hit twice"),
+        (roots, "almost_positive_roots", roots.positive_roots,
+         "mismatch: missing [], extra [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]"),
+    ], ids=["hit-twice", "missing-extra"])
+    def test_denominators_mismatch(self, capsys, monkeypatch, owner, name, stub, detail):
+        monkeypatch.setattr(owner, name, stub)
+        code, out = run_cli(capsys, "verify", "denominators", "--pair", "A3toB2")
+        assert (code, out) == (1, f"status: mismatch\ndetail: {detail}\nexit: 1\n")
 
     def test_denominators_at_the_limit(self, capsys):
         code, out = run_cli(capsys, "verify", "denominators", "--pair", "A5toC3", "--limit", "5")
@@ -553,6 +575,35 @@ class TestVerify:
         assert "ambient variables: 9" in out
         assert "quotient variables: 6" in out
         assert "status: verified" in out
+
+    def test_finite_type_equality_mismatch(self, capsys, monkeypatch):
+        project = LaurentPolynomial.project
+        monkeypatch.setattr(LaurentPolynomial, "project", lambda p, orbits: -project(p, orbits))
+        code, out = run_cli(capsys, "verify", "finite-type-equality", "--pair", "A3toB2")
+        assert code == 1
+        assert out.splitlines()[3:] == [
+            "status: mismatch", "witness: -u1", "witness: -u1*u2^-1 - u1^-1 - u1^-1*u2^-1",
+            "witness: -u1^-1*u2 - u1^-1", "exit: 1",
+        ]
+
+    def test_finite_type_equality_stops_at_the_ambient_limit(self, capsys, monkeypatch, tmp_path):
+        # the Markov triangle is mutation-finite but of infinite type: no side closes
+        calls = []
+
+        def counting(matrix, max_seeds):
+            calls.append(max_seeds)
+            return seeds.enumerate_cluster_variables(matrix, max_seeds=max_seeds)
+
+        monkeypatch.setattr(cli, "enumerate_cluster_variables", counting)
+        path = tmp_path / "markov.txt"
+        path.write_text("n = 3\n0 2 -2\n-2 0 2\n2 -2 0\n")
+        argv = ("verify", "finite-type-equality", "--matrix", str(path), "--group", "(1)",
+                "--limit", "5")
+        assert run_cli(capsys, *argv) == (3, "status: limit-exceeded\nexit: 3\n")
+        assert calls == [5]
+        code, out = run_cli(capsys, *argv, "--json")
+        assert (code, json.loads(out)) == (3, {"status": "limit-exceeded", "exit": "3"})
+        assert calls == [5, 5]
 
     @pytest.mark.parametrize("name", ["squaretoK2", "hexagontoK2"])
     def test_finite_type_equality_refuses_acyclic_infinite_type(self, capsys, monkeypatch, name):
@@ -589,6 +640,19 @@ class TestVerify:
         assert "commutation: mismatch" in out
         assert "status: verified" in out
 
+    def test_counterexample_commuting_is_a_witness(self, capsys, monkeypatch):
+        verify = cli.verify_commutation
+
+        def agreeing(pair, word, require_stable):
+            found = verify(pair, word, require_stable=require_stable)
+            return folding.CommutationReport(True, word, found.quotient_side, found.quotient_side)
+
+        monkeypatch.setattr(cli, "verify_commutation", agreeing)
+        code, out = run_cli(capsys, "verify", "counterexamples")
+        assert code == 1
+        assert "commutation: agreement" in out.splitlines()
+        assert out.splitlines()[-2:] == ["status: counterexample-not-reproduced", "exit: 1"]
+
     def test_counterexamples_unknown_case(self, capsys):
         # remark-stabilite is the only case, so there is no flag to name one
         code = main(["verify", "counterexamples", "--case", "nope"])
@@ -620,6 +684,13 @@ class TestVerify:
         assert out.splitlines()[-3:] == [
             "indefinite control: limit-exceeded size=3", "status: verified", "exit: 0",
         ]
+
+    def test_affine_finiteness_finite_control_is_a_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_INDEFINITE_CONTROL", ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+        code, out = run_cli(capsys, "verify", "affine-finiteness", "--max-rank", "2")
+        assert (code, out.splitlines()[2:]) == (1, [
+            "indefinite control: finite size=14", "status: control-unexpectedly-finite", "exit: 1",
+        ])
 
     def test_affine_finiteness_sweeps_past_rank_6(self, capsys):
         # ~B6 has rank 7; a sweep that stopped at rank 6 reported `verified` here

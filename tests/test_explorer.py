@@ -57,7 +57,7 @@ class TestMutationClass:
     def test_a2_is_sign_flip(self):
         report = mutation_class(A2)
         assert report.finite and report.size == 2
-        assert report.members == {A2.entries, ((0, -1), (1, 0))}
+        assert set(report.search.visited) == {A2.entries, ((0, -1), (1, 0))}
 
     def test_rank2_valued(self):
         report = mutation_class(ExchangeMatrix([[0, 1], [-4, 0]]))
@@ -202,6 +202,13 @@ class TestFiniteness:
             report = verify_monotonicity_chain(catalog.folding_pair(name).pair)
             assert report.holds, name
             assert report.quotient_size <= report.orbit_size <= report.ambient_size
+
+    @pytest.mark.parametrize("limit,got", [(5, "limit-exceeded/limit-exceeded"),
+                                           (10, "finite/limit-exceeded")])
+    def test_monotonicity_chain_needs_closed_quotient_and_orbit_classes(self, limit, got):
+        # A5toC3: the quotient class has 10 members, the orbit-mutation class 20
+        with pytest.raises(ValueError, match=f"must close within the limit \\(got {got}\\)"):
+            verify_monotonicity_chain(catalog.folding_pair("A5toC3").pair, limit)
 
 
 def closed_graph_dot(matrix):

@@ -49,15 +49,17 @@ def six_cycle_pair():
 
 
 def catalog_pairs():
-    """Every catalog pair; the parametric families at their two smallest ranks."""
+    """(entry name, pair) of every catalog pair; the parametric families at
+    their two smallest ranks."""
     for name in catalog.list_names():
         if name.endswith("(n)"):
             family = name[: -len("(n)")]
             smallest = catalog._PARAMETRIC[family][1]
             for n in (smallest, smallest + 1):
-                yield catalog.folding_pair(family, n).pair
+                entry = catalog.folding_pair(family, n)
+                yield entry.name, entry.pair
         else:
-            yield catalog.folding_pair(name).pair
+            yield name, catalog.folding_pair(name).pair
 
 
 def orbit_mutate_closed_form(matrix, orbit):
@@ -336,7 +338,7 @@ class TestOrbitMutation:
 
     def test_matches_closed_form_on_every_catalog_orbit(self):
         checked = 0
-        for pair in catalog_pairs():
+        for _, pair in catalog_pairs():
             if not pair.admissible:
                 continue
             for idx, orbit in enumerate(pair.orbits):
@@ -488,7 +490,7 @@ class TestStability:
 
     def test_orbit_mutation_is_an_involution_on_every_stable_class(self):
         # what check_stability relies on to take each edge's way back uncomposed
-        for pair in catalog_pairs():
+        for name, pair in catalog_pairs():
             verdict = check_stability(pair) if pair.admissible else None
             if verdict is None or not verdict.stable:
                 continue
@@ -497,11 +499,11 @@ class TestStability:
                 for idx in range(pair.orbit_count):
                     mutated = compose_orbit_mutations(matrix, pair.orbits, idx)
                     back = compose_orbit_mutations(mutated, pair.orbits, idx)
-                    assert back.entries == matrix.entries, (pair.name, idx)
+                    assert back.entries == matrix.entries, (name, idx)
                     if mutated.entries not in members:
                         members.add(mutated.entries)
                         queue.append(mutated)
-            assert len(members) == verdict.class_size, pair.name
+            assert len(members) == verdict.class_size, name
 
     def test_six_cycle_witness_after_second_orbit(self):
         # mutating the orbit {2, 5} creates the directed 2-path 1 -> 3 -> 4
@@ -679,17 +681,17 @@ class TestOrbitSeedGraph:
 
     def test_every_way_back_is_a_computed_step(self, monkeypatch):
         checked = 0
-        for pair in catalog_pairs():
+        for name, pair in catalog_pairs():
             if not pair.admissible or not check_stability(pair, 2_000).stable:
                 continue
             graph, computed = self.links(monkeypatch, pair, words_up_to(pair.orbit_count, 3), True)
             recorded = [(node, idx, child) for node in graph.nodes.values()
                         for idx, child in node.children.items() if (id(node), idx) not in computed]
-            assert recorded, pair.name
+            assert recorded, name
             for node, idx, child in recorded:
                 ambient, witness = orbit_mutate_seed(pair, node.ambient, idx)
-                assert (ambient, witness) == (child.ambient, child.witness), (pair.name, idx)
-                assert mutate_seed(node.quotient, idx) == child.quotient, (pair.name, idx)
+                assert (ambient, witness) == (child.ambient, child.witness), (name, idx)
+                assert mutate_seed(node.quotient, idx) == child.quotient, (name, idx)
             checked += 1
         assert checked >= 6
 
@@ -727,7 +729,7 @@ class TestOrbitSeedGraph:
 
     def test_table_gives_the_seeds_of_table_free_mutation(self):
         rng = random.Random(11)
-        for pair in catalog_pairs():
+        for name, pair in catalog_pairs():
             if not pair.admissible or not check_stability(pair, 2_000).stable:
                 continue
             ambient, quotient = initial_seed(pair.matrix), initial_seed(quotient_matrix(pair))
@@ -737,12 +739,12 @@ class TestOrbitSeedGraph:
                 upstairs = ambient
                 for idx in word:
                     step = orbit_mutate_seed(pair, upstairs, idx, exchanges=exchanges)
-                    assert step == orbit_mutate_seed(pair, upstairs, idx), (pair.name, word)
+                    assert step == orbit_mutate_seed(pair, upstairs, idx), (name, word)
                     upstairs = step[0]
                 downstairs = quotient
                 for idx in word:
                     downstairs = mutate_seed(downstairs, idx, exchanges=exchanges)
-                assert downstairs == apply_mutation_word(quotient, word), (pair.name, word)
+                assert downstairs == apply_mutation_word(quotient, word), (name, word)
 
 
 class TestOrbitMutateWord:

@@ -34,8 +34,8 @@ class TestConstruction:
     def test_zero_one_constant(self):
         assert LaurentPolynomial.zero(2).is_zero()
         assert LaurentPolynomial.one(2).terms == {(0, 0): 1}
-        assert LaurentPolynomial.constant(2, 7).terms == {(0, 0): 7}
-        assert LaurentPolynomial.constant(2, 0).is_zero()
+        assert LaurentPolynomial(2, {(0, 0): 7}).terms == {(0, 0): 7}
+        assert LaurentPolynomial(2, {(0, 0): 0}).is_zero()
 
     def test_variable(self):
         u2 = LaurentPolynomial.variable(1, 3)
@@ -179,8 +179,7 @@ class TestRendering:
     @given(laurent_polys())
     @settings(max_examples=100, deadline=None)
     def test_parse_render_round_trip(self, p):
-        names = ["u1", "u2", "u3"]
-        assert parse_polynomial(p.render(names), names) == p
+        assert parse_polynomial(p.render(), ["u1", "u2", "u3"]) == p
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -203,7 +202,7 @@ class TestWideExponents:
     def test_field_width_follows_the_exponents(self):
         big = LaurentPolynomial(2, {(2**70, -3): 1})
         assert big.terms == {(2**70, -3): 1}
-        assert big.render(["x", "y"]) == f"x^{2**70}*y^-3"
+        assert big.render() == f"u1^{2**70}*u2^-3"
         back = big * LaurentPolynomial(2, {(-(2**70), 3): 1})
         assert back == LaurentPolynomial.one(2)
         assert hash(back) == hash(LaurentPolynomial.one(2))

@@ -78,7 +78,9 @@ def _docstrings(tree):
 
 def _names_used(tree):
     """(name, line) for every identifier the code names: variables, attributes,
-    imports and the words of string constants (getattr tables), not docstrings."""
+    imports and the parts of a string constant that is a whole identifier or
+    dotted path (getattr tables, such as "ExchangeMatrix.mutate"), not docstrings.
+    A message that merely contains a function's name does not call it."""
     skip = set(map(id, _docstrings(tree)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -88,8 +90,10 @@ def _names_used(tree):
         elif isinstance(node, ast.alias):
             yield node.name.split(".")[-1], node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
-            for word in re.findall(r"\w+", node.value):
-                yield word, node.lineno
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                for part in parts:
+                    yield part, node.lineno
 
 
 def test_every_library_function_and_class_has_a_caller():

@@ -308,7 +308,7 @@ class TestExchangeBinomial:
 
     def test_a_side_without_factors_is_one(self):
         seed = initial_seed(ExchangeMatrix([[0, 0], [0, 0]]))
-        assert exchange_binomial(seed, 0) == LaurentPolynomial.constant(2, 2)
+        assert exchange_binomial(seed, 0) == LaurentPolynomial(2, {(0, 0): 2})
         assert exchange_binomial(initial_seed(B2Q), 1) == poly("u1^2 + 1", 2)
 
 
