@@ -13,14 +13,10 @@ from .exchange import (
     EntryOverflowError,
     ExchangeMatrix,
     NotSkewSymmetrizableError,
-    ValuedEdge,
-    ValuedGraph,
     cartan_counterpart,
     classify,
     find_symmetrizer,
-    from_valued_graph,
     to_dot,
-    to_valued_graph,
 )
 from .laurent import LaurentPolynomial, NotDivisibleError, divide_exact, parse_polynomial
 from .seeds import (

@@ -30,8 +30,7 @@ import random
 import sys
 
 from . import catalog, explorer, io, roots
-from .exchange import (EntryOverflowError, ExchangeMatrix, cartan_counterpart, classify, to_dot,
-                       to_valued_graph)
+from .exchange import EntryOverflowError, ExchangeMatrix, cartan_counterpart, classify, to_dot
 from .folding import (
     FoldingPair,
     NotAdmissibleError,
@@ -160,14 +159,17 @@ def _cmd_mutate(args, report: _Report) -> int:
 
 def _cmd_fold(args, report: _Report) -> int:
     pair = _load_pair(args)
-    # before the first line, so that an error (the group-order cap) is reported alone
+    # before the first line, so that an error (the group-order cap, an unwritable
+    # --emit-dot path) is reported alone
     symmetrizer = quotient_symmetrizer(pair) if pair.admissible else None
+    if pair.admissible and args.emit_dot:
+        _write_file(args.emit_dot, to_dot(quotient_matrix(pair)))
     report.add("orbits", " ".join(
         "{" + " ".join(str(v + 1) for v in orbit) + "}" for orbit in pair.orbits
     ))
     if not pair.admissible:
         report.add("admissible", "no")
-        report.add("witness", " -> ".join(str(v + 1) for v in pair._witness))
+        report.add("witness", " -> ".join(str(v + 1) for v in pair.witness))
         return EXIT_WITNESS
     report.add("admissible", "yes")
     quotient = quotient_matrix(pair)
@@ -176,7 +178,6 @@ def _cmd_fold(args, report: _Report) -> int:
     kind = classify(cartan_counterpart(quotient))
     report.add("type", kind.tag + (f" {kind.name}" if kind.name else ""))
     if args.emit_dot:
-        _write_file(args.emit_dot, to_dot(to_valued_graph(quotient)))
         report.add("dot", args.emit_dot)
     return EXIT_OK
 
@@ -204,12 +205,13 @@ def _cmd_enumerate(args, report: _Report) -> int:
         report.add("status", result.search.status)
         report.add("seeds", result.cluster_count)
         return EXIT_LIMIT
+    if args.emit_dot:  # before the first line, so that an unwritable path is reported alone
+        _write_file(args.emit_dot, result.to_dot())
     report.add("variables", result.variable_count)
     report.add("clusters", result.cluster_count)
     for rendered in sorted(poly.render() for poly in result.variables):
         report.add("var", rendered)
     if args.emit_dot:
-        _write_file(args.emit_dot, result.to_dot())
         report.add("dot", args.emit_dot)
     return EXIT_OK
 

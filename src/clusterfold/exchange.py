@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
+from itertools import combinations, repeat
 from math import gcd
 from operator import neg
 
@@ -257,47 +257,18 @@ def cartan_counterpart(matrix: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
 # valued graphs
 
 
-# value is (|b_st|, |b_ts|)
-ValuedEdge = namedtuple("ValuedEdge", "source target value")
-ValuedGraph = namedtuple("ValuedGraph", "n edges labels")
-
-
-def to_valued_graph(matrix: ExchangeMatrix) -> ValuedGraph:
-    """Edges {i,j} with orientation i -> j iff b_ij > 0, valued (|b_ij|, |b_ji|)."""
-    edges = []
-    b = matrix.entries
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            if b[i][j] > 0:
-                edges.append(ValuedEdge(i, j, (b[i][j], -b[j][i])))
-            elif b[i][j] < 0:
-                edges.append(ValuedEdge(j, i, (b[j][i], -b[i][j])))
-    return ValuedGraph(matrix.n, tuple(edges), matrix.labels)
-
-
-def from_valued_graph(graph: ValuedGraph) -> ExchangeMatrix:
-    """Rebuild the exchange matrix; inverse of :func:`to_valued_graph`."""
-    entries = [[0] * graph.n for _ in range(graph.n)]
-    for edge in graph.edges:
-        i, j = edge.source, edge.target
-        a, b = edge.value
-        if a <= 0 or b <= 0:
-            raise ValueError(f"edge values must be positive, got {edge.value}")
-        if entries[i][j] or entries[j][i]:
-            raise ValueError(f"duplicate edge between {i} and {j}")
-        entries[i][j] = a
-        entries[j][i] = -b
-    return ExchangeMatrix(entries, graph.labels)
-
-
-def to_dot(graph: ValuedGraph) -> str:
-    """DOT rendering with edge labels "(a,b)" and arrowheads per orientation."""
+def to_dot(matrix: ExchangeMatrix) -> str:
+    """DOT rendering of the valued graph of B: a vertex per label and, for
+    each i < j with b_ij != 0, the arrow s -> t with b_st > 0 labelled
+    "(b_st,-b_ts)"."""
     lines = ["digraph Q {"]
-    for i, label in enumerate(graph.labels):
+    for i, label in enumerate(matrix.labels):
         lines.append(f'  v{i} [label="{label}"];')
-    for edge in graph.edges:
-        a, b = edge.value
-        lines.append(f'  v{edge.source} -> v{edge.target} [label="({a},{b})"];')
+    b = matrix.entries
+    for i, j in combinations(range(matrix.n), 2):
+        if b[i][j]:
+            s, t = (i, j) if b[i][j] > 0 else (j, i)
+            lines.append(f'  v{s} -> v{t} [label="({b[s][t]},{-b[t][s]})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

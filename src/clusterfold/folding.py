@@ -5,8 +5,8 @@ acting on its vertices by automorphisms.  The pair is admissible when no
 two distinct vertices of one orbit are joined by a directed path of
 length at most two; admissibility makes orbit mutation well defined and
 the quotient matrix skew-symmetrizable.  Stability (every member of the
-orbit-mutation class stays admissible) and group closure run on the BFS
-engine in :mod:`clusterfold.search`.
+orbit-mutation class stays admissible), orbits and group closure run on
+the BFS engine in :mod:`clusterfold.search`.
 
 There is one orbit step on seeds, :func:`orbit_mutate_seed`: it composes
 the mutations of one orbit, checks that the group still preserves the
@@ -63,8 +63,8 @@ def compose(g, h):
 class PermutationGroup:
     """A permutation group of {0..n-1} given by generators.
 
-    Element enumeration is lazy and capped at GROUP_ORDER_CAP; orbit
-    computation only needs the generators.
+    Orbits and elements are closures over the generators on the BFS
+    engine; element enumeration is lazy and capped at GROUP_ORDER_CAP.
     """
 
     def __init__(self, n: int, generators):
@@ -79,24 +79,15 @@ class PermutationGroup:
         self._elements: tuple[tuple[int, ...], ...] | None = None
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbit partition, each orbit sorted, orbits ordered by minimal member."""
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators:
-            for i, gi in enumerate(g):
-                ri, rg = find(i), find(gi)
-                if ri != rg:
-                    parent[rg] = ri
-        groups: dict[int, list[int]] = {}
+        """Orbit partition, each orbit sorted, orbits ordered by minimal member:
+        each orbit is the closure of the least vertex no earlier orbit holds."""
+        orbits, seen = [], set()
         for i in range(self.n):
-            groups.setdefault(find(i), []).append(i)
-        return tuple(tuple(sorted(o)) for o in sorted(groups.values(), key=min))
+            if i not in seen:
+                orbit = bfs(i, self.generators, lambda v, g: g[v], int, self.n).visited
+                seen.update(orbit)
+                orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """All group elements (BFS closure over generators), capped (LimitExceededError)."""
@@ -110,10 +101,6 @@ class PermutationGroup:
 
     def order(self) -> int:
         return len(self.elements())
-
-    def stabilizer_order(self, i: int) -> int:
-        orbit = next(o for o in self.orbits() if i in o)
-        return self.order() // len(orbit)
 
 
 def is_automorphism(matrix: ExchangeMatrix, g) -> bool:
@@ -170,7 +157,8 @@ class StabilityVerdict:
 
 
 class FoldingPair:
-    """An exchange matrix with an automorphism group and cached verdicts."""
+    """An exchange matrix with an automorphism group and cached verdicts;
+    ``witness`` is the admissibility witness, None on an admissible pair."""
 
     def __init__(self, matrix: ExchangeMatrix, group: PermutationGroup):
         if group.n != matrix.n:
@@ -180,8 +168,8 @@ class FoldingPair:
         self.matrix = matrix
         self.group = group
         self.orbits = group.orbits()
-        self._witness = admissibility_witness(matrix, self.orbits)
-        self.admissible = self._witness is None
+        self.witness = admissibility_witness(matrix, self.orbits)
+        self.admissible = self.witness is None
         self._quotient: ExchangeMatrix | None = None
         self._orbit_seeds: OrbitSeedGraph | None = None
         self._projections: dict = {}  # ambient variable -> its projection, once (project_seed)
@@ -195,7 +183,7 @@ class FoldingPair:
 
     def require_admissible(self) -> None:
         if not self.admissible:
-            raise NotAdmissibleError(self._witness)
+            raise NotAdmissibleError(self.witness)
 
 
 def quotient_entries(matrix: ExchangeMatrix, orbits) -> tuple[tuple[int, ...], ...]:
@@ -236,21 +224,17 @@ def quotient_matrix(pair: FoldingPair) -> ExchangeMatrix:
 
 
 def quotient_symmetrizer(pair: FoldingPair) -> tuple[int, ...]:
-    """delta_I = d_I * |stab(i)| for the orbitwise-constant symmetrizer d."""
+    """delta_I = d_I * |G| / |I| = d_I * |stab(i)| for the orbitwise-constant
+    symmetrizer d, checked by :meth:`ExchangeMatrix.from_symmetrizer`."""
     pair.require_admissible()
     d = pair.matrix.symmetrizer
     for orbit in pair.orbits:
         if len({d[i] for i in orbit}) != 1:
             raise ValueError("symmetrizer is not constant on orbits")
-    delta = tuple(
-        d[orbit[0]] * pair.group.stabilizer_order(orbit[0]) for orbit in pair.orbits
-    )
-    q = quotient_matrix(pair).entries
-    m = len(q)
-    for i in range(m):
-        for j in range(m):
-            if delta[i] * q[i][j] != -delta[j] * q[j][i]:
-                raise AssertionError("quotient symmetrizer failed verification")
+    order = pair.group.order()
+    delta = tuple(d[orbit[0]] * order // len(orbit) for orbit in pair.orbits)
+    quotient = quotient_matrix(pair)
+    ExchangeMatrix.from_symmetrizer(quotient.entries, quotient.labels, delta)
     return delta
 
 
@@ -409,7 +393,7 @@ class OrbitSeedGraph:
         self.pair = pair
         self.exchanges: dict = {}
         self.root = _OrbitSeedNode(
-            initial_seed(pair.matrix), initial_seed(quotient_matrix(pair)), pair._witness
+            initial_seed(pair.matrix), initial_seed(quotient_matrix(pair)), pair.witness
         )
         self.nodes = {(self.root.ambient, self.root.quotient): self.root}
 

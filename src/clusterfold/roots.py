@@ -2,14 +2,16 @@
 
 Roots are integer coordinate vectors over the simple roots.  The simple
 reflection s_i sends a vector v to v - (sum_j c_ij v_j) alpha_i, so only
-coordinate i changes.  For finite type the positive roots are obtained
-by saturating the simple roots under all reflections.
+coordinate i changes.  For finite type the positive roots are the
+closure of the simple roots under the reflections, on the BFS engine.
 """
 
 from __future__ import annotations
 
 from .exchange import cartan_counterpart, classify
 from .folding import FoldingPair, project_vector, quotient_matrix
+from .search import bfs
+from .seeds import LimitExceededError
 
 POSITIVE_ROOT_CAP = 240  # the largest finite root system we accept (E8-sized)
 
@@ -32,26 +34,26 @@ def simple_roots(n: int) -> list[tuple[int, ...]]:
 
 
 def positive_roots(cartan) -> frozenset[tuple[int, ...]]:
-    """All positive roots of a finite-type Cartan matrix, by reflection closure."""
+    """All positive roots of a finite-type Cartan matrix, by reflection closure
+    from the zero vector; more than POSITIVE_ROOT_CAP raise LimitExceededError."""
     if classify(cartan, name_diagram=False).tag != "Finite":
         raise NotFiniteTypeError("positive roots require a finite-type Cartan matrix")
     n = len(cartan)
-    roots = set(simple_roots(n))
-    frontier = list(roots)
-    while frontier:
-        next_frontier = []
-        for v in frontier:
-            for i in range(n):
-                w = reflect(cartan, i, v)
-                if all(x >= 0 for x in w) and w not in roots:
-                    roots.add(w)
-                    next_frontier.append(w)
-                    if len(roots) > POSITIVE_ROOT_CAP:
-                        raise AssertionError(
-                            "reflection closure exceeded the finite-type cap"
-                        )
-        frontier = next_frontier
-    return frozenset(roots)
+    zero = (0,) * n
+    alphas = simple_roots(n)
+
+    # zero steps to alpha_i, a root v to s_i v, or to zero when s_i v is negative
+    # (only coordinate i changes): s_i permutes the positive roots other than alpha_i,
+    # so that happens only at v = alpha_i, zero stands in for every negative root, and
+    # each move is an involution
+    def step(v, i):
+        w = alphas[i] if v == zero else reflect(cartan, i, v)
+        return w if w[i] >= 0 else zero
+
+    search = bfs(zero, range(n), step, tuple, POSITIVE_ROOT_CAP + 1)
+    if search.status != "closed":
+        raise LimitExceededError(f"the root system has more than {POSITIVE_ROOT_CAP} positive roots")
+    return frozenset(search.visited) - {zero}
 
 
 def almost_positive_roots(cartan) -> frozenset[tuple[int, ...]]:

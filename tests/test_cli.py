@@ -237,6 +237,17 @@ class TestFold:
         assert target.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("command", ["fold", "enumerate"])
+def test_unwritable_emit_dot_is_reported_alone(capsys, tmp_path, command):
+    target = tmp_path / "missing" / "x.dot"
+    message = f"[Errno 2] No such file or directory: '{target}'"
+    argv = [command, "--pair", "A3toB2", "--emit-dot", str(target)]
+    assert run_cli(capsys, *argv) == (2, f"error: {message}\n")
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
 class TestOrbitMutate:
     def test_word(self, capsys):
         code, out = run_cli(
@@ -527,6 +538,22 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "roots", "--pair", "A3toB2")
         assert code == 0
         assert "status: verified" in out
+
+    @pytest.mark.parametrize("target", ["roots", "fibers", "denominators"])
+    @pytest.mark.parametrize("pair", [("AtoC", "12"), ("DtoB", "20")], ids=["A23", "D21"])
+    def test_root_cap_is_a_limit(self, capsys, target, pair):
+        # A23 has 276 positive roots and D21 has 420, past the cap of 240
+        argv = ["verify", target, "--pair", pair[0], "--rank", pair[1]]
+        assert run_cli(capsys, *argv) == (3, "error: the root system has more than 240 positive roots\n")
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(out) == {"error": "the root system has more than 240 positive roots"}
+
+    @pytest.mark.parametrize("target", ["roots", "fibers"])
+    def test_root_system_under_the_cap_is_verified(self, capsys, target):
+        # A21 has 231 positive roots
+        code, out = run_cli(capsys, "verify", target, "--pair", "AtoC", "--rank", "11")
+        assert (code, out) == (0, "status: verified\nexit: 0\n")
 
     def test_fibers(self, capsys):
         code, out = run_cli(capsys, "verify", "fibers", "--pair", "D4toG2")

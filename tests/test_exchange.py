@@ -1,5 +1,6 @@
-"""Exchange matrices: mutation, symmetrizers, valued graphs, classification."""
+"""Exchange matrices: mutation, symmetrizers, DOT rendering, classification."""
 
+import re
 import time
 from collections import deque
 from fractions import Fraction
@@ -20,9 +21,7 @@ from clusterfold.exchange import (
     cartan_counterpart,
     classify,
     find_symmetrizer,
-    from_valued_graph,
     to_dot,
-    to_valued_graph,
 )
 from clusterfold import catalog
 from clusterfold.explorer import mutation_class
@@ -633,25 +632,47 @@ class TestMutation:
                 assert d[i] * mutated.entries[i][j] == -d[j] * mutated.entries[j][i]
 
 
+def parse_dot(text):
+    """(labels, entries) read back off the vertex and edge lines of :func:`to_dot`:
+    an edge s -> t labelled (a,b) gives b_st = a and b_ts = -b."""
+    labels = re.findall(r'^  v\d+ \[label="(.*)"\];$', text, re.MULTILINE)
+    n = len(labels)
+    entries = [[0] * n for _ in range(n)]
+    edges = re.findall(r'^  v(\d+) -> v(\d+) \[label="\((-?\d+),(-?\d+)\)"\];$', text, re.MULTILINE)
+    for s, t, a, b in edges:
+        s, t = int(s), int(t)
+        assert entries[s][t] == entries[t][s] == 0, "an edge drawn twice"
+        entries[s][t], entries[t][s] = int(a), -int(b)
+    lines = text.splitlines()
+    assert (lines[0], lines[-1], len(lines)) == ("digraph Q {", "}", n + len(edges) + 2)
+    pairs = [tuple(sorted(map(int, edge[:2]))) for edge in edges]
+    assert pairs == sorted(pairs), "edges out of row-major order"
+    return tuple(labels), tuple(map(tuple, entries))
+
+
 class TestValuedGraph:
     def test_edges(self):
-        g = to_valued_graph(ExchangeMatrix(A3))
-        assert {(e.source, e.target, e.value) for e in g.edges} == {
-            (1, 0, (1, 1)),
-            (1, 2, (1, 1)),
-        }
+        assert to_dot(ExchangeMatrix(A3)).splitlines()[4:6] == [
+            '  v1 -> v0 [label="(1,1)"];',
+            '  v1 -> v2 [label="(1,1)"];',
+        ]
 
     def test_valued_edge(self):
-        g = to_valued_graph(ExchangeMatrix([[0, -1], [4, 0]]))
-        assert [(e.source, e.target, e.value) for e in g.edges] == [(1, 0, (4, 1))]
+        assert to_dot(ExchangeMatrix([[0, -1], [4, 0]])) == (
+            'digraph Q {\n  v0 [label="1"];\n  v1 [label="2"];\n'
+            '  v1 -> v0 [label="(4,1)"];\n}\n'
+        )
 
-    @given(skew_symmetric_matrices())
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, m):
-        assert from_valued_graph(to_valued_graph(m)) == m
+    @given(bounded_skew_symmetrizable_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, rows, data):
+        labels = data.draw(st.lists(st.text("abxy12_", min_size=1, max_size=3),
+                                    min_size=len(rows), max_size=len(rows)))
+        m = ExchangeMatrix(rows, labels)
+        assert parse_dot(to_dot(m)) == (m.labels, m.entries)
 
     def test_dot_output(self):
-        text = to_dot(to_valued_graph(ExchangeMatrix(B2Q)))
+        text = to_dot(ExchangeMatrix(B2Q))
         assert "digraph" in text
         assert '[label="(1,2)"]' in text
 

@@ -160,9 +160,20 @@ class TestPermutationGroup:
         assert set(group.elements()) == powers
 
     def test_stabilizer_order(self):
+        # quotient_symmetrizer reads |stab(i)| as |G| / |orbit of i|
         s3 = PermutationGroup(4, [(0, 2, 1, 3), (0, 2, 3, 1)])
-        assert s3.stabilizer_order(0) == 6  # fixed point
-        assert s3.stabilizer_order(1) == 2  # orbit of size 3 in a group of 6
+        assert s3.orbits() == ((0,), (1, 2, 3))
+        for orbit, stabilizer in zip(s3.orbits(), (6, 2)):
+            fixing = [g for g in s3.elements() if g[orbit[0]] == orbit[0]]
+            assert len(fixing) == s3.order() // len(orbit) == stabilizer
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
+    @settings(max_examples=200, deadline=None)
+    def test_orbits_match_the_images_under_every_element(self, group):
+        group = PermutationGroup(*group)
+        reference = {tuple(sorted({g[i] for g in group.elements()})) for i in range(group.n)}
+        assert group.orbits() == tuple(sorted(reference))
 
     def test_compose_inverse(self):
         g = (1, 2, 0)

@@ -62,7 +62,6 @@ def test_import_loads_no_decorator_annotation_or_number_modules():
 
 # Library code that only tests call, each kept as an independent reference.
 CALLED_ONLY_BY_TESTS = {
-    "from_valued_graph",  # its round trip is the only full check of to_valued_graph
     "all_orbit_orderings_agree",  # every ordering of an orbit, against orbit_mutate_seed's one
     "parse_polynomial",  # builds the expected Laurent polynomials of the hand-worked examples
 }
@@ -114,3 +113,29 @@ def test_every_library_function_and_class_has_a_caller():
                        for name, where, line in uses):
                 uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert sorted(name.split()[-1] for name in uncalled) == sorted(CALLED_ONLY_BY_TESTS), uncalled
+
+
+def _private_attribute_reads(tree):
+    """The ``_name`` attribute reads of one module that it does not own itself:
+    owning means assigning the attribute, defining a function or class of that
+    name, or listing it in a ``__slots__``."""
+    reads, owned = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not (
+                node.attr.startswith("__") and node.attr.endswith("__")):
+            if isinstance(node.ctx, ast.Load):
+                reads.append(node)
+            else:
+                owned.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owned.add(node.name)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__" for target in node.targets):
+            owned.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return [f"{node.lineno} {ast.unparse(node)}" for node in reads if node.attr not in owned]
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    foreign = {path.name: reads for path in sorted((ROOT / "src" / "clusterfold").glob("*.py"))
+               if (reads := _private_attribute_reads(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert foreign == {}

@@ -15,8 +15,23 @@ from clusterfold.roots import (
 )
 from clusterfold import catalog
 from clusterfold.folding import quotient_matrix
+from clusterfold.seeds import LimitExceededError
 
 FINITE_PAIRS = ["A3toB2", "A5toC3", "D4toB3", "E6toF4", "D4toG2"]
+
+# family -> (ranks, number of positive roots at rank n)
+ROOT_COUNT_FORMULAS = {
+    "A": (range(1, 9), lambda n: n * (n + 1) // 2),
+    "B": (range(2, 9), lambda n: n * n),
+    "C": (range(3, 9), lambda n: n * n),
+    "D": (range(4, 9), lambda n: n * (n - 1)),
+    "E": (range(6, 9), lambda n: {6: 36, 7: 63, 8: 120}[n]),
+    "F": (range(4, 5), lambda n: 24),
+    "G": (range(2, 3), lambda n: 6),
+}
+# every finite type up to rank 8, and D16, whose 240 positive roots are exactly the cap
+POSITIVE_ROOT_COUNTS = [(family, n, count(n)) for family, (ranks, count) in
+                        ROOT_COUNT_FORMULAS.items() for n in ranks] + [("D", 16, 240)]
 
 
 def cartan(family, n):
@@ -38,13 +53,19 @@ class TestReflections:
 
 
 class TestPositiveRoots:
-    @pytest.mark.parametrize(
-        "family,n,count",
-        [("A", 2, 3), ("A", 3, 6), ("B", 2, 4), ("B", 3, 9), ("C", 3, 9),
-         ("D", 4, 12), ("G", 2, 6), ("F", 4, 24), ("E", 6, 36)],
-    )
+    @pytest.mark.parametrize("family,n,count", POSITIVE_ROOT_COUNTS)
     def test_counts(self, family, n, count):
-        assert len(positive_roots(cartan(family, n))) == count
+        # the count, and closure: s_i permutes the positive roots other than alpha_i
+        c = cartan(family, n)
+        found = positive_roots(c)
+        assert len(found) == count
+        for i, alpha in enumerate(simple_roots(n)):
+            assert {reflect(c, i, v) for v in found - {alpha}} == found - {alpha}
+
+    @pytest.mark.parametrize("family,n", [("D", 17), ("A", 22)])
+    def test_past_the_cap_is_a_limit(self, family, n):
+        with pytest.raises(LimitExceededError, match="more than 240 positive roots"):
+            positive_roots(cartan(family, n))
 
     def test_a2_explicit(self):
         assert positive_roots(cartan("A", 2)) == {(1, 0), (0, 1), (1, 1)}
