@@ -30,7 +30,7 @@ import random
 import sys
 
 from . import catalog, explorer, io, roots
-from .exchange import EntryOverflowError, ExchangeMatrix, cartan_counterpart, classify, to_dot
+from .exchange import EntryOverflowError, ExchangeMatrix, classify, to_dot
 from .folding import (
     FoldingPair,
     NotAdmissibleError,
@@ -163,7 +163,8 @@ def _cmd_fold(args, report: _Report) -> int:
     # --emit-dot path) is reported alone
     symmetrizer = quotient_symmetrizer(pair) if pair.admissible else None
     if pair.admissible and args.emit_dot:
-        _write_file(args.emit_dot, to_dot(quotient_matrix(pair)))
+        labels = [str(orbit[0] + 1) for orbit in pair.orbits]  # the least member of each orbit
+        _write_file(args.emit_dot, to_dot(quotient_matrix(pair), labels))
     report.add("orbits", " ".join(
         "{" + " ".join(str(v + 1) for v in orbit) + "}" for orbit in pair.orbits
     ))
@@ -175,7 +176,7 @@ def _cmd_fold(args, report: _Report) -> int:
     quotient = quotient_matrix(pair)
     _matrix_lines(report, quotient, "quotient")
     report.add("symmetrizer", " ".join(str(x) for x in symmetrizer))
-    kind = classify(cartan_counterpart(quotient))
+    kind = classify(quotient)
     report.add("type", kind.tag + (f" {kind.name}" if kind.name else ""))
     if args.emit_dot:
         report.add("dot", args.emit_dot)
@@ -239,7 +240,7 @@ def _cmd_catalog_show(args, report: _Report) -> int:
     if entry.pair.admissible:
         quotient = quotient_matrix(entry.pair)
         _matrix_lines(report, quotient, "quotient")
-        kind = classify(cartan_counterpart(quotient))
+        kind = classify(quotient)
         report.add("type", kind.tag + (f" {kind.name}" if kind.name else ""))
     if entry.expected_quotient_name:
         report.add("expected", entry.expected_quotient_name)
@@ -328,7 +329,7 @@ def _is_acyclic(b) -> bool:
 def _verify_finite_type_equality(args, report: _Report) -> int:
     pair = _load_pair(args)
     for side, matrix in (("ambient", pair.matrix), ("quotient", quotient_matrix(pair))):
-        tag = classify(cartan_counterpart(matrix), name_diagram=False).tag
+        tag = classify(matrix, name_diagram=False).tag
         if tag != "Finite" and _is_acyclic(matrix.entries):  # Fomin-Zelevinsky criterion
             raise ValueError(f"{side} matrix is acyclic and its Cartan counterpart is {tag}, "
                              "so it is not of finite type")

@@ -4,8 +4,8 @@ Entries are kept within signed 64-bit range with checked arithmetic:
 mutation of indefinite-type matrices can blow entries up, and explorers
 must see a clean error instead of silent wraparound.
 
-Vertices are 0-based throughout the library; labels (default "1".."n")
-carry the 1-based external numbering used in files and reports.
+Vertices are 0-based throughout the library; files and reports number
+them from 1.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def find_symmetrizer(entries) -> tuple[int, ...]:
 
 
 class ExchangeMatrix:
-    """A skew-symmetrizable square integer matrix.
+    """A skew-symmetrizable square integer matrix: its entries and its D.
 
     Immutable.  External construction validates: entries are coerced to
     int and range-checked, and the zero diagonal, sign coherence and the
@@ -125,9 +125,9 @@ class ExchangeMatrix:
     does the same for derived entries whose D the caller knows.
     """
 
-    __slots__ = ("n", "entries", "labels", "_symmetrizer")
+    __slots__ = ("n", "entries", "_symmetrizer")
 
-    def __init__(self, entries, labels: tuple[str, ...] | None = None):
+    def __init__(self, entries):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -138,13 +138,6 @@ class ExchangeMatrix:
         self._symmetrizer = find_symmetrizer(rows)
         self.n = n
         self.entries = rows
-        if labels is None:
-            labels = tuple(str(i + 1) for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("label count mismatch")
-        self.labels = labels
 
     @property
     def symmetrizer(self) -> tuple[int, ...]:
@@ -203,12 +196,11 @@ class ExchangeMatrix:
         child = object.__new__(ExchangeMatrix)
         child.n = n
         child.entries = tuple(rows)
-        child.labels = self.labels
         child._symmetrizer = d
         return child
 
     @classmethod
-    def from_symmetrizer(cls, entries, labels: tuple[str, ...], symmetrizer) -> "ExchangeMatrix":
+    def from_symmetrizer(cls, entries, symmetrizer) -> "ExchangeMatrix":
         """An n x n matrix of int rows checked against a known symmetrizer D.
 
         For matrices derived from a validated one whose D is known, such as
@@ -216,7 +208,7 @@ class ExchangeMatrix:
         entry is range-checked (:class:`EntryOverflowError`) and
         d_i*b_ij == -d_j*b_ji is checked in integers for i <= j, in
         ascending order, else :class:`NotSkewSymmetrizableError`.  D is
-        carried as given, not re-derived.
+        carried as given, not re-derived, and read by :func:`classify`.
         """
         rows = tuple(entries)
         for i, row in enumerate(rows):
@@ -227,7 +219,6 @@ class ExchangeMatrix:
         matrix = object.__new__(cls)
         matrix.n = len(rows)
         matrix.entries = rows
-        matrix.labels = tuple(labels)
         matrix._symmetrizer = tuple(symmetrizer)
         return matrix
 
@@ -257,12 +248,12 @@ def cartan_counterpart(matrix: ExchangeMatrix) -> tuple[tuple[int, ...], ...]:
 # valued graphs
 
 
-def to_dot(matrix: ExchangeMatrix) -> str:
-    """DOT rendering of the valued graph of B: a vertex per label and, for
-    each i < j with b_ij != 0, the arrow s -> t with b_st > 0 labelled
-    "(b_st,-b_ts)"."""
+def to_dot(matrix: ExchangeMatrix, labels) -> str:
+    """DOT rendering of the valued graph of B: vertex i labelled labels[i]
+    and, for each i < j with b_ij != 0, the arrow s -> t with b_st > 0
+    labelled "(b_st,-b_ts)"."""
     lines = ["digraph Q {"]
-    for i, label in enumerate(matrix.labels):
+    for i, label in enumerate(labels):
         lines.append(f'  v{i} [label="{label}"];')
     b = matrix.entries
     for i, j in combinations(range(matrix.n), 2):
@@ -279,36 +270,6 @@ def to_dot(matrix: ExchangeMatrix) -> str:
 
 # tag is "Finite", "Affine" or "Indefinite"
 CartanType = namedtuple("CartanType", "tag name", defaults=(None,))
-
-
-def _symmetrize(cartan) -> tuple[tuple[int, ...], ...]:
-    """The symmetric integer matrix DA of a symmetrizable generalized Cartan
-    matrix A, with D its minimal positive symmetrizer; ValueError otherwise."""
-    n = len(cartan)
-    # d_i c_ij = d_j c_ji is the same constraint as skew-symmetrizing the
-    # signed pattern s_ij = |c_ij| for i < j, s_ij = -|c_ij| for i > j.
-    skew = [
-        [
-            0 if i == j else (abs(cartan[i][j]) if i < j else -abs(cartan[i][j]))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    try:
-        d = find_symmetrizer(skew)
-    except NotSkewSymmetrizableError:
-        raise ValueError("Cartan matrix is not symmetrizable") from None
-    # verify on the original (sign pattern must also be symmetric and non-positive)
-    for i in range(n):
-        if cartan[i][i] != 2:
-            raise ValueError("Cartan matrix must have 2 on the diagonal")
-        for j in range(n):
-            if i != j:
-                if cartan[i][j] > 0:
-                    raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
-                    raise ValueError("Cartan matrix is not symmetrizable")
-    return tuple(tuple(d[i] * cartan[i][j] for j in range(n)) for i in range(n))
 
 
 def _definiteness(sym) -> tuple[bool, bool, int]:
@@ -344,16 +305,18 @@ def _definiteness(sym) -> tuple[bool, bool, int]:
     return corank == 0, True, corank
 
 
-def classify(cartan, name_diagram: bool = True) -> CartanType:
-    """Classify a symmetrizable generalized Cartan matrix.
+def classify(matrix: ExchangeMatrix, name_diagram: bool = True) -> CartanType:
+    """Classify the Cartan counterpart A of an exchange matrix by DA, D its carried symmetrizer.
 
-    Finite iff the symmetrized form is positive definite; Affine iff it
-    is positive semidefinite of corank 1; Indefinite otherwise.  A Finite
-    or Affine diagram is named by one dict lookup of its canonical form
-    among the connected reference diagrams of its tag and rank in
+    Finite iff DA is positive definite; Affine iff it is positive
+    semidefinite of corank 1; Indefinite otherwise.  A Finite or Affine
+    diagram is named by one dict lookup of the canonical form of A among
+    the connected reference diagrams of its tag and rank in
     :func:`catalog.named_cartan_matrices`; a disconnected one is unnamed.
     """
-    sym = _symmetrize(cartan)
+    cartan = cartan_counterpart(matrix)
+    # DA is symmetric because d_i*|b_ij| == d_j*|b_ji|
+    sym = [[d * c for c in row] for d, row in zip(matrix.symmetrizer, cartan)]
     definite, semidefinite, corank = _definiteness(sym)
     if definite:
         tag = "Finite"

@@ -178,9 +178,6 @@ class FoldingPair:
     def orbit_count(self) -> int:
         return len(self.orbits)
 
-    def orbit_labels(self) -> tuple[str, ...]:
-        return tuple(self.matrix.labels[o[0]] for o in self.orbits)
-
     def require_admissible(self) -> None:
         if not self.admissible:
             raise NotAdmissibleError(self.witness)
@@ -217,9 +214,7 @@ def quotient_matrix(pair: FoldingPair) -> ExchangeMatrix:
     """The folded exchange matrix of an admissible pair, built once per pair."""
     pair.require_admissible()
     if pair._quotient is None:
-        pair._quotient = ExchangeMatrix(
-            quotient_entries(pair.matrix, pair.orbits), pair.orbit_labels()
-        )
+        pair._quotient = ExchangeMatrix(quotient_entries(pair.matrix, pair.orbits))
     return pair._quotient
 
 
@@ -233,8 +228,7 @@ def quotient_symmetrizer(pair: FoldingPair) -> tuple[int, ...]:
             raise ValueError("symmetrizer is not constant on orbits")
     order = pair.group.order()
     delta = tuple(d[orbit[0]] * order // len(orbit) for orbit in pair.orbits)
-    quotient = quotient_matrix(pair)
-    ExchangeMatrix.from_symmetrizer(quotient.entries, quotient.labels, delta)
+    ExchangeMatrix.from_symmetrizer(quotient_matrix(pair).entries, delta)
     return delta
 
 
@@ -256,23 +250,31 @@ def orbit_mutate_seed(pair: FoldingPair, seed: Seed, orbit_index: int, *,
     return seed, admissibility_witness(seed.matrix, pair.orbits)
 
 
+def _checked_orbit_word(pair: FoldingPair, word) -> tuple[int, ...]:
+    """The word as a tuple; ValueError at its first orbit index out of range."""
+    word, count = tuple(word), len(pair.orbits)
+    for idx in word:
+        if not 0 <= idx < count:
+            raise ValueError(f"orbit index {idx + 1} out of range")
+    return word
+
+
 def orbit_mutate_word(pair: FoldingPair, seed: Seed, word) -> tuple[Seed, tuple | None]:
     """Orbit-mutate a G-invariant seed of the pair along an orbit word.
 
     The seed must be G-invariant (else NotInvariantError); the orbit step
-    keeps it so.  Each step needs an admissible current matrix, the
-    given seed's included (else NotAdmissibleError with its witness).
-    The group's orbits do not depend on the matrix, so the pair's orbits
-    serve every step.  Returns the final seed and the admissibility
-    witness of its matrix (None when admissible).
+    keeps it so.  An orbit index out of range raises ValueError before any
+    step.  Each step needs an admissible current matrix, the given seed's
+    included (else NotAdmissibleError with its witness).  The group's
+    orbits do not depend on the matrix, so the pair's orbits serve every
+    step.  Returns the final seed and the admissibility witness of its
+    matrix (None when admissible).
     """
     if not is_invariant_seed(seed, pair.group.generators):
         raise NotInvariantError("orbit mutation requires a G-invariant seed")
+    word = _checked_orbit_word(pair, word)
     witness = admissibility_witness(seed.matrix, pair.orbits)
-    count = pair.orbit_count
     for idx in word:
-        if not 0 <= idx < count:
-            raise ValueError(f"orbit index {idx + 1} out of range")
         if witness is not None:
             raise NotAdmissibleError(witness)
         seed, witness = orbit_mutate_seed(pair, seed, idx)
@@ -309,9 +311,8 @@ def project_seed(pair: FoldingPair, seed: Seed, check: bool = True) -> Seed:
     quotient = quotient_matrix(pair)
     if check and not is_invariant_seed(seed, pair.group.generators):
         raise NotInvariantError("projection requires a G-invariant seed")
-    matrix = ExchangeMatrix.from_symmetrizer(
-        quotient_entries(seed.matrix, pair.orbits), quotient.labels, quotient.symmetrizer
-    )
+    matrix = ExchangeMatrix.from_symmetrizer(quotient_entries(seed.matrix, pair.orbits),
+                                             quotient.symmetrizer)
     for x in seed.cluster:
         if x not in pair._projections:
             pair._projections[x] = x.project(pair.orbits)
@@ -462,11 +463,7 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
     checked (NotInvariantError, NotSkewSymmetrizableError).
     """
     pair.require_admissible()
-    word = tuple(word)
-    count = pair.orbit_count
-    for idx in word:
-        if not 0 <= idx < count:
-            raise ValueError(f"orbit index {idx + 1} out of range")
+    word = _checked_orbit_word(pair, word)
     if pair._orbit_seeds is None:
         pair._orbit_seeds = OrbitSeedGraph(pair)
     node = pair._orbit_seeds.walk(word, require_stable)

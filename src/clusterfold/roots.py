@@ -1,17 +1,18 @@
-"""Root systems of generalized Cartan matrices and the folding lemmas.
+"""Root systems of exchange matrices and the folding lemmas.
 
-Roots are integer coordinate vectors over the simple roots.  The simple
-reflection s_i sends a vector v to v - (sum_j c_ij v_j) alpha_i, so only
-coordinate i changes.  For finite type the positive roots are the
-closure of the simple roots under the reflections, on the BFS engine.
+The roots of an exchange matrix are those of its Cartan counterpart A,
+integer coordinate vectors over the simple roots.  The simple reflection
+s_i sends v to v - (sum_j a_ij v_j) alpha_i, so only coordinate i
+changes.  For finite type the positive roots are the closure of the
+simple roots under the reflections, on the BFS engine.
 """
 
 from __future__ import annotations
 
-from .exchange import cartan_counterpart, classify
+from .exchange import ExchangeMatrix, cartan_counterpart, classify
 from .folding import FoldingPair, project_vector, quotient_matrix
 from .search import bfs
-from .seeds import LimitExceededError
+from .seeds import LimitExceededError, enumerate_cluster_variables
 
 POSITIVE_ROOT_CAP = 240  # the largest finite root system we accept (E8-sized)
 
@@ -21,7 +22,7 @@ class NotFiniteTypeError(ValueError):
 
 
 def reflect(cartan, i: int, v) -> tuple[int, ...]:
-    """Simple reflection s_i in coordinates."""
+    """Simple reflection s_i of the generalized Cartan matrix ``cartan``, in coordinates."""
     n = len(cartan)
     coeff = sum(cartan[i][j] * v[j] for j in range(n))
     out = list(v)
@@ -33,12 +34,14 @@ def simple_roots(n: int) -> list[tuple[int, ...]]:
     return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
 
-def positive_roots(cartan) -> frozenset[tuple[int, ...]]:
-    """All positive roots of a finite-type Cartan matrix, by reflection closure
-    from the zero vector; more than POSITIVE_ROOT_CAP raise LimitExceededError."""
-    if classify(cartan, name_diagram=False).tag != "Finite":
+def positive_roots(matrix: ExchangeMatrix) -> frozenset[tuple[int, ...]]:
+    """All positive roots of a finite-type exchange matrix, by reflection
+    closure of its Cartan counterpart from the zero vector; more than
+    POSITIVE_ROOT_CAP raise LimitExceededError."""
+    if classify(matrix, name_diagram=False).tag != "Finite":
         raise NotFiniteTypeError("positive roots require a finite-type Cartan matrix")
-    n = len(cartan)
+    cartan = cartan_counterpart(matrix)
+    n = matrix.n
     zero = (0,) * n
     alphas = simple_roots(n)
 
@@ -56,11 +59,11 @@ def positive_roots(cartan) -> frozenset[tuple[int, ...]]:
     return frozenset(search.visited) - {zero}
 
 
-def almost_positive_roots(cartan) -> frozenset[tuple[int, ...]]:
-    """Positive roots together with the negatives of the simple roots."""
-    n = len(cartan)
+def almost_positive_roots(matrix: ExchangeMatrix) -> frozenset[tuple[int, ...]]:
+    """Positive roots of a finite-type exchange matrix with the negatives of the simple roots."""
+    n = matrix.n
     negatives = {tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)}
-    return positive_roots(cartan) | negatives
+    return positive_roots(matrix) | negatives
 
 
 def _permute_root(g, v) -> tuple[int, ...]:
@@ -78,8 +81,8 @@ def verify_root_projection(pair: FoldingPair):
     the projection has, or when there is none the least that only the
     quotient has.
     """
-    ambient = almost_positive_roots(cartan_counterpart(pair.matrix))
-    quotient = almost_positive_roots(cartan_counterpart(quotient_matrix(pair)))
+    ambient = almost_positive_roots(pair.matrix)
+    quotient = almost_positive_roots(quotient_matrix(pair))
     projected = {project_vector(v, pair.orbits) for v in ambient}
     if projected == quotient:
         return True, None
@@ -92,7 +95,7 @@ def verify_fiber_orbits(pair: FoldingPair):
     Returns (ok, witness) with witness a pair of roots violating the
     claim.  Exhaustive over the almost positive roots.
     """
-    roots = sorted(almost_positive_roots(cartan_counterpart(pair.matrix)))
+    roots = sorted(almost_positive_roots(pair.matrix))
     elements = pair.group.elements()
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for v in roots:
@@ -106,17 +109,14 @@ def verify_fiber_orbits(pair: FoldingPair):
     return True, None
 
 
-def verify_denominator_bijection(matrix, max_seeds: int = 100_000):
+def verify_denominator_bijection(matrix: ExchangeMatrix, max_seeds: int = 100_000):
     """Check that denominator vectors biject the cluster variables of a
     finite-type matrix onto its almost positive roots.
 
     Returns (ok, detail) where detail reports the first discrepancy; ok
     is None when the enumeration did not close within ``max_seeds``.
     """
-    from .seeds import enumerate_cluster_variables
-
-    cartan = cartan_counterpart(matrix)
-    roots = almost_positive_roots(cartan)
+    roots = almost_positive_roots(matrix)
     result = enumerate_cluster_variables(matrix, max_seeds=max_seeds)
     if not result.complete:
         return None, "enumeration did not close within the limit"

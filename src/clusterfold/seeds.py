@@ -159,7 +159,7 @@ def permute_seed(g, seed: Seed) -> Seed:
     b = seed.matrix.entries
     entries = tuple(tuple(b[inv[i]][inv[j]] for j in range(n)) for i in range(n))
     cluster = tuple(seed.cluster[inv[i]].permute_variables(g) for i in range(n))
-    return Seed(ExchangeMatrix(entries, seed.matrix.labels), cluster)
+    return Seed(ExchangeMatrix(entries), cluster)
 
 
 def is_invariant_seed(seed: Seed, generators) -> bool:

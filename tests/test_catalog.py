@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterfold.exchange import cartan_counterpart, classify
+from clusterfold.exchange import classify
 from clusterfold.folding import check_stability, quotient_matrix
 from clusterfold import catalog, io
 
@@ -44,7 +44,7 @@ class TestDynkinConstructor:
     def test_b2_up_to_orientation(self):
         m = catalog.dynkin("B", 2)
         assert {abs(m.entries[0][1]), abs(m.entries[1][0])} == {1, 2}
-        assert classify(cartan_counterpart(m)).name == "B2"
+        assert classify(m).name == "B2"
 
     def test_explicit_orientation(self):
         m = catalog._quiver(3, [(1, 0), (1, 2)])
@@ -58,7 +58,7 @@ class TestDynkinConstructor:
         "family,n", [("A", 5), ("B", 4), ("C", 3), ("D", 5), ("E", 7), ("F", 4), ("G", 2)]
     )
     def test_classifies_as_named(self, family, n):
-        kind = classify(cartan_counterpart(catalog.dynkin(family, n)))
+        kind = classify(catalog.dynkin(family, n))
         assert kind.tag == "Finite"
         assert kind.name == f"{family}{n}"
 
@@ -97,7 +97,7 @@ class TestAffineConstructor:
          "~D5", "~E6", "~E7", "~E8", "~F4(1)", "~F4(2)", "~G2(1)", "~G2(2)"],
     )
     def test_classifies_affine(self, name):
-        kind = classify(cartan_counterpart(catalog.affine(name)))
+        kind = classify(catalog.affine(name))
         assert kind.tag == "Affine"
         assert kind.name == name
 
@@ -143,14 +143,14 @@ class TestFoldingPairs:
         if "quotient" in PINNED[name]:
             rows = PINNED[name]["quotient"].split(" / ")
             assert quotient.entries == tuple(tuple(map(int, row.split())) for row in rows), name
-        kind = classify(cartan_counterpart(quotient))
+        kind = classify(quotient)
         assert kind.name == entry.expected_quotient_name, name
 
     @pytest.mark.parametrize("name", FIXED_ADMISSIBLE)
     def test_fixed_pair_type_consistency(self, name):
         entry = catalog.folding_pair(name)
-        ambient = classify(cartan_counterpart(entry.pair.matrix)).tag
-        quotient = classify(cartan_counterpart(quotient_matrix(entry.pair))).tag
+        ambient = classify(entry.pair.matrix).tag
+        quotient = classify(quotient_matrix(entry.pair)).tag
         assert ambient == quotient  # finite folds to finite, affine to affine
 
     @pytest.mark.parametrize("family,min_n", PARAMETRIC)
@@ -158,7 +158,7 @@ class TestFoldingPairs:
         for n in range(min_n, 9):
             entry = catalog.folding_pair(family, n)
             assert entry.pair.admissible, (family, n)
-            kind = classify(cartan_counterpart(quotient_matrix(entry.pair)))
+            kind = classify(quotient_matrix(entry.pair))
             assert kind.name == entry.expected_quotient_name, (family, n)
 
     def test_every_affine_diagram_is_realized(self):

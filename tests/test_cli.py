@@ -236,6 +236,30 @@ class TestFold:
         assert code == 0
         assert target.read_text().startswith("digraph")
 
+    def test_emit_dot_labels_each_vertex_by_its_orbit_representative(self, capsys, tmp_path):
+        # the orbits of E6toF4 are {1 5} {2 4} {3} {6}: the labels are 1, 2, 3 and 6
+        target = tmp_path / "quotient.dot"
+        code, out = run_cli(capsys, "fold", "--pair", "E6toF4", "--emit-dot", str(target))
+        assert code == 0
+        assert target.read_text() == (
+            'digraph Q {\n  v0 [label="1"];\n  v1 [label="2"];\n  v2 [label="3"];\n'
+            '  v3 [label="6"];\n  v1 -> v0 [label="(1,1)"];\n  v1 -> v2 [label="(2,1)"];\n'
+            '  v3 -> v2 [label="(1,1)"];\n}\n'
+        )
+
+    def test_emit_dot_of_a_matrix_file_and_inline_group(self, capsys, tmp_path):
+        # A3 with its middle vertex numbered 3: the orbits {1 2} {3} give labels 1 and 3
+        path = tmp_path / "a3.txt"
+        path.write_text("n = 3\n0 0 -1\n0 0 -1\n1 1 0\n")
+        target = tmp_path / "quotient.dot"
+        code, out = run_cli(capsys, "fold", "--matrix", str(path), "--group", "(1 2)",
+                            "--emit-dot", str(target))
+        assert (code, out.splitlines()[0]) == (0, "orbits: {1 2} {3}")
+        assert target.read_text() == (
+            'digraph Q {\n  v0 [label="1"];\n  v1 [label="3"];\n'
+            '  v1 -> v0 [label="(1,2)"];\n}\n'
+        )
+
 
 @pytest.mark.parametrize("command", ["fold", "enumerate"])
 def test_unwritable_emit_dot_is_reported_alone(capsys, tmp_path, command):

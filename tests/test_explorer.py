@@ -147,7 +147,7 @@ class TestMutationClass:
             if child.entries != target.entries:
                 return child
             bad = object.__new__(ExchangeMatrix)
-            bad.n, bad.entries, bad.labels = child.n, corrupt, child.labels
+            bad.n, bad.entries = child.n, corrupt
             bad._symmetrizer = child.symmetrizer
             return bad
 

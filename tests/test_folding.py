@@ -98,7 +98,7 @@ def commutation_per_word(pair, word):
     ambient, witness = orbit_mutate_word(pair, initial_seed(pair.matrix), word)
     if witness is not None:
         raise NotAdmissibleError(witness)
-    matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits), pair.orbit_labels())
+    matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits))
     cluster = []
     for orbit in pair.orbits:
         images = {ambient.cluster[i].project(pair.orbits) for i in orbit}
@@ -121,7 +121,7 @@ def lenient_commutation_per_word(pair, word):
     for idx in word:
         for k in pair.orbits[idx]:
             ambient = mutate_seed(ambient, k)
-    matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits), pair.orbit_labels())
+    matrix = ExchangeMatrix(quotient_entries(ambient.matrix, pair.orbits))
     cluster = tuple(ambient.cluster[orbit[0]].project(pair.orbits) for orbit in pair.orbits)
     projected = Seed(matrix, cluster)
     return projected == quotient_seed, quotient_seed, projected
@@ -335,9 +335,6 @@ class TestQuotients:
         entry = catalog.folding_pair("D4t-A1t2")
         assert quotient_symmetrizer(entry.pair) == (24, 6)
 
-    def test_quotient_labels(self):
-        assert quotient_matrix(a3_pair()).labels == ("1", "2")
-
 
 class TestOrbitMutation:
     def test_matches_closed_form(self):
@@ -451,7 +448,6 @@ class TestProjection:
         projected = project_seed(pair, seed, check=False)
         assert built == []
         assert projected.matrix.symmetrizer == quotient.symmetrizer
-        assert projected.matrix.labels == quotient.labels
 
     def test_projection_checked_against_the_quotient_symmetrizer(self):
         # G-invariant, but outside the pair's mutation class: the quotient
@@ -791,6 +787,24 @@ class TestOrbitMutateWord:
         pair = a3_pair()
         with pytest.raises(ValueError, match="orbit index 3 out of range"):
             orbit_mutate_word(pair, initial_seed(A3), (0, 2))
+
+    def test_orbit_index_out_of_range_before_any_step(self, monkeypatch):
+        steps = []
+        step = folding.orbit_mutate_seed
+
+        def counted(pair, seed, orbit_index, **kwargs):
+            steps.append(orbit_index)
+            return step(pair, seed, orbit_index, **kwargs)
+
+        monkeypatch.setattr(folding, "orbit_mutate_seed", counted)
+        pair = a3_pair()
+        with pytest.raises(ValueError, match="orbit index 100 out of range"):
+            orbit_mutate_word(pair, initial_seed(A3), (0, 99))
+        assert steps == []
+        # a word given as an iterator is read once, by the check, and still walked
+        assert orbit_mutate_word(pair, initial_seed(A3), iter((0, 1))) == (
+            orbit_mutate_word(pair, initial_seed(A3), (0, 1)))
+        assert steps == [0, 1, 0, 1]
 
 
 class TestNonStableGolden:

@@ -139,3 +139,32 @@ def test_no_module_reads_another_modules_private_attribute():
     foreign = {path.name: reads for path in sorted((ROOT / "src" / "clusterfold").glob("*.py"))
                if (reads := _private_attribute_reads(ast.parse(path.read_text(encoding="utf-8"))))}
     assert foreign == {}
+
+
+def _relative_imports(nodes):
+    """(module, line) for each package module that the relative imports among ``nodes`` load."""
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0], node.lineno
+            else:  # from . import name, ...
+                for alias in node.names:
+                    yield alias.name, node.lineno
+
+
+def test_function_level_imports_only_break_import_cycles():
+    # an import inside a function is allowed only where the module it loads
+    # imports this one at module level, so that a module-level import would be a cycle
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "clusterfold").glob("*.py"))}
+    at_module_level = {name: {module for module, _ in _relative_imports(tree.body)}
+                       for name, tree in trees.items()}
+    needless = []
+    for name, tree in trees.items():
+        nested = dict.fromkeys(node for function in ast.walk(tree)
+                               if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               for node in ast.walk(function))  # once, though nested functions repeat
+        for module, line in _relative_imports(nested):
+            if name not in at_module_level.get(module, ()):
+                needless.append(f"{name}.py:{line} {module}")
+    assert needless == []
