@@ -9,12 +9,14 @@ Chain conventions (reading the Cartan matrix along the chain):
   B_n has its short end last (c[n-1][n] = -1, c[n][n-1] = -2),
   C_n the other way (c[n-1][n] = -2, c[n][n-1] = -1);
   at rank 2 the two coincide up to relabeling and the single name "B2"
-  is used, as "A3" is for D3.  Diagrams are oriented bipartitely (arrows
-  from odd to even BFS layers), except the cycles ~An, which get an
-  acyclic linear orientation.  A quiver given by its arrows, as ~An and
-  some rows of the pair table are, is simply laced: each arrow s -> t is
-  b_st = 1, b_ts = -1.  Each folding pair's row states how its ambient
-  quiver is oriented, and every row's group preserves it.
+  is used, as "A3" is for D3.  Diagrams are oriented bipartitely (a
+  vertex's colour is the parity of its distance from the least vertex of
+  its component; arrows run from odd to even), except the cycles ~An,
+  which get an acyclic linear orientation.  A quiver given by its arrows,
+  as ~An, the stars and some rows of the pair table are, is simply laced:
+  each arrow s -> t is b_st = 1, b_ts = -1.  Each folding pair's row
+  states how its ambient quiver is oriented, and every row's group
+  preserves it.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ def _chain(pairs, start: int = 0, forks=()) -> tuple[tuple[int, ...], ...]:
     edges += [(i, j, 1, 1) for i, j in forks]
     n = 1 + max([start + len(pairs), *(max(fork) for fork in forks)])
     return _cartan_from_edges(n, edges)
-
-
-def _simply_laced(n: int, adjacency) -> tuple[tuple[int, ...], ...]:
-    return _cartan_from_edges(n, [(i, j, 1, 1) for i, j in adjacency])
 
 
 # tag -> ({family: (smallest n, Cartan builder)}, {name of fixed rank: Cartan matrix})
@@ -124,35 +122,28 @@ def named_cartan_matrices(tag: str):
 
 def orient_cartan(cartan) -> ExchangeMatrix:
     """Build an exchange matrix from a symmetrizable Cartan matrix, with
-    arrows from odd to even BFS layers.
-
-    The diagram must be bipartite, which every tree and even cycle is
-    (else ValueError).
-    """
+    arrows from odd to even vertices, a colour being the parity of the
+    distance from the least vertex of the component: b_ij = |c_ij| from an
+    odd i, -|c_ij| from an even one.  The diagram must be bipartite, which
+    every tree and even cycle is (else ValueError)."""
     n = len(cartan)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0]
     color = [-1] * n
-    for start in list(range(n)):
+    for start in range(n):
         if color[start] != -1:
             continue
         color[start] = 0
         stack = [start]
         while stack:
             v = stack.pop()
-            for i, j in edges:
-                if v in (i, j):
-                    w = j if v == i else i
+            for w in range(n):
+                if w != v and cartan[v][w]:
                     if color[w] == -1:
                         color[w] = 1 - color[v]
                         stack.append(w)
                     elif color[w] == color[v]:
                         raise ValueError("diagram is not bipartite")
-    oriented = [(j, i) if color[i] == 0 else (i, j) for i, j in edges]
-    b = [[0] * n for _ in range(n)]
-    for s, t in oriented:
-        b[s][t] = abs(cartan[s][t])
-        b[t][s] = -abs(cartan[t][s])
-    return ExchangeMatrix(b)
+    return ExchangeMatrix([[0 if i == j else abs(c) if color[i] else -abs(c)
+                            for j, c in enumerate(row)] for i, row in enumerate(cartan)])
 
 
 def dynkin(family: str, n: int) -> ExchangeMatrix:
@@ -197,7 +188,7 @@ def _entry(name: str, matrix: ExchangeMatrix, generators: str, quotient: str | N
 
 def _star(leaves: int) -> ExchangeMatrix:
     """Vertex 0 with ``leaves`` leaves, every arrow pointing into it (bipartite)."""
-    return orient_cartan(_simply_laced(leaves + 1, [(0, k) for k in range(1, leaves + 1)]))
+    return _quiver(leaves + 1, [(k, 0) for k in range(1, leaves + 1)])
 
 
 def _quiver(n: int, arrows) -> ExchangeMatrix:
@@ -269,7 +260,7 @@ def _d_tilde_double(n: int) -> ExchangeMatrix:
     edges = [(0, 1), (0, n), *((i, i + 1) for i in range(1, n - 1)),
              *((n + i, n + i + 1) for i in range(n - 2)),
              (n - 1, 2 * n - 1), (n - 1, 2 * n), (2 * n - 2, 2 * n + 1), (2 * n - 2, 2 * n + 2)]
-    return orient_cartan(_simply_laced(2 * n + 3, edges))
+    return orient_cartan(_cartan_from_edges(2 * n + 3, [(i, j, 1, 1) for i, j in edges]))
 
 
 def _sigma_z(n: int, z_pairs) -> str:

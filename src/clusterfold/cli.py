@@ -49,6 +49,7 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 _INDEFINITE_CONTROL = ((0, 2, 0), (-2, 0, 2), (0, -2, 0))
+WORD_CAP = 1_000_000  # the most words ``verify commutation`` checks
 
 
 class _Report:
@@ -146,9 +147,6 @@ def _write_file(path: str, content: str):
 def _cmd_mutate(args, report: _Report) -> int:
     matrix = _load_matrix(args)
     word = _parse_word(args.word) if args.word else ()
-    for k in word:
-        if not 0 <= k < matrix.n:
-            raise ValueError(f"vertex {k + 1} out of range")
     seed = apply_mutation_word(initial_seed(matrix), word)
     report.add("word", " ".join(str(k + 1) for k in word) or "(empty)")
     _matrix_lines(report, seed.matrix)
@@ -279,6 +277,11 @@ def _report_stability(report: _Report, pair: FoldingPair, limit: int, expect_sta
 
 def _verify_commutation(args, report: _Report) -> int:
     pair = _load_pair(args)
+    total, term = args.random_words, 1
+    for _ in range(args.depth + 1):  # the sum of m^L over L <= depth, stopped past the cap
+        total, term = total + term, term * pair.orbit_count
+        if total > WORD_CAP:
+            raise ValueError(f"at least {total} words to check, past the cap of {WORD_CAP}")
     code = _report_stability(report, pair, args.limit, expect_stable=True)
     if code is not None:
         return code

@@ -268,20 +268,13 @@ class LaurentPolynomial:
         return tuple(-m for m in self._bounds()[0])
 
     def permute_variables(self, g: tuple[int, ...]) -> "LaurentPolynomial":
-        """Relabel variables u_j -> u_{g[j]} for a permutation g of 0..n-1."""
+        """Relabel variables u_j -> u_{g[j]} for a permutation g of 0..n-1: the
+        projection onto the one-vertex orbits (g^-1(0),), (g^-1(1),), ...."""
         if len(g) != self.n:
             raise ValueError("permutation length mismatch")
         if sorted(g) != list(range(self.n)):
             raise ValueError(f"{tuple(g)} is not a permutation of the variable indices")
-        shifts, _, mask = _layout(self.n, self._w)
-        moves = [(s, shifts[gj]) for s, gj in zip(shifts, g)]
-        terms = {}
-        for key, coeff in self._terms.items():
-            new = 0
-            for source, target in moves:
-                new |= ((key >> source) & mask) << target
-            terms[new] = coeff
-        return LaurentPolynomial._from_keys(self.n, self._w, self._m, terms)
+        return self.project([(j,) for j in sorted(range(self.n), key=g.__getitem__)])
 
     def project(self, orbits: Iterable[Iterable[int]]) -> "LaurentPolynomial":
         """Apply the orbit projection u_i -> v_{orbit of i}.

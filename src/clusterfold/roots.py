@@ -66,14 +66,6 @@ def almost_positive_roots(matrix: ExchangeMatrix) -> frozenset[tuple[int, ...]]:
     return positive_roots(matrix) | negatives
 
 
-def _permute_root(g, v) -> tuple[int, ...]:
-    """Action alpha_i -> alpha_{g i} in coordinates."""
-    out = [0] * len(v)
-    for i, x in enumerate(v):
-        out[g[i]] = x
-    return tuple(out)
-
-
 def verify_root_projection(pair: FoldingPair):
     """Check pi(almost positive roots of B) == almost positive roots of B/G.
 
@@ -92,8 +84,9 @@ def verify_root_projection(pair: FoldingPair):
 def verify_fiber_orbits(pair: FoldingPair):
     """Check that equal-projection roots lie in one G-orbit.
 
-    Returns (ok, witness) with witness a pair of roots violating the
-    claim.  Exhaustive over the almost positive roots.
+    Returns (ok, witness) with witness a fiber's least root and a member
+    outside its orbit under all the group's elements, not only its
+    generators.  Exhaustive over the almost positive roots.
     """
     roots = sorted(almost_positive_roots(pair.matrix))
     elements = pair.group.elements()
@@ -102,7 +95,8 @@ def verify_fiber_orbits(pair: FoldingPair):
         fibers.setdefault(project_vector(v, pair.orbits), []).append(v)
     for members in fibers.values():
         base = members[0]
-        orbit = {_permute_root(g, base) for g in elements}
+        # base under g^-1 (alpha_i -> alpha_{g^-1 i}); over the group, g^-1 runs over it too
+        orbit = {tuple(base[i] for i in g) for g in elements}
         for other in members[1:]:
             if other not in orbit:
                 return False, (base, other)

@@ -136,7 +136,12 @@ def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
 
 
 def apply_mutation_word(seed: Seed, word) -> Seed:
-    """Left-to-right composition of seed mutations."""
+    """Left-to-right composition of seed mutations; a vertex out of range
+    raises ValueError, naming it 1-based, before any step."""
+    word = tuple(word)
+    for k in word:
+        if not 0 <= k < seed.matrix.n:
+            raise ValueError(f"vertex {k + 1} out of range")
     for k in word:
         seed = mutate_seed(seed, k)
     return seed
@@ -153,9 +158,7 @@ def permute_seed(g, seed: Seed) -> Seed:
     n = seed.matrix.n
     if sorted(g) != list(range(n)):
         raise ValueError("g must be a permutation of the vertices")
-    inv = [0] * n
-    for i, gi in enumerate(g):
-        inv[gi] = i
+    inv = sorted(range(n), key=g.__getitem__)
     b = seed.matrix.entries
     entries = tuple(tuple(b[inv[i]][inv[j]] for j in range(n)) for i in range(n))
     cluster = tuple(seed.cluster[inv[i]].permute_variables(g) for i in range(n))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterfold.exchange import classify
+from clusterfold.exchange import cartan_counterpart, classify
 from clusterfold.folding import check_stability, quotient_matrix
 from clusterfold import catalog, io
 
@@ -67,6 +67,58 @@ class TestDynkinConstructor:
             catalog.dynkin("E", 5)
         with pytest.raises(ValueError):
             catalog.dynkin("X", 3)
+
+
+def edge_list_orientation(cartan):
+    """Reference orientation: 2-colour the edge list, each popped vertex rescanning
+    every edge, then point each edge from its odd end to its even end."""
+    n = len(cartan)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0]
+    color = [-1] * n
+    for start in range(n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for i, j in edges:
+                if v in (i, j):
+                    w = j if v == i else i
+                    if color[w] == -1:
+                        color[w] = 1 - color[v]
+                        stack.append(w)
+                    elif color[w] == color[v]:
+                        raise ValueError("diagram is not bipartite")
+    b = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        s, t = (j, i) if color[i] == 0 else (i, j)
+        b[s][t] = abs(cartan[s][t])
+        b[t][s] = -abs(cartan[t][s])
+    return tuple(map(tuple, b))
+
+
+class TestOrientation:
+    @pytest.mark.parametrize("tag", ["Finite", "Affine"])
+    def test_named_diagrams_match_the_edge_list_reference(self, tag):
+        bipartite = 0
+        for name, cartan in catalog.named_cartan_matrices(tag):
+            try:
+                expected = edge_list_orientation(cartan)
+            except ValueError:  # the odd cycles ~A2, ~A4, ...
+                with pytest.raises(ValueError, match="not bipartite"):
+                    catalog.orient_cartan(cartan)
+                continue
+            assert catalog.orient_cartan(cartan).entries == expected, name
+            bipartite += 1
+        assert bipartite > 20
+
+    @pytest.mark.parametrize("matrix", [
+        *(catalog._star(leaves) for leaves in (3, 4)),
+        *(catalog._d_tilde_double(n) for n in (2, 3, 4)),
+    ])
+    def test_built_ambients_match_the_edge_list_reference(self, matrix):
+        assert matrix.entries == edge_list_orientation(cartan_counterpart(matrix))
 
 
 class TestAffineConstructor:

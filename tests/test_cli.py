@@ -168,6 +168,13 @@ class TestMutate:
         assert code == 2
         assert "error:" in out
 
+    def test_out_of_range_vertex_is_reported_alone(self, capsys):
+        code, out = run_cli(capsys, "mutate", "--pair", "A3toB2", "--word", "1 9")
+        assert (code, out) == (2, "error: vertex 9 out of range\n")
+        code, out = run_cli(capsys, "mutate", "--pair", "A3toB2", "--word", "1 9", "--json")
+        assert code == 2
+        assert json.loads(out) == {"error": "vertex 9 out of range"}
+
     def test_missing_input(self, capsys):
         code, out = run_cli(capsys, "mutate")
         assert code == 2
@@ -490,6 +497,30 @@ class TestVerify:
         assert code == 0
         assert "stability: stable-exhaustive" in out
         assert "status: verified" in out
+
+    @pytest.mark.parametrize("argv,count", [
+        (("--pair", "A3toB2", "--depth", "30"), 1_048_775),  # 2**20 - 1 exhaustive + 200 random
+        (("--pair", "A3toB2", "--depth", str(10**9)), 1_048_775),
+        (("--pair", "AtoC", "--rank", "32"), 1_082_601),  # 32 orbits at depth 4
+        (("--pair", "A3toB2", "--depth", "0", "--random-words", "1000000"), 1_000_001),
+    ])
+    def test_commutation_words_past_the_cap_are_refused_up_front(self, capsys, monkeypatch,
+                                                                  argv, count):
+        monkeypatch.setattr(cli, "check_stability", None)  # never reached
+        message = f"at least {count} words to check, past the cap of {cli.WORD_CAP}"
+        code, out = run_cli(capsys, "verify", "commutation", *argv)
+        assert (code, out) == (2, f"error: {message}\n")
+        code, out = run_cli(capsys, "verify", "commutation", *argv, "--json")
+        assert code == 2
+        assert json.loads(out) == {"error": message}
+
+    def test_commutation_words_at_the_cap_are_walked(self, capsys, monkeypatch):
+        # 1 + 2 + 4 exhaustive words and the rest random: exactly the cap
+        monkeypatch.setattr(cli, "WORD_CAP", 27)
+        code, out = run_cli(capsys, "verify", "commutation", "--pair", "A3toB2",
+                            "--depth", "2", "--random-words", "20")
+        assert code == 0
+        assert "words: 27" in out
 
     def test_commutation_unstable_pair(self, capsys):
         code, out = run_cli(

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import clusterfold
+import clusterfold.cli
 from clusterfold.search import Search
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,3 +170,14 @@ def test_function_level_imports_only_break_import_cycles():
             if name not in at_module_level.get(module, ()):
                 needless.append(f"{name}.py:{line} {module}")
     assert needless == []
+
+
+def test_every_traced_layer_resolves_but_the_known_stale_one():
+    # the tracer skips a layer it cannot resolve, so a renamed function would drop
+    # out of traced runs without a word; explorer.orbit_mutation_class left src/ long ago
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = {layer for layer, (module, path) in tracer.LAYERS.items()
+                  if tracer._resolve(clusterfold, module, path) is None}
+    assert unresolved == {"explorer.orbit_mutation_class"}

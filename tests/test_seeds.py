@@ -118,6 +118,24 @@ class TestMutationProperties:
             for x in seed.cluster:
                 assert not x.is_zero()
 
+    def test_vertex_out_of_range_before_any_step(self, monkeypatch):
+        steps = []
+        step = seeds.mutate_seed
+
+        def counted(seed, k, **kwargs):
+            steps.append(k)
+            return step(seed, k, **kwargs)
+
+        monkeypatch.setattr(seeds, "mutate_seed", counted)
+        for word in ((0, 99), (0, -1)):
+            with pytest.raises(ValueError, match=f"vertex {word[1] + 1} out of range"):
+                apply_mutation_word(initial_seed(A3), word)
+        assert steps == []
+        # a word given as an iterator is read once, by the check, and still walked
+        assert apply_mutation_word(initial_seed(A3), iter((0, 1))) == (
+            apply_mutation_word(initial_seed(A3), (0, 1)))
+        assert steps == [0, 1, 0, 1]
+
     @given(st.lists(st.integers(0, 2), min_size=0, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_positivity_along_words(self, word):
