@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import random
@@ -35,6 +34,7 @@ from .folding import (
     FoldingPair,
     NotAdmissibleError,
     PermutationGroup,
+    check_commutation,
     check_stability,
     orbit_mutate_word,
     quotient_matrix,
@@ -50,6 +50,11 @@ EXIT_LIMIT = 3
 
 _INDEFINITE_CONTROL = ((0, 2, 0), (-2, 0, 2), (0, -2, 0))
 WORD_CAP = 1_000_000  # the most words ``verify commutation`` checks
+
+
+def _exit_code(search) -> int:
+    """A search's exit code: closed 0, witness 1, stopped by a limit or an overflow 3."""
+    return {"closed": EXIT_OK, "witness": EXIT_WITNESS}.get(search.status, EXIT_LIMIT)
 
 
 class _Report:
@@ -203,7 +208,7 @@ def _cmd_enumerate(args, report: _Report) -> int:
     if not result.complete:
         report.add("status", result.search.status)
         report.add("seeds", result.cluster_count)
-        return EXIT_LIMIT
+        return _exit_code(result.search)
     if args.emit_dot:  # before the first line, so that an unwritable path is reported alone
         _write_file(args.emit_dot, result.to_dot())
     report.add("variables", result.variable_count)
@@ -220,7 +225,7 @@ def _cmd_explore(args, report: _Report) -> int:
     outcome = explorer.mutation_class(matrix, args.limit)
     report.add("verdict", outcome.verdict)
     report.add("size", outcome.size)
-    return EXIT_OK if outcome.finite else EXIT_LIMIT
+    return _exit_code(outcome.search)
 
 
 def _cmd_catalog_list(args, report: _Report) -> int:
@@ -247,11 +252,6 @@ def _cmd_catalog_show(args, report: _Report) -> int:
     return EXIT_OK
 
 
-def _orbit_words(count: int, max_length: int):
-    for length in range(max_length + 1):
-        yield from itertools.product(range(count), repeat=length)
-
-
 def _random_words(count: int, orbit_count: int):
     rng = random.Random(0)
     for _ in range(count):
@@ -262,9 +262,9 @@ def _report_stability(report: _Report, pair: FoldingPair, limit: int, expect_sta
     """Report check_stability's verdict; an exit code unless it is the expected one."""
     verdict = check_stability(pair, max_nodes=limit)
     report.add("stability", verdict.status)
-    if verdict.status in ("limit-exceeded", "overflow"):
+    if (code := _exit_code(verdict.search)) == EXIT_LIMIT:
         report.add("class size", verdict.class_size)
-        return EXIT_LIMIT
+        return code
     if not verdict.stable:
         report.add("witness word", " ".join(str(i + 1) for i in verdict.witness_word))
         report.add("witness path", " -> ".join(str(v + 1) for v in verdict.witness_path))
@@ -285,17 +285,19 @@ def _verify_commutation(args, report: _Report) -> int:
     code = _report_stability(report, pair, args.limit, expect_stable=True)
     if code is not None:
         return code
-    checked = 0
-    words = itertools.chain(_orbit_words(pair.orbit_count, args.depth),
-                            _random_words(args.random_words, pair.orbit_count))
-    for word in words:
-        checked += 1
-        if not verify_commutation(pair, word).ok:
-            report.add("status", "mismatch")
-            report.add("word", " ".join(str(i + 1) for i in word))
-            return EXIT_WITNESS
+    search = check_commutation(pair, args.depth)
+    if search.status == "overflow":  # limit-exceeded only says the depth bound was reached
+        report.add("status", "overflow")
+        return _exit_code(search)
+    word = search.word if search.status == "witness" else next(
+        (w for w in _random_words(args.random_words, pair.orbit_count)
+         if not verify_commutation(pair, w).ok), None)
+    if word is not None:
+        report.add("status", "mismatch")
+        report.add("word", " ".join(str(i + 1) for i in word))
+        return EXIT_WITNESS
     report.add("status", "verified")
-    report.add("words", checked)
+    report.add("words", total)
     return EXIT_OK
 
 
@@ -311,14 +313,14 @@ def _verify_root_lemma(args, report: _Report) -> int:
 
 def _verify_denominators(args, report: _Report) -> int:
     matrix = _load_matrix(args)
-    ok, detail = roots.verify_denominator_bijection(matrix, max_seeds=args.limit)
-    if ok is None:
-        report.add("status", "limit-exceeded")
-        return EXIT_LIMIT
-    report.add("status", "verified" if ok else "mismatch")
+    result, detail = roots.verify_denominator_bijection(matrix, max_seeds=args.limit)
+    if not result.complete:
+        report.add("status", result.search.status)
+        return _exit_code(result.search)
+    report.add("status", "mismatch" if detail else "verified")
     if detail:
         report.add("detail", detail)
-    return EXIT_OK if ok else EXIT_WITNESS
+    return EXIT_WITNESS if detail else EXIT_OK
 
 
 def _is_acyclic(b) -> bool:
@@ -341,7 +343,7 @@ def _verify_finite_type_equality(args, report: _Report) -> int:
         side = enumerate_cluster_variables(matrix, max_seeds=args.limit)
         if not side.complete:  # so the quotient is enumerated only once the ambient closed
             report.add("status", side.search.status)
-            return EXIT_LIMIT
+            return _exit_code(side.search)
         sides.append(side)
     ambient, quotient = sides
     projected = {poly.project(pair.orbits) for poly in ambient.variables}
@@ -370,7 +372,7 @@ def _verify_affine_finiteness(args, report: _Report) -> int:
         report.add(name, f"{outcome.verdict} size={outcome.size}")
         if not outcome.finite:  # a limit or an overflow decides nothing
             report.add("status", outcome.verdict)
-            return EXIT_LIMIT
+            return _exit_code(outcome.search)
         largest = max(largest, outcome.size)
     control = explorer.mutation_class(ExchangeMatrix(_INDEFINITE_CONTROL), args.limit)
     report.add("indefinite control", f"{control.verdict} size={control.size}")
@@ -380,7 +382,7 @@ def _verify_affine_finiteness(args, report: _Report) -> int:
     if control.verdict == "limit-exceeded" and control.size <= largest:
         # stopped no later than a finite class closed, it cannot tell infinite from finite
         report.add("status", "limit-exceeded")
-        return EXIT_LIMIT
+        return EXIT_LIMIT  # the control-size rule, not _exit_code
     report.add("status", "verified")
     return EXIT_OK
 

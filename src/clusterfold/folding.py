@@ -15,19 +15,18 @@ to the caller whether an inadmissible seed may be stepped on from.
 :func:`compose_orbit_mutations` is the same step on bare matrices, for
 :func:`check_stability`.
 
-:func:`verify_commutation` shares work between words through the pair's
-orbit-seed graph, in both its modes.  The graph's nodes are keyed by both
-labeled seeds that a word w reaches, (mu_w^G S0, mu_w Q0), under exact
-:class:`Seed` equality; an edge is one orbit step upstairs and one
-mutation downstairs, computed once (in one direction from an admissible
-node), and a node is projected and compared once.  The exchange table
-divides at most once per exchange pair.  So every check still runs, once
-per edge or node instead of once per word, and a word that reaches a
-known ambient seed with a different quotient seed lands on a new node:
-that is how a mismatch shows.  Whether a word may cross an inadmissible
-node is decided per walk, so the stable check and the non-stable
-counterexample meet the same nodes.  The graph lives as long as the pair
-and grows with the distinct nodes reached.
+Commutation is checked on the pair's orbit-seed graph.  Its nodes are
+keyed by both labeled seeds that a word w reaches, (mu_w^G S0, mu_w Q0),
+under exact :class:`Seed` equality, so a word that reaches a known ambient
+seed with a different quotient seed lands on a new node: that is how a
+mismatch shows.  An edge, one orbit step upstairs and one mutation
+downstairs, is computed once (in one direction from an admissible node)
+with at most one division per exchange pair, and a node is projected and
+compared once.  A word's verdict is its node's, so
+:func:`check_commutation` certifies the words of length <= d by the nodes
+at BFS depth <= d, with no word loop; :func:`verify_commutation` walks one
+word, across inadmissible nodes when asked to.  The graph lives as long as
+the pair and grows with the distinct nodes reached.
 """
 
 from __future__ import annotations
@@ -406,24 +405,23 @@ class OrbitSeedGraph:
         for idx in word:
             if require_admissible and node.witness is not None:
                 raise NotAdmissibleError(node.witness)
-            child = node.children.get(idx)
-            if child is None:
-                child = node.children[idx] = self._step(node, idx)
-                if node.witness is None:  # the way back: mu_I∘mu_I = id at an admissible node
-                    child.children[idx] = node
-            node = child
+            node = node.children.get(idx) or self._step(node, idx)
         if require_admissible and node.witness is not None:
             raise NotAdmissibleError(node.witness)
         return node
 
     def _step(self, node: _OrbitSeedNode, idx: int) -> _OrbitSeedNode:
-        ambient, witness = orbit_mutate_seed(self.pair, node.ambient, idx,
-                                             exchanges=self.exchanges)
-        quotient = mutate_seed(node.quotient, idx, exchanges=self.exchanges)
-        key = (ambient, quotient)
-        child = self.nodes.get(key)
+        child = node.children.get(idx)
         if child is None:
-            child = self.nodes[key] = _OrbitSeedNode(ambient, quotient, witness)
+            ambient, witness = orbit_mutate_seed(self.pair, node.ambient, idx,
+                                                 exchanges=self.exchanges)
+            quotient = mutate_seed(node.quotient, idx, exchanges=self.exchanges)
+            child = self.nodes.get((ambient, quotient))
+            if child is None:
+                child = self.nodes[ambient, quotient] = _OrbitSeedNode(ambient, quotient, witness)
+            node.children[idx] = child
+            if node.witness is None:  # the way back: mu_I∘mu_I = id at an admissible node
+                child.children[idx] = node
         return child
 
     def verdict(self, node: _OrbitSeedNode) -> tuple[bool, Seed]:
@@ -435,11 +433,10 @@ class OrbitSeedGraph:
 
 
 class CommutationReport:
-    __slots__ = ("ok", "word", "quotient_side", "projected_side")
+    __slots__ = ("ok", "quotient_side", "projected_side")
 
-    def __init__(self, ok: bool, word: tuple, quotient_side: Seed, projected_side: Seed):
+    def __init__(self, ok: bool, quotient_side: Seed, projected_side: Seed):
         self.ok = ok
-        self.word = word
         self.quotient_side = quotient_side
         self.projected_side = projected_side
 
@@ -468,7 +465,27 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
         pair._orbit_seeds = OrbitSeedGraph(pair)
     node = pair._orbit_seeds.walk(word, require_stable)
     ok, projected = pair._orbit_seeds.verdict(node)
-    return CommutationReport(ok, word, node.quotient, projected)
+    return CommutationReport(ok, node.quotient, projected)
+
+
+def check_commutation(pair: FoldingPair, max_depth: int) -> Search:
+    """Commutation on the orbit words of length <= max_depth, as the nodes at
+    BFS depth <= max_depth, root first.  Moves ascend, so the witness (the
+    first mismatching node) is met by the shortlex-first failing word; an
+    inadmissible node raises NotAdmissibleError.  There is no node limit: a
+    node at max_depth ends it "limit-exceeded", every node met verified."""
+    root_ok = verify_commutation(pair, ()).ok  # the empty word; it builds the graph
+    graph = pair._orbit_seeds
+    if not root_ok:
+        return Search("witness", {id(graph.root): 0}, 0, 0, graph.root, ())
+
+    def mismatch(node, word):
+        if node.witness is not None:
+            raise NotAdmissibleError(node.witness)
+        return None if graph.verdict(node)[0] else node
+
+    return bfs(graph.root, range(pair.orbit_count), graph._step, id, float("inf"),
+               max_depth=max_depth, on_new=mismatch)
 
 
 def all_orbit_orderings_agree(pair: FoldingPair, orbit_index: int) -> bool:

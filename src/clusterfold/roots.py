@@ -107,21 +107,22 @@ def verify_denominator_bijection(matrix: ExchangeMatrix, max_seeds: int = 100_00
     """Check that denominator vectors biject the cluster variables of a
     finite-type matrix onto its almost positive roots.
 
-    Returns (ok, detail) where detail reports the first discrepancy; ok
-    is None when the enumeration did not close within ``max_seeds``.
+    Returns (enumeration, detail): the cluster-variable enumeration and the
+    first discrepancy, or None; an enumeration that did not close within
+    ``max_seeds`` (its ``.search`` says why) decides nothing.
     """
     roots = almost_positive_roots(matrix)
     result = enumerate_cluster_variables(matrix, max_seeds=max_seeds)
     if not result.complete:
-        return None, "enumeration did not close within the limit"
+        return result, None
     deltas = {}
     for poly in result.variables:
         delta = poly.denominator_vector()
         if delta in deltas:
-            return False, f"denominator vector {delta} is hit twice"
+            return result, f"denominator vector {delta} is hit twice"
         deltas[delta] = poly
     if set(deltas) != roots:
         missing = sorted(roots - set(deltas))
         extra = sorted(set(deltas) - roots)
-        return False, f"mismatch: missing {missing[:3]}, extra {extra[:3]}"
-    return True, None
+        return result, f"mismatch: missing {missing[:3]}, extra {extra[:3]}"
+    return result, None

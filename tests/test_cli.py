@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from clusterfold import cli, folding, roots, seeds
+from clusterfold import cli, explorer, folding, roots, seeds
 from clusterfold.cli import main
+from clusterfold.exchange import EntryOverflowError
 from clusterfold.laurent import LaurentPolynomial
 from clusterfold.search import Search
 
@@ -435,6 +436,43 @@ class TestOverflow:
         assert run_cli(capsys, *argv, "--json") == (2, json.dumps({"error": message}, indent=2) + "\n")
 
 
+def _enumeration(search):
+    return seeds.EnumerationResult(search, {}, [])
+
+
+class TestSearchExits:
+    """Every searching leaf prints the status of a search that a limit or an
+    overflow stopped, and exits 3."""
+
+    # leaf -> argv, (owner, name) of its library call, the call's result over
+    # the search, and the lines printed before the exit line
+    LEAVES = {
+        "enumerate": ("enumerate --pair A3toB2", (cli, "enumerate_cluster_variables"),
+                      _enumeration, "status: {0}\nseeds: 2"),
+        "explore": ("explore --pair A3toB2", (explorer, "mutation_class"),
+                    explorer.MutationClassReport, "verdict: {0}\nsize: 2"),
+        "commutation": ("verify commutation --pair A3toB2", (cli, "check_stability"),
+                        folding.StabilityVerdict, "stability: {0}\nclass size: 2"),
+        "counterexamples": ("verify counterexamples", (cli, "check_stability"),
+                            folding.StabilityVerdict, "stability: {0}\nclass size: 2"),
+        "denominators": ("verify denominators --pair A3toB2", (roots, "verify_denominator_bijection"),
+                         lambda search: (_enumeration(search), None), "status: {0}"),
+        "finite-type-equality": ("verify finite-type-equality --pair A3toB2",
+                                 (cli, "enumerate_cluster_variables"), _enumeration, "status: {0}"),
+        "affine-finiteness": ("verify affine-finiteness --max-rank 2", (explorer, "mutation_class"),
+                              explorer.MutationClassReport, "~A1: {0} size=2\nstatus: {0}"),
+    }
+
+    @pytest.mark.parametrize("status", ["limit-exceeded", "overflow"])
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_a_stopped_search_exits_3_with_its_status(self, capsys, monkeypatch, leaf, status):
+        argv, (owner, name), result, lines = self.LEAVES[leaf]
+        stopped = result(Search(status, dict.fromkeys(range(2)), 1, 1))
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: stopped)
+        for extra in ((), ("--expect-fail",)):
+            assert run_cli(capsys, *argv.split(), *extra) == (3, lines.format(status) + "\nexit: 3\n")
+
+
 def assert_unknown_name_quoted_once(capsys, *argv):
     message = "unknown catalog entry 'nope'"
     assert run_cli(capsys, *argv) == (2, f"error: {message}\n")
@@ -539,6 +577,15 @@ class TestVerify:
         assert "class size: 456" in out
         assert "witness" not in out
 
+    def test_commutation_overflow_in_the_node_search_exits_3(self, capsys, monkeypatch):
+        # the stability search composes bare matrices; only the orbit-seed graph overflows
+        def overflowing(*args, **kwargs):
+            raise EntryOverflowError("entry past the 64-bit range")
+
+        monkeypatch.setattr(folding, "orbit_mutate_seed", overflowing)
+        assert run_cli(capsys, "verify", "commutation", "--pair", "A3toB2") == (
+            3, "stability: stable-exhaustive\nstatus: overflow\nexit: 3\n")
+
     def test_commutation_limit_is_not_verified(self, capsys):
         # the E6toF4 orbit-mutation class has 120 members
         code, out = run_cli(capsys, "verify", "commutation", "--pair", "E6toF4", "--limit", "5")
@@ -549,13 +596,14 @@ class TestVerify:
         assert "witness" not in out
 
     def test_commutation_mismatch_in_random_words(self, capsys, monkeypatch):
-        # the exhaustive words have length <= 2, so the first longer word
-        # is the first random word; its draws match the RNG stream
+        # the exhaustive words (length <= 2) are certified node by node, so
+        # only the random words reach verify_commutation, and the first
+        # fails; its draws match the RNG stream
         checked = []
 
         def fails_past_length_2(pair, word):
             checked.append(word)
-            return folding.CommutationReport(len(word) <= 2, word, None, None)
+            return folding.CommutationReport(len(word) <= 2, None, None)
 
         monkeypatch.setattr(cli, "verify_commutation", fails_past_length_2)
         code, out = run_cli(
@@ -564,7 +612,7 @@ class TestVerify:
         )
         assert code == 1
         assert out.splitlines()[1:3] == ["status: mismatch", "word: 4 1 3 4 4 3 4"]
-        assert len(checked) == 22
+        assert len(checked) == 1
 
     def test_counterexample_found_stable_is_a_witness(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_stability",
@@ -727,7 +775,7 @@ class TestVerify:
 
         def agreeing(pair, word, require_stable):
             found = verify(pair, word, require_stable=require_stable)
-            return folding.CommutationReport(True, word, found.quotient_side, found.quotient_side)
+            return folding.CommutationReport(True, found.quotient_side, found.quotient_side)
 
         monkeypatch.setattr(cli, "verify_commutation", agreeing)
         code, out = run_cli(capsys, "verify", "counterexamples")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_exchange import bounded_skew_symmetrizable_rows
 
 from clusterfold import folding, seeds
-from clusterfold.exchange import ExchangeMatrix, NotSkewSymmetrizableError
+from clusterfold.exchange import EntryOverflowError, ExchangeMatrix, NotSkewSymmetrizableError
 from clusterfold.folding import (
     FoldingPair,
     NotAdmissibleError,
@@ -18,6 +18,7 @@ from clusterfold.folding import (
     PermutationGroup,
     admissibility_witness,
     all_orbit_orderings_agree,
+    check_commutation,
     check_stability,
     compose,
     compose_orbit_mutations,
@@ -566,7 +567,6 @@ class TestOrbitSeedGraph:
                 catalog.folding_pair(name).pair, word
             )
             assert ok and report.ok, word
-            assert report.word == word
             assert report.quotient_side == quotient_side, word
             assert report.projected_side == projected_side, word
             assert report.projected_side.matrix.symmetrizer == projected_side.matrix.symmetrizer
@@ -752,6 +752,107 @@ class TestOrbitSeedGraph:
                 for idx in word:
                     downstairs = mutate_seed(downstairs, idx, exchanges=exchanges)
                 assert downstairs == apply_mutation_word(quotient, word), (name, word)
+
+
+def shortlex_walks(pair, depth):
+    """Reference: each orbit word of length <= depth in shortlex order, with
+    the (ambient seed, quotient seed) after each of its prefixes, every word
+    walked from the initial seeds with nothing shared."""
+    walks = []
+    for word in words_up_to(pair.orbit_count, depth):
+        ambient, quotient = initial_seed(pair.matrix), initial_seed(quotient_matrix(pair))
+        path = [(ambient, quotient)]
+        for idx in word:
+            ambient = orbit_mutate_seed(pair, ambient, idx)[0]
+            quotient = mutate_seed(quotient, idx)
+            path.append((ambient, quotient))
+        walks.append((word, path))
+    return walks
+
+
+class TestCheckCommutation:
+    @pytest.mark.parametrize("name, nodes", [
+        ("A3toB2", 9), ("D4toG2", 8), ("D4toB3", 32), ("A5toC3", 32), ("E6toF4", 72),
+    ])
+    def test_nodes_at_depth_4(self, name, nodes):
+        search = check_commutation(catalog.folding_pair(name).pair, 4)
+        # a node at depth 4 is refused, though verified, so the search is not closed
+        assert (search.status, search.size, search.word) == ("limit-exceeded", nodes, None)
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("A3toB2", 12), ("D4toG2", 8), ("D4toB3", 80), ("A5toC3", 160),
+    ])
+    def test_the_finite_graphs_close(self, name, nodes):
+        search = check_commutation(catalog.folding_pair(name).pair, 30)
+        assert (search.status, search.size) == ("closed", nodes)
+
+    @pytest.mark.parametrize("name, depth", [("A3toB2", 6), ("A5toC3", 3), ("E6toF4", 2)])
+    def test_a_corrupted_projection_is_met_by_its_shortlex_first_word(self, monkeypatch,
+                                                                      name, depth):
+        # the k-th ambient seed in shortlex order of the words reaching it,
+        # the initial seed (k = 0) included, projects wrongly
+        pair = catalog.folding_pair(name).pair
+        first_words = {}
+        for word, path in shortlex_walks(pair, depth):
+            ambient, quotient = path[-1]
+            assert project_seed(pair, ambient) == quotient, word
+            first_words.setdefault(ambient, word)
+        original = folding.project_seed
+        for target, expected in first_words.items():
+            def corrupt(pair, seed, check=True, target=target):
+                projected = original(pair, seed, check)
+                if seed == target:
+                    first = projected.cluster[0]
+                    return Seed(projected.matrix, (first * first,) + projected.cluster[1:])
+                return projected
+
+            monkeypatch.setattr(folding, "project_seed", corrupt)
+            search = check_commutation(catalog.folding_pair(name).pair, depth)
+            assert (search.status, search.word) == ("witness", expected), (name, expected)
+            assert search.witness.ambient == target
+
+    @pytest.mark.parametrize("name, depth", [("D4toG2", 4), ("A3toB2", 6), ("A5toC3", 3)])
+    def test_a_corrupted_quotient_step_is_met_by_its_shortlex_first_word(self, monkeypatch,
+                                                                        name, depth):
+        # the quotient step along one edge returns its source seed; the edge is
+        # stepped from the end met first, as the search steps it, and the first
+        # word to cross it fails, also where it ends at an ambient seed met before
+        walks = shortlex_walks(catalog.folding_pair(name).pair, depth)
+        first_words = {}
+        for word, path in walks:
+            first_words.setdefault(path[-1][0], word)
+        edges = {}  # (quotient seed, orbit index) -> (the first word to cross it, its end's)
+        for word, path in walks[1:]:
+            (source, quotient), (target, _) = path[-2:]
+            prefix, reached = word[:-1], first_words[target]
+            if first_words[source] == prefix and (len(reached), reached) > (len(prefix), prefix):
+                edges.setdefault((quotient, word[-1]), (word, reached))
+        assert any(word != reached for word, reached in edges.values()), "no edge meets a known seed"
+        original = folding.mutate_seed
+        for (seed, idx), (expected, _) in edges.items():
+            def corrupt(source, k, seed=seed, idx=idx, **kwargs):
+                if source == seed and k == idx:
+                    return source
+                return original(source, k, **kwargs)
+
+            monkeypatch.setattr(folding, "mutate_seed", corrupt)
+            search = check_commutation(catalog.folding_pair(name).pair, depth)
+            assert (search.status, search.word) == ("witness", expected), (name, expected)
+
+    def test_an_inadmissible_node_raises_the_word_walks_witness(self):
+        with pytest.raises(NotAdmissibleError) as walked:
+            verify_commutation(six_cycle_pair(), (0,))
+        with pytest.raises(NotAdmissibleError) as searched:
+            check_commutation(six_cycle_pair(), 1)
+        assert searched.value.witness == walked.value.witness == (1, 2, 4)
+
+    def test_an_overflow_ends_the_search(self, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise EntryOverflowError("entry past the 64-bit range")
+
+        pair = catalog.folding_pair("A3toB2").pair
+        monkeypatch.setattr(folding, "orbit_mutate_seed", overflowing)
+        assert check_commutation(pair, 2).status == "overflow"
 
 
 class TestOrbitMutateWord:

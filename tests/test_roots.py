@@ -109,16 +109,16 @@ class TestDenominatorBijection:
         ],
     )
     def test_finite_types(self, matrix):
-        ok, detail = verify_denominator_bijection(matrix)
-        assert ok, detail
+        result, detail = verify_denominator_bijection(matrix)
+        assert result.complete and detail is None, detail
 
     def test_an_enumeration_stopped_at_its_limit_decides_nothing(self):
-        ok, detail = verify_denominator_bijection(catalog.dynkin("A", 5), max_seeds=5)
-        assert ok is None
-        assert detail == "enumeration did not close within the limit"
+        result, detail = verify_denominator_bijection(catalog.dynkin("A", 5), max_seeds=5)
+        assert (result.search.status, result.cluster_count) == ("limit-exceeded", 5)
+        assert detail is None
 
     def test_quotients(self):
         for name in ["A3toB2", "D4toG2"]:
             q = quotient_matrix(catalog.folding_pair(name).pair)
-            ok, detail = verify_denominator_bijection(q)
-            assert ok, detail
+            result, detail = verify_denominator_bijection(q)
+            assert result.complete and detail is None, detail
