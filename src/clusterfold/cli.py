@@ -29,7 +29,7 @@ import random
 import sys
 
 from . import catalog, explorer, io, roots
-from .exchange import EntryOverflowError, ExchangeMatrix, classify, to_dot
+from .exchange import EntryOverflowError, ExchangeMatrix, NotSkewSymmetrizableError, classify, to_dot
 from .folding import (
     FoldingPair,
     NotAdmissibleError,
@@ -137,7 +137,7 @@ def _load_matrix(args) -> ExchangeMatrix:
 
 
 def _parse_word(text: str):
-    return tuple(int(tok) - 1 for tok in text.replace(",", " ").split())
+    return tuple(io.parse_int(tok, "word") - 1 for tok in text.replace(",", " ").split())
 
 
 def _write_file(path: str, content: str):
@@ -537,6 +537,9 @@ def main(argv=None) -> int:
         report.emit(args.json)
         return EXIT_LIMIT
     except (ValueError, KeyError, OSError, IndexError) as exc:
+        if isinstance(exc, NotSkewSymmetrizableError):  # a 0-based witness; reports are 1-based
+            exc = "matrix is not skew-symmetrizable, witness entry pair ({}, {})".format(
+                *(v + 1 for v in exc.witness))
         # str() of a KeyError is the repr of its message
         report.add("error", exc.args[0] if isinstance(exc, KeyError) else exc)
         report.emit(args.json)

@@ -21,6 +21,14 @@ from .exchange import EntryOverflowError, ExchangeMatrix
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def parse_int(token: str, where: str) -> int:
+    """``token`` as an int, else a ValueError naming the token and ``where`` it was read."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{where}: expected an integer, got {token!r}") from None
+
+
 def parse_permutation(text: str, n: int) -> tuple[int, ...]:
     """Parse cycle notation like ``(1 3)(2)`` into a 0-based mapping tuple.
 
@@ -35,7 +43,8 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
     mapping = list(range(n))
     seen: set[int] = set()
     for cycle_text in _CYCLE_RE.findall(stripped):
-        entries = [int(tok) for tok in re.split(r"[,\s]+", cycle_text.strip()) if tok]
+        entries = [parse_int(tok, f"permutation {text.strip()!r}")
+                   for tok in re.split(r"[,\s]+", cycle_text.strip()) if tok]
         if not entries:
             continue
         cycle = [e - 1 for e in entries]
@@ -86,14 +95,14 @@ def parse_matrix_text(text: str):
     lines = _content_lines(text)
     if not lines or not lines[0].replace(" ", "").startswith("n="):
         raise ValueError("matrix file must start with a line 'n = <int>'")
-    n = int(lines[0].split("=", 1)[1])
+    n = parse_int(lines[0].split("=", 1)[1].strip(), "matrix header")
     if n <= 0:
         raise ValueError("vertex count must be positive")
     if len(lines) < 1 + n:
         raise ValueError(f"expected {n} matrix rows")
     rows = []
-    for line in lines[1 : 1 + n]:
-        row = [int(tok) for tok in line.split()]
+    for number, line in enumerate(lines[1 : 1 + n], 1):
+        row = [parse_int(tok, f"matrix row {number}") for tok in line.split()]
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)

@@ -30,6 +30,14 @@ packs the result at the first width that holds its exact largest
 exponent.  The width is thus a function of the polynomial alone, so
 equal polynomials have equal keys, and no field wraps for any exponent.
 
+Ends.  Lex order on Z^n is compatible with addition: a < b implies
+a + c < b + c.  So in a product p * q the largest exponent vector arises
+only as lead(p) + lead(q) and the smallest only as trail(p) + trail(q),
+and neither term can cancel.  Hence an exact quotient r = p / q has
+lead(r) = lead(p) - lead(q) and trail(r) = trail(p) - trail(q), which
+:meth:`LaurentPolynomial.ends` reads as the largest and smallest key; and
+since the Laurent ring is an integral domain, r * q == p pins r down.
+
 The kernels.  A square (``p * p`` on one object, as in ``**``) forms each
 cross term once, as 2*c_i*c_j; :func:`divide_exact` takes each leading
 term from an ascending list of the remainder's keys.
@@ -161,6 +169,14 @@ class LaurentPolynomial:
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         return _unpacked(self.n, self._w, self._terms)
+
+    def ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The lex-largest and lex-smallest exponent vectors; needs a nonzero polynomial."""
+        shifts, _, mask = _layout(self.n, self._w)
+        half = 1 << (self._w - 1)
+        lead, trail = max(self._terms), min(self._terms)
+        return (tuple([((lead >> s) & mask) - half for s in shifts]),
+                tuple([((trail >> s) & mask) - half for s in shifts]))
 
     def is_zero(self) -> bool:
         return not self._terms

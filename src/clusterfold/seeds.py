@@ -11,11 +11,18 @@ from (the variable exchanged, its two exchange monomials) to the exact
 quotient.  The division x' = (M+ + M-)/x is stored both ways, because
 x' * x is the same binomial and an exact quotient in the Laurent ring is
 unique; so any seed that exchanges x or x' over those monomials, on any
-edge, reuses it.  Every new cluster variable still comes from an exact,
-checked division.
+edge, reuses it.  The same table holds each quotient a division returns
+under its ends, its lex-leading and lex-trailing exponent vectors.  On a
+miss with a non-monomial x, the quotient, if exact, has the ends of the
+binomial less those of x (see :mod:`clusterfold.laurent`), so a variable
+stored there is a candidate, accepted only if its product with x is the
+binomial.  Every new cluster variable still comes from an exact, checked
+division; a known one is met again through an exact product identity.
 """
 
 from __future__ import annotations
+
+from operator import sub
 
 from .exchange import ExchangeMatrix
 from .laurent import LaurentPolynomial, NotDivisibleError, divide_exact
@@ -102,11 +109,16 @@ def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
     (u_k, {P, M}), where P maps each cluster variable to its summed
     exponents b_ik > 0 and M does the same for b_ik < 0, so the key
     determines the binomial even when a variable repeats in the cluster.
-    A miss divides and stores the quotient y under (u_k, key) and u_k
-    under (y, key); a hit does no arithmetic.  The matrix is mutated and
-    the seed built on every call.
+    A hit does no arithmetic.  A miss builds the binomial B; if u_k is
+    not a monomial and the table holds a variable y under the ends key
+    (n, lead(B) - lead(u_k), trail(B) - trail(u_k)) with y * u_k == B, y
+    is the quotient, else a division gives it and y is stored under
+    (n, lead(y), trail(y)) unless a variable is there already.  Either
+    way y is stored under (u_k, key) and u_k under (y, key).  The matrix
+    is mutated and the seed built on every call.
     """
-    if not 0 <= k < seed.matrix.n:
+    n = seed.matrix.n
+    if not 0 <= k < n:
         raise IndexError(f"mutation vertex {k} out of range")
     x = seed.cluster[k]
     new_var = key = None
@@ -121,12 +133,24 @@ def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
         key = frozenset((frozenset(plus.items()), frozenset(minus.items())))
         new_var = exchanges.get((x, key))
     if new_var is None:
-        try:
-            new_var = divide_exact(exchange_binomial(seed, k), x)
-        except NotDivisibleError as exc:
-            raise LaurentPhenomenonError(
-                f"exchange at vertex {k + 1} produced a non-Laurent quotient: {exc}"
-            ) from exc
+        binomial = exchange_binomial(seed, k)
+        if exchanges is not None:
+            x_lead, x_trail = x.ends()
+            if x_lead != x_trail:  # a monomial x divides no dearer than a product checks
+                b_lead, b_trail = binomial.ends()
+                new_var = exchanges.get((n, tuple(map(sub, b_lead, x_lead)),
+                                         tuple(map(sub, b_trail, x_trail))))
+                if new_var is not None and new_var * x != binomial:
+                    new_var = None
+        if new_var is None:
+            try:
+                new_var = divide_exact(binomial, x)
+            except NotDivisibleError as exc:
+                raise LaurentPhenomenonError(
+                    f"exchange at vertex {k + 1} produced a non-Laurent quotient: {exc}"
+                ) from exc
+            if exchanges is not None:
+                exchanges.setdefault((n, *new_var.ends()), new_var)
         if exchanges is not None:
             exchanges[x, key] = new_var
             exchanges[new_var, key] = x

@@ -244,6 +244,14 @@ class TestFold:
         assert code == 0
         assert target.read_text().startswith("digraph")
 
+    def test_emit_dot_writes_nothing_for_an_inadmissible_pair(self, capsys, tmp_path):
+        path = tmp_path / "tri.txt"
+        path.write_text(TRIANGLE_WITH_ROTATION)
+        target = tmp_path / "quotient.dot"
+        code, out = run_cli(capsys, "fold", "--matrix", str(path), "--emit-dot", str(target))
+        assert (code, out) == (1, "orbits: {1 2 3}\nadmissible: no\nwitness: 1 -> 2\nexit: 1\n")
+        assert not target.exists()
+
     def test_emit_dot_labels_each_vertex_by_its_orbit_representative(self, capsys, tmp_path):
         # the orbits of E6toF4 are {1 5} {2 4} {3} {6}: the labels are 1, 2, 3 and 6
         target = tmp_path / "quotient.dot"
@@ -345,6 +353,15 @@ class TestEnumerate:
         assert code == 0
         text = target.read_text()
         assert text.count("--") == 21
+
+    def test_emit_dot_writes_nothing_when_the_limit_stops_the_enumeration(self, capsys, tmp_path):
+        path = tmp_path / "k2.txt"
+        path.write_text(KRONECKER)
+        target = tmp_path / "graph.dot"
+        code, out = run_cli(capsys, "enumerate", "--matrix", str(path), "--limit", "10",
+                            "--emit-dot", str(target))
+        assert (code, out) == (3, "status: limit-exceeded\nseeds: 10\nexit: 3\n")
+        assert not target.exists()
 
     def test_emit_dot_enumerates_once(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -926,6 +943,40 @@ class TestUsage:
         code = main([*argv, "--json"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, f'{{\n  "error": "{error}"\n}}\n', "")
+
+    # a token that is not an integer is named with where it was read, not
+    # with Python's conversion message
+    @pytest.mark.parametrize("argv, text, error", [
+        (["mutate", "--pair", "A3toB2", "--word", "1 x"], None, "word: expected an integer, got 'x'"),
+        (["orbit-mutate", "--pair", "A3toB2", "--word", "1,2.5"], None,
+         "word: expected an integer, got '2.5'"),
+        (["mutate", "--matrix", "m.txt"], "n = x\n0\n", "matrix header: expected an integer, got 'x'"),
+        (["explore", "--matrix", "m.txt"], "n = 2\n0 1\n-1 x\n",
+         "matrix row 2: expected an integer, got 'x'"),
+        (["fold", "--matrix", "m.txt"], "n = 2\n0 1.5\n-1 0\ngroup: (1)\n",
+         "matrix row 1: expected an integer, got '1.5'"),
+        (["fold", "--matrix", "m.txt", "--group", "(1 x)"], A3_FILE,
+         "permutation '(1 x)': expected an integer, got 'x'"),
+    ], ids=["word", "orbit-word", "header", "row-2", "row-1", "group"])
+    def test_a_token_that_is_not_an_integer_is_named(self, capsys, tmp_path, monkeypatch, argv, text,
+                                                     error):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "m.txt").write_text(text)
+        assert run_cli(capsys, *argv) == (2, f"error: {error}\n")
+        code, out = run_cli(capsys, *argv, "--json")
+        assert (code, json.loads(out)) == (2, {"error": error})
+
+    def test_skew_symmetrizability_witness_is_1_based(self, capsys, tmp_path):
+        # the library's witness (0, 1) is the entry pair of vertices 1 and 2
+        path = tmp_path / "m.txt"
+        path.write_text("n = 2\n0 1\n1 0\n")
+        expected = "error: matrix is not skew-symmetrizable, witness entry pair (1, 2)\n"
+        assert run_cli(capsys, "fold", "--matrix", str(path)) == (2, expected)
+        path.write_text("n = 3\n0 0 0\n0 0 1\n0 1 0\n")
+        code, out = run_cli(capsys, "explore", "--matrix", str(path), "--json")
+        assert (code, json.loads(out)) == (
+            2, {"error": "matrix is not skew-symmetrizable, witness entry pair (2, 3)"})
 
     def test_json_on_error(self, capsys):
         code, out = run_cli(capsys, "catalog", "show", "nope", "--json")

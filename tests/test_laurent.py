@@ -141,6 +141,22 @@ class TestQueries:
         assert not poly("u1 - u2").is_positive()
         assert poly("0").is_positive()  # vacuously positive
 
+    def test_ends_are_the_lex_extremes(self):
+        assert poly("u2^-1 + u1^-1*u2*u3^-1 + 2*u1^-1*u3^-1").ends() == ((0, -1, 0), (-1, 0, -1))
+        assert poly("u2").ends() == ((0, 1, 0), (0, 1, 0))
+        wide = LaurentPolynomial(2, {(2**70, -3): 1, (-5, 2**40): 2, (-5, -(2**40)): 1})
+        assert wide.ends() == ((2**70, -3), (-5, -(2**40)))
+
+    @given(laurent_polys(), laurent_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_ends_of_a_product_are_the_sums_of_the_ends(self, p, q):
+        # lex order is compatible with addition, so the extreme terms of a product cannot cancel
+        if p.is_zero() or q.is_zero():
+            return
+        (p_lead, p_trail), (q_lead, q_trail) = p.ends(), q.ends()
+        assert (p * q).ends() == (tuple(map(sum, zip(p_lead, q_lead))),
+                                  tuple(map(sum, zip(p_trail, q_trail))))
+
 
 class TestActions:
     def test_permute_variables(self):

@@ -209,25 +209,33 @@ class TestHugeEntries:
         ]
 
 
-def counting_divisions(monkeypatch):
+def counting(monkeypatch, name):
+    """The calls of ``seeds.<name>``, one entry each."""
     calls = []
-    divide = seeds.divide_exact
+    original = getattr(seeds, name)
 
-    def counted(p, q):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return divide(p, q)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(seeds, "divide_exact", counted)
+    monkeypatch.setattr(seeds, name, counted)
     return calls
 
 
+def counting_divisions(monkeypatch):
+    return counting(monkeypatch, "divide_exact")
+
+
 # Exchange pairs of a closed class: a plain search, which mutates along
-# every edge, divides once per pair.  In type A_n they are the pairs of
+# every edge, meets each of them.  In type A_n they are the pairs of
 # crossing diagonals of the (n+3)-gon.
 EXCHANGE_PAIRS = {("A", 3): comb(6, 4), ("A", 5): comb(8, 4), ("B", 2): 6, ("D", 4): 52, ("G", 2): 8}
-# Divisions of the labeled search, which mutates once per seed after the
-# first: one per exchange pair met on those edges.
-DIVISIONS = {("A", 3): 11, ("A", 5): 54, ("B", 2): 5, ("D", 4): 36, ("G", 2): 7}
+# The labeled search, which mutates once per seed after the first, builds one
+# binomial per exchange pair it meets on those edges.  Each such miss in the
+# exchange table either divides or, when its quotient is a variable the table
+# already holds, is confirmed by one product: MET = DIVISIONS + confirmed products.
+MET = {("A", 3): 11, ("A", 5): 54, ("B", 2): 5, ("D", 4): 36, ("G", 2): 7}
+DIVISIONS = {("A", 3): 10, ("A", 5): 35, ("B", 2): 4, ("D", 4): 26, ("G", 2): 6}
 
 
 class TestOneDivisionPerEdge:
@@ -236,32 +244,37 @@ class TestOneDivisionPerEdge:
     ])
     def test_closed_enumeration(self, monkeypatch, family, n, edges):
         calls = counting_divisions(monkeypatch)
+        binomials = counting(monkeypatch, "exchange_binomial")
         result = enumerate_cluster_variables(catalog.dynkin(family, n))
         assert result.complete
         assert len(result.dot_edges) == edges
-        assert len(calls) == DIVISIONS[family, n] <= EXCHANGE_PAIRS[family, n]
+        assert len(binomials) == MET[family, n] <= EXCHANGE_PAIRS[family, n]
+        assert len(calls) == DIVISIONS[family, n]
 
     def test_drained_affine_run(self, monkeypatch):
-        # one division per exchange pair met on the way to an admitted seed or a refused neighbour
+        # 432 exchange pairs met on the way to an admitted seed or a refused
+        # neighbour: 154 divisions, and 278 products that confirm a known variable
         calls = counting_divisions(monkeypatch)
+        binomials = counting(monkeypatch, "exchange_binomial")
         matrix = catalog.folding_pair("D4t-A1t2").pair.matrix
         result = enumerate_cluster_variables(matrix, max_seeds=450)
         assert (result.variable_count, result.cluster_count, result.search.refused) == (98, 450, 240)
         assert len(result.dot_edges) == 1005
-        assert len(calls) == 432
+        assert (len(binomials), len(calls)) == (432, 154)
         assert max(len(x.terms) for x in result.variables) == 133
         assert all(x.is_positive() for x in result.variables)
 
     # a plain search makes n mutations per admitted seed: 660, 4,998 and
     # 2,250; the labeled one makes s - 1, plus 138 distinct refused neighbours
     # on D4t-A1t2
-    @pytest.mark.parametrize("matrix, limit, mutations, divisions", [
-        pytest.param(catalog.dynkin("A", 5), 100_000, 131, 54, id="A5"),
-        pytest.param(catalog.dynkin("E", 6), 100_000, 832, 286, id="E6"),
-        pytest.param(catalog.folding_pair("D4t-A1t2").pair.matrix, 450, 587, 432, id="D4t-A1t2"),
+    @pytest.mark.parametrize("matrix, limit, mutations, met, divisions", [
+        pytest.param(catalog.dynkin("A", 5), 100_000, 131, 54, 35, id="A5"),
+        pytest.param(catalog.dynkin("E", 6), 100_000, 832, 286, 111, id="E6"),
+        pytest.param(catalog.folding_pair("D4t-A1t2").pair.matrix, 450, 587, 432, 154, id="D4t-A1t2"),
     ])
-    def test_one_mutation_per_edge(self, monkeypatch, matrix, limit, mutations, divisions):
+    def test_one_mutation_per_edge(self, monkeypatch, matrix, limit, mutations, met, divisions):
         calls = counting_divisions(monkeypatch)
+        binomials = counting(monkeypatch, "exchange_binomial")
         mutated = []
         mutate = seeds.mutate_seed
 
@@ -271,13 +284,14 @@ class TestOneDivisionPerEdge:
 
         monkeypatch.setattr(seeds, "mutate_seed", counted)
         enumerate_cluster_variables(matrix, max_seeds=limit)
-        assert (len(mutated), len(calls)) == (mutations, divisions)
+        assert (len(mutated), len(binomials), len(calls)) == (mutations, met, divisions)
 
     def test_denominator_search_divides_each_edge_once(self, monkeypatch):
         # the target is never found, so the search visits the whole A5 graph
         calls = counting_divisions(monkeypatch)
+        binomials = counting(monkeypatch, "exchange_binomial")
         assert find_variable_by_denominator(catalog.dynkin("A", 5), (9, 9, 9, 9, 9)) is None
-        assert len(calls) == DIVISIONS["A", 5]
+        assert (len(binomials), len(calls)) == (MET["A", 5], DIVISIONS["A", 5])
 
 
 def unit_seeded_binomial(seed, k):
@@ -311,8 +325,9 @@ class TestExchangeBinomial:
                 assert exchange_binomial(seed, k) == unit_seeded_binomial(seed, k)
 
     def test_products_of_the_affine_run(self, monkeypatch):
-        # one product per factor after the first on each side, and the
-        # squarings inside **: no product by 1
+        # 586 build the binomials: one per factor after the first on each
+        # side, and the squarings inside **, with no product by 1; the other
+        # 278 confirm a known quotient, each at its first try (432 - 154)
         products = []
         multiply = LaurentPolynomial.__mul__
 
@@ -322,7 +337,7 @@ class TestExchangeBinomial:
 
         monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
         enumerate_cluster_variables(catalog.folding_pair("D4t-A1t2").pair.matrix, max_seeds=450)
-        assert len(products) == 586
+        assert len(products) == 586 + 278
 
     def test_a_side_without_factors_is_one(self):
         seed = initial_seed(ExchangeMatrix([[0, 0], [0, 0]]))
@@ -367,10 +382,18 @@ class TestExchangeTable:
         assert enumerate_cluster_variables(catalog.dynkin("A", 5)).complete
         table = tables[0]
         assert all(t is table for t in tables)
-        assert len(table) == 2 * DIVISIONS["A", 5]
-        for (variable, key), quotient in table.items():
+        exchanged = {key: y for key, y in table.items() if len(key) == 2}
+        assert len(exchanged) == 2 * MET["A", 5]
+        for (variable, key), quotient in exchanged.items():
             assert divide_exact(binomial_of_key(key, 5), variable) == quotient
             assert table[quotient, key] == variable
+        # every quotient of a division, under the ends that a product with it
+        # would have: the 20 - 5 variables of A5 beyond the initial cluster
+        ends = {key: y for key, y in table.items() if len(key) == 3}
+        assert all(key == (5, *y.ends()) for key, y in ends.items())
+        initial = set(initial_seed(catalog.dynkin("A", 5)).cluster)
+        assert set(ends.values()) == set(exchanged.values()) - initial
+        assert len(ends) == 15
 
     def test_repeated_variable_sums_its_exponents(self):
         # u1 twice against u1 once: binomials 1 + u1^2 and 1 + u1, the same variable set
@@ -379,8 +402,39 @@ class TestExchangeTable:
         exchanges = {}
         for seed in (repeated, single, repeated):
             assert mutate_seed(seed, 1, exchanges=exchanges) == mutate_seed(seed, 1)
-        assert len(exchanges) == 4
+        assert sum(len(key) == 2 for key in exchanges) == 4  # and one ends key per quotient
+        assert len(exchanges) == 4 + 2
         assert mutate_seed(repeated, 1).cluster[1] == poly("u2^-1 + u1^2*u2^-1")
+
+    # mu_1 on A3 takes u1 to (u2 + 1)/u1; mutating that seed at 1 again has
+    # the binomial u2 + 1, the non-monomial divisor x = u1^-1*u2 + u1^-1 and
+    # the quotient u1, whose ends are lead(B) - lead(x) = trail(B) - trail(x) = (1, 0, 0)
+    BACK = mutate_seed(initial_seed(A3), 0)
+
+    def test_a_known_quotient_is_confirmed_by_one_product(self, monkeypatch):
+        calls = counting_divisions(monkeypatch)
+        products = []
+        multiply = LaurentPolynomial.__mul__
+
+        def counted(p, q):
+            products.append(1)
+            return multiply(p, q)
+
+        monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+        exchanges = {(3, *poly("u1").ends()): poly("u1")}
+        assert mutate_seed(self.BACK, 0, exchanges=exchanges) == initial_seed(A3)
+        assert (len(calls), len(products)) == (0, 1)
+        assert exchanges[self.BACK.cluster[0], frozenset((frozenset({(poly("u2"), 1)}),
+                                                           frozenset()))] == poly("u1")
+
+    @pytest.mark.parametrize("planted", ["u3", "u1*u2", "2*u1", "u1 + u2"])
+    def test_a_wrong_variable_under_the_ends_is_refused(self, monkeypatch, planted):
+        calls = counting_divisions(monkeypatch)
+        ends = (3, *poly("u1").ends())
+        exchanges = {ends: poly(planted)}
+        assert mutate_seed(self.BACK, 0, exchanges=exchanges) == initial_seed(A3)
+        assert len(calls) == 1
+        assert exchanges[ends] == poly(planted)  # the first variable under a key stays
 
     def test_failed_division_on_a_miss_raises(self, monkeypatch):
         def refuse(p, q):
