@@ -22,10 +22,11 @@ seed with a different quotient seed lands on a new node: that is how a
 mismatch shows.  An edge, one orbit step upstairs and one mutation
 downstairs, is computed once (in one direction from an admissible node)
 with at most one division per exchange pair, and a node is projected and
-compared once.  A word's verdict is its node's, so
-:func:`check_commutation` certifies the words of length <= d by the nodes
-at BFS depth <= d, with no word loop; :func:`verify_commutation` walks one
-word, across inadmissible nodes when asked to.  The graph lives as long as
+compared once.  A node is the :class:`CommutationReport` of every word
+that reaches it, so :func:`check_commutation` certifies the words of
+length <= d by the nodes at BFS depth <= d, with no word loop, and
+:func:`verify_commutation` walks one word, across inadmissible nodes when
+asked to, and returns the node it reaches.  The graph lives as long as
 the pair and grows with the distinct nodes reached.
 """
 
@@ -360,17 +361,20 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
     return StabilityVerdict(search)
 
 
-class _OrbitSeedNode:
-    """The labeled pair (mu_w^G S0, mu_w Q0) that an orbit word w reaches."""
+class CommutationReport:
+    """The labeled pair (mu_w^G S0, mu_w Q0) that an orbit word w reaches,
+    which is the report of every word that reaches it.  ``witness`` is the
+    admissibility witness of ``ambient.matrix`` (None when admissible);
+    ``ok`` and ``projected_side`` stay None until the node is settled."""
 
-    __slots__ = ("ambient", "quotient", "witness", "children", "verdict")
+    __slots__ = ("ambient", "quotient_side", "witness", "children", "ok", "projected_side")
 
-    def __init__(self, ambient: Seed, quotient: Seed, witness):
+    def __init__(self, ambient: Seed, quotient_side: Seed, witness):
         self.ambient = ambient
-        self.quotient = quotient
-        self.witness = witness  # admissibility witness of ambient.matrix, None when admissible
-        self.children: dict[int, _OrbitSeedNode] = {}  # orbit index -> node
-        self.verdict: tuple[bool, Seed] | None = None  # (ok, projected seed), on first use
+        self.quotient_side = quotient_side
+        self.witness = witness
+        self.children: dict[int, CommutationReport] = {}  # orbit index -> node
+        self.ok = self.projected_side = None  # set once, by OrbitSeedGraph.settle
 
 
 class OrbitSeedGraph:
@@ -392,58 +396,37 @@ class OrbitSeedGraph:
     def __init__(self, pair: FoldingPair):
         self.pair = pair
         self.exchanges: dict = {}
-        self.root = _OrbitSeedNode(
+        self.root = CommutationReport(
             initial_seed(pair.matrix), initial_seed(quotient_matrix(pair)), pair.witness
         )
-        self.nodes = {(self.root.ambient, self.root.quotient): self.root}
+        self.nodes = {(self.root.ambient, self.root.quotient_side): self.root}
 
-    def walk(self, word, require_admissible: bool) -> _OrbitSeedNode:
-        """The node a word of in-range orbit indices reaches.  With
-        ``require_admissible``, NotAdmissibleError with the witness of the
-        first inadmissible node the word continues from or ends at."""
-        node = self.root
-        for idx in word:
-            if require_admissible and node.witness is not None:
-                raise NotAdmissibleError(node.witness)
-            node = node.children.get(idx) or self._step(node, idx)
-        if require_admissible and node.witness is not None:
-            raise NotAdmissibleError(node.witness)
-        return node
-
-    def _step(self, node: _OrbitSeedNode, idx: int) -> _OrbitSeedNode:
+    def _step(self, node: CommutationReport, idx: int) -> CommutationReport:
         child = node.children.get(idx)
         if child is None:
             ambient, witness = orbit_mutate_seed(self.pair, node.ambient, idx,
                                                  exchanges=self.exchanges)
-            quotient = mutate_seed(node.quotient, idx, exchanges=self.exchanges)
+            quotient = mutate_seed(node.quotient_side, idx, exchanges=self.exchanges)
             child = self.nodes.get((ambient, quotient))
             if child is None:
-                child = self.nodes[ambient, quotient] = _OrbitSeedNode(ambient, quotient, witness)
+                child = self.nodes[ambient, quotient] = CommutationReport(ambient, quotient, witness)
             node.children[idx] = child
             if node.witness is None:  # the way back: mu_I∘mu_I = id at an admissible node
                 child.children[idx] = node
         return child
 
-    def verdict(self, node: _OrbitSeedNode) -> tuple[bool, Seed]:
-        """(projection equals the quotient seed, projected seed), computed once per node."""
-        if node.verdict is None:
+    def settle(self, node: CommutationReport) -> CommutationReport:
+        """The node, projected and compared with its quotient seed once."""
+        if node.ok is None:
             projected = project_seed(self.pair, node.ambient, check=False)
-            node.verdict = (projected == node.quotient, projected)
-        return node.verdict
-
-
-class CommutationReport:
-    __slots__ = ("ok", "quotient_side", "projected_side")
-
-    def __init__(self, ok: bool, quotient_side: Seed, projected_side: Seed):
-        self.ok = ok
-        self.quotient_side = quotient_side
-        self.projected_side = projected_side
+            node.ok, node.projected_side = projected == node.quotient_side, projected
+        return node
 
 
 def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> CommutationReport:
     """Compare plain mutation of the quotient seed against orbit mutation
-    followed by projection, for one orbit word.
+    followed by projection, for one orbit word: the report is the settled
+    node the word reaches, so words that reach one node return that node.
 
     An orbit index out of range raises ValueError before any work.  The
     word is walked through the pair's :class:`OrbitSeedGraph` in both
@@ -461,11 +444,17 @@ def verify_commutation(pair: FoldingPair, word, require_stable: bool = True) -> 
     """
     pair.require_admissible()
     word = _checked_orbit_word(pair, word)
-    if pair._orbit_seeds is None:
-        pair._orbit_seeds = OrbitSeedGraph(pair)
-    node = pair._orbit_seeds.walk(word, require_stable)
-    ok, projected = pair._orbit_seeds.verdict(node)
-    return CommutationReport(ok, node.quotient, projected)
+    graph = pair._orbit_seeds
+    if graph is None:
+        graph = pair._orbit_seeds = OrbitSeedGraph(pair)
+    node = graph.root
+    for idx in word:
+        if require_stable and node.witness is not None:
+            raise NotAdmissibleError(node.witness)
+        node = node.children.get(idx) or graph._step(node, idx)
+    if require_stable and node.witness is not None:
+        raise NotAdmissibleError(node.witness)
+    return graph.settle(node)
 
 
 def check_commutation(pair: FoldingPair, max_depth: int) -> Search:
@@ -474,17 +463,17 @@ def check_commutation(pair: FoldingPair, max_depth: int) -> Search:
     first mismatching node) is met by the shortlex-first failing word; an
     inadmissible node raises NotAdmissibleError.  There is no node limit: a
     node at max_depth ends it "limit-exceeded", every node met verified."""
-    root_ok = verify_commutation(pair, ()).ok  # the empty word; it builds the graph
+    root = verify_commutation(pair, ())  # the empty word; it builds the graph
+    if not root.ok:
+        return Search("witness", {id(root): 0}, 0, 0, root, ())
     graph = pair._orbit_seeds
-    if not root_ok:
-        return Search("witness", {id(graph.root): 0}, 0, 0, graph.root, ())
 
     def mismatch(node, word):
         if node.witness is not None:
             raise NotAdmissibleError(node.witness)
-        return None if graph.verdict(node)[0] else node
+        return None if graph.settle(node).ok else node
 
-    return bfs(graph.root, range(pair.orbit_count), graph._step, id, float("inf"),
+    return bfs(root, range(pair.orbit_count), graph._step, id, float("inf"),
                max_depth=max_depth, on_new=mismatch)
 
 

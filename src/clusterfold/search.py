@@ -1,8 +1,9 @@
 """The breadth-first search engine behind every exhaustive search.
 
 Mutation classes, orbit-mutation classes (stability), seed enumeration,
-denominator searches and group closures all run through :func:`bfs`, and
-every report of one holds the :class:`Search` it returned as ``.search``:
+denominator searches, group closures, positive roots and the nodes of a
+commutation check all run through :func:`bfs`, and every report of one
+holds the :class:`Search` it returned as ``.search``:
 its status is the one stopping vocabulary, and the reports' own words
 (finite, stable-exhaustive, unstable, complete) are views of it.
 The engine owns the visited map, the FIFO queue, shortest words, the

@@ -79,6 +79,9 @@ class Seed:
         return f"Seed({self.matrix!r}, [{entries}])"
 
 
+MAX_POWER = 64  # of a variable of several terms in an exchange binomial (tests and bench need 4)
+
+
 def initial_seed(matrix: ExchangeMatrix) -> Seed:
     n = matrix.n
     return Seed(matrix, tuple(LaurentPolynomial.variable(i, n) for i in range(n)))
@@ -89,12 +92,17 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPolynomial:
 
     M+ is the product of x_i ** b_ik over the cluster variables x_i with
     b_ik > 0, M- that of x_i ** -b_ik over b_ik < 0.  Each side starts
-    from its first factor; a side with no factor is 1.
+    from its first factor; a side with no factor is 1.  A power of a
+    variable with more than one term past MAX_POWER raises
+    LimitExceededError before it is expanded: x ** e has at least e + 1 terms.
     """
     sides = [None, None]  # M-, M+
     for x, row in zip(seed.cluster, seed.matrix.entries):
         b = row[k]
         if b:
+            if abs(b) > MAX_POWER and len(set(x.ends())) > 1:
+                raise LimitExceededError(f"exchange at vertex {k + 1} needs a power {abs(b)} "
+                                         f"of a variable of several terms, past {MAX_POWER}")
             factor = x if b in (1, -1) else x ** abs(b)
             side = sides[b > 0]
             sides[b > 0] = factor if side is None else side * factor
@@ -176,7 +184,7 @@ def permute_seed(g, seed: Seed) -> Seed:
 
     The matrix entry at (i, j) becomes the old entry at (g^-1 i, g^-1 j);
     cluster entry i becomes the old entry g^-1 i with variables relabeled
-    u_j -> u_{g j}.
+    u_j -> u_{g j}.  The matrix carries the permuted symmetrizer.
     """
     g = tuple(g)
     n = seed.matrix.n
@@ -186,7 +194,8 @@ def permute_seed(g, seed: Seed) -> Seed:
     b = seed.matrix.entries
     entries = tuple(tuple(b[inv[i]][inv[j]] for j in range(n)) for i in range(n))
     cluster = tuple(seed.cluster[inv[i]].permute_variables(g) for i in range(n))
-    return Seed(ExchangeMatrix(entries), cluster)
+    d = seed.matrix.symmetrizer
+    return Seed(ExchangeMatrix.from_symmetrizer(entries, [d[i] for i in inv]), cluster)
 
 
 def is_invariant_seed(seed: Seed, generators) -> bool:

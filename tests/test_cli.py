@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -168,6 +169,17 @@ class TestMutate:
         code, out = run_cli(capsys, "mutate", "--matrix", str(path), "--word", "9")
         assert code == 2
         assert "error:" in out
+
+    def test_a_power_past_the_cap_is_a_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"n = 3\n0 {2**32} 0\n-1 0 1\n0 -1 0\n")
+        started = time.perf_counter()
+        code = main(["mutate", "--matrix", str(path), "--word", "2 1 3 2 1 3 2 1 3 2 1 3"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert captured.out.startswith("error: exchange at vertex 3 needs a power 4294967296")
+        assert "Traceback" not in captured.out + captured.err
 
     def test_out_of_range_vertex_is_reported_alone(self, capsys):
         code, out = run_cli(capsys, "mutate", "--pair", "A3toB2", "--word", "1 9")
@@ -620,7 +632,7 @@ class TestVerify:
 
         def fails_past_length_2(pair, word):
             checked.append(word)
-            return folding.CommutationReport(len(word) <= 2, None, None)
+            return SimpleNamespace(ok=len(word) <= 2)
 
         monkeypatch.setattr(cli, "verify_commutation", fails_past_length_2)
         code, out = run_cli(
@@ -792,7 +804,8 @@ class TestVerify:
 
         def agreeing(pair, word, require_stable):
             found = verify(pair, word, require_stable=require_stable)
-            return folding.CommutationReport(True, found.quotient_side, found.quotient_side)
+            return SimpleNamespace(ok=True, quotient_side=found.quotient_side,
+                                   projected_side=found.quotient_side)
 
         monkeypatch.setattr(cli, "verify_commutation", agreeing)
         code, out = run_cli(capsys, "verify", "counterexamples")

@@ -571,6 +571,42 @@ class TestOrbitSeedGraph:
             assert report.projected_side == projected_side, word
             assert report.projected_side.matrix.symmetrizer == projected_side.matrix.symmetrizer
 
+    def test_words_that_reach_one_node_return_that_node(self):
+        pair = catalog.folding_pair("A3toB2").pair
+        assert verify_commutation(pair, (0, 0)) is verify_commutation(pair, ())  # mu_I∘mu_I = id
+        graph = pair._orbit_seeds
+        for word in words_up_to(pair.orbit_count, 5):
+            report = verify_commutation(pair, word)
+            assert graph.nodes[report.ambient, report.quotient_side] is report, word
+            assert verify_commutation(pair, word + word[-1:] * 2) is report, word
+
+    @pytest.mark.parametrize("name, verdicts", [("A5toC3", {True}),
+                                                ("remark-stabilite", {True, False})])
+    def test_ok_is_a_bool_on_every_report(self, name, verdicts):
+        pair = catalog.folding_pair(name).pair
+        seen = set()
+        for word in words_up_to(pair.orbit_count, 4):
+            report = verify_commutation(pair, word, require_stable=False)
+            assert type(report.ok) is bool and report.projected_side is not None, word
+            seen.add(report.ok)
+        assert seen == verdicts
+
+    def test_project_seed_runs_once_per_node(self, monkeypatch):
+        projected = []
+        project = folding.project_seed
+
+        def counted(pair, seed, check=True):
+            projected.append(seed)
+            return project(pair, seed, check)
+
+        monkeypatch.setattr(folding, "project_seed", counted)
+        pair = catalog.folding_pair("A5toC3").pair
+        assert check_commutation(pair, 3).status == "limit-exceeded"
+        for _ in range(3):
+            for word in words_up_to(pair.orbit_count, 4):
+                assert verify_commutation(pair, word).ok
+        assert len(projected) == len(pair._orbit_seeds.nodes) > 1
+
     def test_injected_mismatch_fails_every_word_that_reaches_the_node(self, monkeypatch):
         pair = catalog.folding_pair("A3toB2").pair
         target = orbit_mutate_word(pair, initial_seed(pair.matrix), (0, 1))[0]
@@ -698,7 +734,7 @@ class TestOrbitSeedGraph:
             for node, idx, child in recorded:
                 ambient, witness = orbit_mutate_seed(pair, node.ambient, idx)
                 assert (ambient, witness) == (child.ambient, child.witness), (name, idx)
-                assert mutate_seed(node.quotient, idx) == child.quotient, (name, idx)
+                assert mutate_seed(node.quotient_side, idx) == child.quotient_side, (name, idx)
             checked += 1
         assert checked >= 6
 
@@ -730,7 +766,7 @@ class TestOrbitSeedGraph:
         pair = catalog.folding_pair(name).pair
         for word in words_up_to(pair.orbit_count, depth):
             assert verify_commutation(pair, word).ok
-        reached = {x for node in pair._orbit_seeds.nodes.values() if node.verdict
+        reached = {x for node in pair._orbit_seeds.nodes.values() if node.ok is not None
                    for x in node.ambient.cluster}
         assert len(projected) == len(set(projected)) == len(reached)
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterfold import catalog, seeds
+from clusterfold import catalog, exchange, seeds
 from clusterfold.exchange import ExchangeMatrix
 from clusterfold.explorer import find_variable_by_denominator
 from clusterfold.laurent import LaurentPolynomial, NotDivisibleError, divide_exact, parse_polynomial
 from clusterfold.seeds import (
     LaurentPhenomenonError,
+    LimitExceededError,
     Seed,
     apply_mutation_word,
     enumerate_cluster_variables,
@@ -158,6 +159,20 @@ class TestPermutationAction:
         right = mutate_seed(permute_seed(g, seed), 2)
         assert left == right
 
+    def test_the_permuted_matrix_carries_the_permuted_symmetrizer(self, monkeypatch):
+        seed = mutate_seed(initial_seed(ExchangeMatrix([[0, -1, 0], [3, 0, -2], [0, 1, 0]])), 1)
+        assert seed.matrix.symmetrizer == (3, 1, 2)
+        g = (1, 2, 0)
+
+        def forbidden(entries):
+            raise AssertionError("permute_seed re-derived the symmetrizer")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(exchange, "find_symmetrizer", forbidden)
+            permuted = permute_seed(g, seed)
+        assert permuted.matrix.symmetrizer == (2, 3, 1)
+        assert permuted.matrix.symmetrizer == exchange.find_symmetrizer(permuted.matrix.entries)
+
     def test_invariance_check(self):
         assert is_invariant_seed(initial_seed(A3), [(2, 1, 0)])
         mutated = mutate_seed(initial_seed(A3), 0)
@@ -207,6 +222,29 @@ class TestHugeEntries:
             "u1^9223372036854775806*u2^-1 + u1^-1 + u1^-1*u2^-1",
             "u1^9223372036854775807*u2^-1 + u2^-1",
         ]
+
+    def test_a_large_power_of_a_variable_of_several_terms_is_refused_unexpanded(self, monkeypatch):
+        matrix = ExchangeMatrix([[0, 2**32, 0], [-1, 0, 1], [0, -1, 0]])
+        seed = apply_mutation_word(initial_seed(matrix), (1, 0))
+        assert len(seed.cluster[0].terms) == 3 and seed.matrix.entries[0][2] == -2**32
+
+        def forbidden(poly, k):
+            raise AssertionError(f"expanded a power {k}")
+
+        monkeypatch.setattr(LaurentPolynomial, "__pow__", forbidden)
+        with pytest.raises(LimitExceededError, match="power 4294967296 .* past 64"):
+            mutate_seed(seed, 2)
+
+    def test_the_power_cap_is_the_largest_power_expanded(self):
+        for power in (seeds.MAX_POWER, seeds.MAX_POWER + 1):
+            seed = mutate_seed(initial_seed(ExchangeMatrix([[0, -power], [1, 0]])), 0)
+            x = seed.cluster[0]  # (u2 + 1)/u1, raised to seed.matrix.entries[0][1] at vertex 2
+            assert len(x.terms) == 2 and seed.matrix.entries[0][1] == power
+            if power > seeds.MAX_POWER:
+                with pytest.raises(LimitExceededError):
+                    exchange_binomial(seed, 1)
+            else:
+                assert exchange_binomial(seed, 1) == x ** power + LaurentPolynomial.one(2)
 
 
 def counting(monkeypatch, name):
