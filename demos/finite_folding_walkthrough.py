@@ -9,7 +9,6 @@ Run:  python3 demos/finite_folding_walkthrough.py
 """
 
 from clusterfold import catalog
-from clusterfold.exchange import classify
 from clusterfold.folding import quotient_matrix, quotient_symmetrizer
 from clusterfold.seeds import enumerate_cluster_variables
 
@@ -29,7 +28,7 @@ def main():
     quotient = quotient_matrix(pair)
     show_matrix("quotient exchange matrix:", quotient)
     print("symmetrizer:", quotient_symmetrizer(pair))
-    print("quotient type:", classify(quotient).name)
+    print("quotient type:", catalog.diagram_name(quotient))
 
     ambient = enumerate_cluster_variables(pair.matrix)
     print(f"\nambient cluster variables ({ambient.variable_count}):")

@@ -9,7 +9,6 @@ catalog and mutation-class explorers.
 """
 
 from .exchange import (
-    CartanType,
     EntryOverflowError,
     ExchangeMatrix,
     NotSkewSymmetrizableError,
@@ -60,7 +59,8 @@ from .roots import (
     verify_fiber_orbits,
     verify_root_projection,
 )
-from .catalog import CatalogEntry, affine, dynkin, folding_pair, list_names, named_cartan_matrices
+from .catalog import (CatalogEntry, affine, diagram_name, dynkin, folding_pair, list_names,
+                      named_cartan_matrices)
 from .explorer import (
     MonotonicityReport,
     MutationClassReport,

@@ -1,9 +1,11 @@
-"""Constructors for Dynkin/affine diagrams and the folding-pair catalog.
+"""Constructors and names for Dynkin/affine diagrams, and the folding-pair catalog.
 
 Diagram names use ASCII: finite types "A3", "B2", "C3", "D4", "E6",
 "F4", "G2"; affine types are prefixed with "~" ("~A3", "~B2", "~BC2",
 "~A1(2)", "~F4(1)", "~G2(2)", ...).  One table per tag holds each family
 with its smallest rank, and the names of fixed rank.
+:func:`diagram_name` names a connected Finite or Affine exchange matrix by
+the reference diagram whose canonical form its Cartan counterpart shares.
 
 Chain conventions (reading the Cartan matrix along the chain):
   B_n has its short end last (c[n-1][n] = -1, c[n][n-1] = -2),
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import functools
 
-from .exchange import ExchangeMatrix
+from .exchange import ExchangeMatrix, canonical_form, cartan_counterpart, classify
 from .folding import FoldingPair, PermutationGroup
 from .io import parse_permutation
 
@@ -102,8 +104,8 @@ def _cartan(name: str, tag: str) -> tuple[tuple[int, ...], ...]:
 def named_cartan_matrices(tag: str):
     """Reference (name, cartan) diagrams of a classification tag, rank <= 12.
 
-    Consumed by the classifier for diagram naming; the names of fixed rank
-    come first, then each family in rank order.
+    Consumed by :func:`diagram_name`; the names of fixed rank come first,
+    then each family in rank order.
     """
     if tag not in _DIAGRAMS:
         raise ValueError(f"no named diagrams for tag {tag!r}")
@@ -114,6 +116,36 @@ def named_cartan_matrices(tag: str):
             out.append((f"{family}{n}", cartan))
             n += 1
     return tuple(out)
+
+
+@functools.cache
+def _reference_forms(tag: str, n: int) -> dict:
+    """Canonical form -> name of the reference diagrams of one tag and rank."""
+    names = {}
+    for name, reference in named_cartan_matrices(tag):
+        if len(reference) == n:
+            names.setdefault(canonical_form(reference), name)
+    return names
+
+
+def diagram_name(matrix: ExchangeMatrix) -> str | None:
+    """The name of a connected Finite or Affine diagram, else None.
+
+    One dict lookup of the canonical form of the Cartan counterpart among
+    the reference diagrams of its tag and rank; an Indefinite or a
+    disconnected diagram is unnamed.  Connectivity is tested before the
+    canonical form, which costs up to n! on a symmetric disconnected diagram.
+    """
+    tag = classify(matrix)
+    if tag == "Indefinite" or not (names := _reference_forms(tag, matrix.n)):
+        return None
+    cartan = cartan_counterpart(matrix)
+    reached = [0]  # the component of vertex 0, grown while it is read
+    for i in reached:
+        reached += [j for j, c in enumerate(cartan[i]) if c and j not in reached]
+    if len(reached) < matrix.n:
+        return None
+    return names.get(canonical_form(cartan))
 
 
 # ---------------------------------------------------------------------------

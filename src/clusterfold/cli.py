@@ -179,8 +179,8 @@ def _cmd_fold(args, report: _Report) -> int:
     quotient = quotient_matrix(pair)
     _matrix_lines(report, quotient, "quotient")
     report.add("symmetrizer", " ".join(str(x) for x in symmetrizer))
-    kind = classify(quotient)
-    report.add("type", kind.tag + (f" {kind.name}" if kind.name else ""))
+    name = catalog.diagram_name(quotient)
+    report.add("type", classify(quotient) + (f" {name}" if name else ""))
     if args.emit_dot:
         report.add("dot", args.emit_dot)
     return EXIT_OK
@@ -243,8 +243,8 @@ def _cmd_catalog_show(args, report: _Report) -> int:
     if entry.pair.admissible:
         quotient = quotient_matrix(entry.pair)
         _matrix_lines(report, quotient, "quotient")
-        kind = classify(quotient)
-        report.add("type", kind.tag + (f" {kind.name}" if kind.name else ""))
+        name = catalog.diagram_name(quotient)
+        report.add("type", classify(quotient) + (f" {name}" if name else ""))
     if entry.expected_quotient_name:
         report.add("expected", entry.expected_quotient_name)
     if entry.note:
@@ -334,7 +334,7 @@ def _is_acyclic(b) -> bool:
 def _verify_finite_type_equality(args, report: _Report) -> int:
     pair = _load_pair(args)
     for side, matrix in (("ambient", pair.matrix), ("quotient", quotient_matrix(pair))):
-        tag = classify(matrix, name_diagram=False).tag
+        tag = classify(matrix)
         if tag != "Finite" and _is_acyclic(matrix.entries):  # Fomin-Zelevinsky criterion
             raise ValueError(f"{side} matrix is acyclic and its Cartan counterpart is {tag}, "
                              "so it is not of finite type")

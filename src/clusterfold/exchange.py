@@ -1,17 +1,16 @@
-"""Skew-symmetrizable integer matrices, mutation and Cartan classification.
+"""Skew-symmetrizable integer matrices, mutation, Cartan types and canonical forms.
 
 Entries are kept within signed 64-bit range with checked arithmetic:
 mutation of indefinite-type matrices can blow entries up, and explorers
 must see a clean error instead of silent wraparound.
 
 Vertices are 0-based throughout the library; files and reports number
-them from 1.
+them from 1.  Diagram names live in :mod:`clusterfold.catalog`: this
+module imports no other clusterfold module.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations, repeat
 from math import gcd
 from operator import neg
@@ -268,10 +267,6 @@ def to_dot(matrix: ExchangeMatrix, labels) -> str:
 # Cartan classification
 
 
-# tag is "Finite", "Affine" or "Indefinite"
-CartanType = namedtuple("CartanType", "tag name", defaults=(None,))
-
-
 def _definiteness(sym) -> tuple[bool, bool, int]:
     """(positive definite, positive semidefinite, corank) of a symmetric integer matrix.
 
@@ -305,44 +300,25 @@ def _definiteness(sym) -> tuple[bool, bool, int]:
     return corank == 0, True, corank
 
 
-def classify(matrix: ExchangeMatrix, name_diagram: bool = True) -> CartanType:
-    """Classify the Cartan counterpart A of an exchange matrix by DA, D its carried symmetrizer.
+def classify(matrix: ExchangeMatrix) -> str:
+    """The Cartan type of an exchange matrix: "Finite", "Affine" or "Indefinite".
 
-    Finite iff DA is positive definite; Affine iff it is positive
-    semidefinite of corank 1; Indefinite otherwise.  A Finite or Affine
-    diagram is named by one dict lookup of the canonical form of A among
-    the connected reference diagrams of its tag and rank in
-    :func:`catalog.named_cartan_matrices`; a disconnected one is unnamed.
+    The Cartan counterpart A is read through DA, D the carried
+    symmetrizer: Finite iff DA is positive definite; Affine iff it is
+    positive semidefinite of corank 1; Indefinite otherwise.
     """
     cartan = cartan_counterpart(matrix)
     # DA is symmetric because d_i*|b_ij| == d_j*|b_ji|
     sym = [[d * c for c in row] for d, row in zip(matrix.symmetrizer, cartan)]
     definite, semidefinite, corank = _definiteness(sym)
     if definite:
-        tag = "Finite"
-    elif semidefinite and corank == 1:
-        tag = "Affine"
-    else:
-        tag = "Indefinite"
-    name = None
-    if name_diagram and tag != "Indefinite":
-        names = _named_forms(tag, len(cartan))
-        if names and _is_connected(cartan):
-            name = names.get(_canonical_form(cartan))
-    return CartanType(tag, name)
+        return "Finite"
+    if semidefinite and corank == 1:
+        return "Affine"
+    return "Indefinite"
 
 
-def _is_connected(cartan) -> bool:
-    seen, stack = {0}, [0]
-    while stack:
-        for j, c in enumerate(cartan[stack.pop()]):
-            if c and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(cartan)
-
-
-def _canonical_form(cartan) -> tuple[tuple[int, ...], ...]:
+def canonical_form(cartan) -> tuple[tuple[int, ...], ...]:
     """The least relabeled matrix over an individualization-refinement tree.
 
     Colour refinement splits vertices by (colour, sorted neighbour (colour,
@@ -377,15 +353,3 @@ def _canonical_form(cartan) -> tuple[tuple[int, ...], ...]:
                 yield from leaves(refine([2 * c + (c == cell and u != v) for u, c in enumerate(colours)]))
 
     return min(leaves(refine([0] * n)))
-
-
-@lru_cache(maxsize=None)
-def _named_forms(tag: str, n: int) -> dict:
-    """Canonical form -> name of the reference diagrams of one tag and rank."""
-    from . import catalog
-
-    names = {}
-    for name, reference in catalog.named_cartan_matrices(tag):
-        if len(reference) == n:
-            names.setdefault(_canonical_form(reference), name)
-    return names

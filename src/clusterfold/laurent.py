@@ -51,10 +51,15 @@ from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
 _WIDTH = 16  # the common field width; wider fields only for larger exponents
+MAX_WORK = 1 << 22  # multiply-adds a product of non-monomials may take; ** squares, so powers too
 
 
 class NotDivisibleError(ArithmeticError):
     """Raised by :func:`divide_exact` when the quotient is not a Laurent polynomial."""
+
+
+class LimitExceededError(RuntimeError):
+    """A computation hit a limit before it could decide."""
 
 
 def _width(bound: int) -> int:
@@ -237,6 +242,9 @@ class LaurentPolynomial:
             shift = key - zero
             terms = {k + shift: c * coeff for k, c in a.items()}
         else:
+            if len(a) * len(b) > MAX_WORK:
+                raise LimitExceededError(f"a product of {len(a)} by {len(b)} terms "
+                                         f"passes the bound of {MAX_WORK} multiply-adds")
             terms = {}
             get = terms.get
             shifted = [(key - zero, coeff) for key, coeff in b.items()]

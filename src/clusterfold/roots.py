@@ -38,7 +38,7 @@ def positive_roots(matrix: ExchangeMatrix) -> frozenset[tuple[int, ...]]:
     """All positive roots of a finite-type exchange matrix, by reflection
     closure of its Cartan counterpart from the zero vector; more than
     POSITIVE_ROOT_CAP raise LimitExceededError."""
-    if classify(matrix, name_diagram=False).tag != "Finite":
+    if classify(matrix) != "Finite":
         raise NotFiniteTypeError("positive roots require a finite-type Cartan matrix")
     cartan = cartan_counterpart(matrix)
     n = matrix.n

@@ -18,6 +18,8 @@ binomial less those of x (see :mod:`clusterfold.laurent`), so a variable
 stored there is a candidate, accepted only if its product with x is the
 binomial.  Every new cluster variable still comes from an exact, checked
 division; a known one is met again through an exact product identity.
+A mutation that needs a product past ``laurent.MAX_WORK`` raises
+LimitExceededError, re-exported here; the CLI reports it with exit code 3.
 """
 
 from __future__ import annotations
@@ -25,16 +27,12 @@ from __future__ import annotations
 from operator import sub
 
 from .exchange import ExchangeMatrix
-from .laurent import LaurentPolynomial, NotDivisibleError, divide_exact
+from .laurent import LaurentPolynomial, LimitExceededError, NotDivisibleError, divide_exact
 from .search import Search, bfs
 
 
 class LaurentPhenomenonError(RuntimeError):
     """A seed mutation produced a non-exact division (internal inconsistency)."""
-
-
-class LimitExceededError(RuntimeError):
-    """A search or enumeration hit a limit before it could decide."""
 
 
 class Seed:
@@ -79,9 +77,6 @@ class Seed:
         return f"Seed({self.matrix!r}, [{entries}])"
 
 
-MAX_POWER = 64  # of a variable of several terms in an exchange binomial (tests and bench need 4)
-
-
 def initial_seed(matrix: ExchangeMatrix) -> Seed:
     n = matrix.n
     return Seed(matrix, tuple(LaurentPolynomial.variable(i, n) for i in range(n)))
@@ -92,17 +87,12 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPolynomial:
 
     M+ is the product of x_i ** b_ik over the cluster variables x_i with
     b_ik > 0, M- that of x_i ** -b_ik over b_ik < 0.  Each side starts
-    from its first factor; a side with no factor is 1.  A power of a
-    variable with more than one term past MAX_POWER raises
-    LimitExceededError before it is expanded: x ** e has at least e + 1 terms.
+    from its first factor; a side with no factor is 1.
     """
     sides = [None, None]  # M-, M+
     for x, row in zip(seed.cluster, seed.matrix.entries):
         b = row[k]
         if b:
-            if abs(b) > MAX_POWER and len(set(x.ends())) > 1:
-                raise LimitExceededError(f"exchange at vertex {k + 1} needs a power {abs(b)} "
-                                         f"of a variable of several terms, past {MAX_POWER}")
             factor = x if b in (1, -1) else x ** abs(b)
             side = sides[b > 0]
             sides[b > 0] = factor if side is None else side * factor

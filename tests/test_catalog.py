@@ -44,7 +44,7 @@ class TestDynkinConstructor:
     def test_b2_up_to_orientation(self):
         m = catalog.dynkin("B", 2)
         assert {abs(m.entries[0][1]), abs(m.entries[1][0])} == {1, 2}
-        assert classify(m).name == "B2"
+        assert catalog.diagram_name(m) == "B2"
 
     def test_explicit_orientation(self):
         m = catalog._quiver(3, [(1, 0), (1, 2)])
@@ -58,9 +58,9 @@ class TestDynkinConstructor:
         "family,n", [("A", 5), ("B", 4), ("C", 3), ("D", 5), ("E", 7), ("F", 4), ("G", 2)]
     )
     def test_classifies_as_named(self, family, n):
-        kind = classify(catalog.dynkin(family, n))
-        assert kind.tag == "Finite"
-        assert kind.name == f"{family}{n}"
+        m = catalog.dynkin(family, n)
+        assert classify(m) == "Finite"
+        assert catalog.diagram_name(m) == f"{family}{n}"
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -149,9 +149,9 @@ class TestAffineConstructor:
          "~D5", "~E6", "~E7", "~E8", "~F4(1)", "~F4(2)", "~G2(1)", "~G2(2)"],
     )
     def test_classifies_affine(self, name):
-        kind = classify(catalog.affine(name))
-        assert kind.tag == "Affine"
-        assert kind.name == name
+        m = catalog.affine(name)
+        assert classify(m) == "Affine"
+        assert catalog.diagram_name(m) == name
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -195,14 +195,13 @@ class TestFoldingPairs:
         if "quotient" in PINNED[name]:
             rows = PINNED[name]["quotient"].split(" / ")
             assert quotient.entries == tuple(tuple(map(int, row.split())) for row in rows), name
-        kind = classify(quotient)
-        assert kind.name == entry.expected_quotient_name, name
+        assert catalog.diagram_name(quotient) == entry.expected_quotient_name, name
 
     @pytest.mark.parametrize("name", FIXED_ADMISSIBLE)
     def test_fixed_pair_type_consistency(self, name):
         entry = catalog.folding_pair(name)
-        ambient = classify(entry.pair.matrix).tag
-        quotient = classify(quotient_matrix(entry.pair)).tag
+        ambient = classify(entry.pair.matrix)
+        quotient = classify(quotient_matrix(entry.pair))
         assert ambient == quotient  # finite folds to finite, affine to affine
 
     @pytest.mark.parametrize("family,min_n", PARAMETRIC)
@@ -210,8 +209,8 @@ class TestFoldingPairs:
         for n in range(min_n, 9):
             entry = catalog.folding_pair(family, n)
             assert entry.pair.admissible, (family, n)
-            kind = classify(quotient_matrix(entry.pair))
-            assert kind.name == entry.expected_quotient_name, (family, n)
+            name = catalog.diagram_name(quotient_matrix(entry.pair))
+            assert name == entry.expected_quotient_name, (family, n)
 
     def test_every_affine_diagram_is_realized(self):
         # each non-simply-laced affine diagram is the quotient of some pair

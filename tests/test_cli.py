@@ -178,7 +178,7 @@ class TestMutate:
         captured = capsys.readouterr()
         assert time.perf_counter() - started < 1
         assert code == 3
-        assert captured.out.startswith("error: exchange at vertex 3 needs a power 4294967296")
+        assert captured.out.startswith("error: a product of ")
         assert "Traceback" not in captured.out + captured.err
 
     def test_out_of_range_vertex_is_reported_alone(self, capsys):
@@ -356,6 +356,23 @@ class TestEnumerate:
         )
         assert code == 3
         assert "status: limit-exceeded" in out
+
+    @pytest.mark.parametrize("text,limit,budget", [
+        ("n = 2\n0 4\n-2 0\n", "30", 1.0),  # each new variable far larger than the last
+        # two disjoint copies of the indefinite control, as in bench/reproducers.py
+        ("n = 6\n0 2 0 0 0 0\n-2 0 2 0 0 0\n0 -2 0 0 0 0\n"
+         "0 0 0 0 2 0\n0 0 0 -2 0 2\n0 0 0 0 -2 0\n", "300", 5.0),
+    ], ids=["rank-2-wild", "reproducer"])
+    def test_a_product_past_the_work_bound_is_a_limit(self, capsys, tmp_path, text, limit, budget):
+        path = tmp_path / "wild.txt"
+        path.write_text(text)
+        started = time.perf_counter()
+        code = main(["enumerate", "--matrix", str(path), "--limit", limit])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < budget
+        assert code == 3
+        assert captured.out.startswith("error: a product of ")
+        assert "Traceback" not in captured.out + captured.err
 
     def test_emit_dot(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterfold.laurent import (
+    MAX_WORK,
     LaurentPolynomial,
+    LimitExceededError,
     NotDivisibleError,
     divide_exact,
     parse_polynomial,
@@ -183,6 +185,36 @@ class TestActions:
         orbits = ((0, 2), (1,))
         assert (p + q).project(orbits) == p.project(orbits) + q.project(orbits)
         assert (p * q).project(orbits) == p.project(orbits) * q.project(orbits)
+
+
+class TestWorkBound:
+    @staticmethod
+    def run(length, coeff=1):
+        """coeff * (1 + u1 + ... + u1^(length-1)), in one variable."""
+        return LaurentPolynomial(1, {(i,): coeff for i in range(length)})
+
+    def test_a_product_at_the_bound_is_formed(self):
+        assert MAX_WORK == 2048 * 2048
+        product = self.run(2048) * self.run(2048, 2)
+        assert len(product.terms) == 4095
+        assert product.terms[(2047,)] == 2 * 2048
+
+    def test_a_product_past_the_bound_is_refused(self):
+        assert 1985 * 2113 == MAX_WORK + 1
+        a, b = self.run(1985), self.run(2113)
+        with pytest.raises(LimitExceededError, match="product of 2113 by 1985 terms"):
+            a * b
+        with pytest.raises(LimitExceededError, match="product of 2113 by 1985 terms"):
+            b * a
+
+    def test_a_monomial_factor_is_free_and_a_square_counts_in_full(self, monkeypatch):
+        monkeypatch.setattr("clusterfold.laurent.MAX_WORK", 6)
+        assert len((self.run(7) * poly("2*u1^-3", 1)).terms) == 7  # a monomial factor is free
+        assert self.run(2) * self.run(3) == poly("1 + 2*u1 + 2*u1^2 + u1^3", 1)
+        with pytest.raises(LimitExceededError):
+            self.run(7) * self.run(2)
+        with pytest.raises(LimitExceededError):
+            self.run(3) ** 2  # a square of 3 terms counts 9
 
 
 class TestRendering:

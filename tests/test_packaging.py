@@ -172,6 +172,28 @@ def test_function_level_imports_only_break_import_cycles():
     assert needless == []
 
 
+def test_relative_imports_form_no_cycle():
+    # module-level and function-level imports alike: a cycle through a
+    # function-level import is still a cycle between the two modules
+    graph = {path.stem: {module for module, _ in _relative_imports(
+                 ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+             for path in sorted((ROOT / "src" / "clusterfold").glob("*.py"))
+             if path.stem != "__init__"}
+    done, cycles = set(), []
+
+    def visit(name, path):
+        if name in path:
+            cycles.append(" -> ".join(path[path.index(name):] + [name]))
+        elif name not in done:
+            for module in sorted(graph.get(name, ())):
+                visit(module, path + [name])
+            done.add(name)
+
+    for name in graph:
+        visit(name, [])
+    assert cycles == []
+
+
 def test_every_traced_layer_resolves_but_the_known_stale_one():
     # the tracer skips a layer it cannot resolve, so a renamed function would drop
     # out of traced runs without a word; explorer.orbit_mutation_class left src/ long ago
