@@ -7,9 +7,10 @@ each labeled edge is mutated at most once; and mutations at j and k commute
 where b_jk = 0 (Fomin-Zelevinsky, Cluster algebras I), so there μ_j B is
 read off a known square μ_k μ_j μ_k B without mutating.  A class of size s
 has n·s/2 edges, and fewer mutations close it.  A finite verdict is
-checked twice.  The reported edges must fill the n·s (member, vertex)
-slots, two per edge and one per self-loop (μ_k B = B at an isolated
-vertex k), so every neighbour of every member was found in the class.
+checked twice.  The edges the engine counts (``Search.edges`` and
+``Search.loops``) must fill the n·s (member, vertex) slots, two per edge
+and one per self-loop (μ_k B = B at an isolated vertex k), so every
+neighbour of every member was found in the class.
 And every member's symmetrizer is re-derived from its entries by
 :func:`find_symmetrizer` and must equal the one the BFS carried through
 mutation: that is the independent route to D.  In a class whose
@@ -52,16 +53,10 @@ def mutation_class(matrix: ExchangeMatrix, limit: int = 10_000) -> MutationClass
     and an edge μ_j B with b_jk = 0 whose square through μ_k B is known is
     not mutated at all."""
     n = matrix.n
-    slots = 0
-
-    def count_slots(source, target):
-        nonlocal slots
-        slots += 1 if source == target else 2
-
     search = bfs(matrix, range(n), ExchangeMatrix.mutate, attrgetter("entries"), limit,
-                 on_edge=count_slots, commutes=lambda b, j, k: not b.entries[j][k])
+                 commutes=lambda b, j, k: not b.entries[j][k])
     if search.status == "closed":
-        if slots != n * search.size:
+        if 2 * search.edges - search.loops != n * search.size:
             raise AssertionError("mutation-class BFS missed a neighbour lookup")
         d = matrix.symmetrizer
         for entries in search.visited:

@@ -32,7 +32,8 @@ the pair and grows with the distinct nodes reached.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import functools
+from itertools import permutations
 from operator import attrgetter
 
 from .exchange import ExchangeMatrix
@@ -114,20 +115,26 @@ def is_automorphism_group(matrix: ExchangeMatrix, group: PermutationGroup) -> bo
     return all(is_automorphism(matrix, g) for g in group.generators)
 
 
+@functools.cache
+def _same_orbit_pairs(orbits) -> tuple[tuple[int, int], ...]:
+    """The ordered pairs (i, j), i != j, of one orbit: orbit by orbit, i then j ascending."""
+    return tuple((i, j) for orbit in orbits for i in orbit for j in orbit if i != j)
+
+
 def admissibility_witness(matrix: ExchangeMatrix, orbits):
-    """A directed path of length <= 2 between distinct same-orbit vertices, or None."""
+    """A directed path of length <= 2 between distinct same-orbit vertices, or None.
+
+    ``orbits`` is a tuple of vertex tuples, as :attr:`FoldingPair.orbits`;
+    its same-orbit pairs are listed once per partition, and each pair
+    (i, j) is tested for i -> j, then for i -> k -> j with k ascending."""
     b = matrix.entries
-    n = matrix.n
-    for orbit in orbits:
-        for i in orbit:
-            for j in orbit:
-                if i == j:
-                    continue
-                if b[i][j] > 0:
-                    return (i, j)
-                for k in range(n):
-                    if b[i][k] > 0 and b[k][j] > 0:
-                        return (i, k, j)
+    for i, j in _same_orbit_pairs(orbits):
+        row = b[i]
+        if row[j] > 0:
+            return (i, j)
+        for k, x in enumerate(row):
+            if x > 0 and b[k][j] > 0:
+                return (i, k, j)
     return None
 
 
@@ -329,25 +336,31 @@ def check_stability(pair: FoldingPair, max_nodes: int = 10_000) -> StabilityVerd
     """BFS over the orbit-mutation class, testing admissibility at every node.
 
     The search stops at the first inadmissible member, at the first
-    member refused by ``max_nodes``, or on entry overflow.  Members are
-    admissible before they are expanded, so orbit mutation is an involution
-    on them and each edge is composed at most once.  Where the block of B
-    on the orbits J ∪ K is zero, the mutations at its vertices pairwise
-    commute and keep it zero, so μ_J B = μ_K μ_J μ_K B, and that edge is
-    read off a known square without composing.  An overflow that only an
-    uncomputed composition could hit is not reported, though members'
-    entries are still range-checked.
+    member refused by ``max_nodes``, or on entry overflow.  Every member
+    the engine expands is admissible, the start by ``require_admissible``
+    and every other member by its witness test before it is admitted, so
+    orbit mutation is an involution on them and each edge is composed at
+    most once.  Where the block of B on the orbits J ∪ K is zero, the
+    mutations at its vertices pairwise commute and keep it zero, so
+    μ_J B = μ_K μ_J μ_K B, and that edge is read off a known square without
+    composing.  Admissibility makes every entry within one orbit zero, so
+    on the members the engine asks about the block is zero exactly when
+    its J×K cross entries are, and only those are read.  An overflow that
+    only an uncomputed composition could hit is not reported, though
+    members' entries are still range-checked.
     """
     pair.require_admissible()
     orbits = pair.orbits
-    # the block on orbits J and K is zero when b_uv = 0 for u < v in J ∪ K: an
-    # exchange matrix has b_uu = 0, and b_vu = 0 exactly when b_uv = 0
-    blocks = [[tuple(combinations(sorted(orbit_j + orbit_k), 2)) for orbit_k in orbits]
-              for orbit_j in orbits]
+    # b_vu = 0 exactly when b_uv = 0, so the rows of J suffice
+    cross = [[tuple((u, v) for u in orbit_j for v in orbit_k) for orbit_k in orbits]
+             for orbit_j in orbits]
 
     def zero_block(matrix, j, k):
         b = matrix.entries
-        return not any(b[u][v] for u, v in blocks[j][k])
+        for u, v in cross[j][k]:  # a plain loop: faster here than any() over a generator
+            if b[u][v]:
+                return False
+        return True
 
     search = bfs(
         pair.matrix,

@@ -51,7 +51,9 @@ from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
 _WIDTH = 16  # the common field width; wider fields only for larger exponents
-MAX_WORK = 1 << 22  # multiply-adds a product of non-monomials may take; ** squares, so powers too
+# multiply-adds one product of non-monomials, or one division by a non-monomial,
+# may take; ** squares, so powers too
+MAX_WORK = 1 << 22
 
 
 class NotDivisibleError(ArithmeticError):
@@ -442,6 +444,10 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     the lead.  A key a step creates lies below the lead and is inserted in
     order; a key that cancels keeps a zero coefficient and is skipped when
     it surfaces, so the leads are those of taking the largest key each time.
+    Each quotient term costs one multiply-add per divisor term, so a
+    division whose quotient terms times divisor terms would pass
+    ``MAX_WORK`` raises :class:`LimitExceededError` before the term that
+    passes it.
     """
     p._check_compatible(q)
     if q.is_zero():
@@ -477,6 +483,7 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     remainder = dict(dividend)
     order = sorted(remainder)
     get = remainder.get
+    most = MAX_WORK // len(divisor)  # quotient terms within the bound
     while order:
         lead_p = order.pop()
         cp = remainder.pop(lead_p)
@@ -488,6 +495,9 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
         for s, l, h in box:
             if not l <= (t >> s) & mask <= h:
                 raise NotDivisibleError(f"{p.render()} is not divisible by {q.render()}")
+        if len(quotient) == most:
+            raise LimitExceededError(f"a division to {most + 1} quotient terms by {len(divisor)} "
+                                     f"divisor terms passes the bound of {MAX_WORK} multiply-adds")
         c = cp // cq
         quotient[t] = c
         for step, coeff_q in steps:

@@ -13,6 +13,9 @@ A caller whose moves are involutions passes a ``commutes`` predicate, and
 the engine then steps each edge at most once and reads the edges of
 commuting squares off the ones it knows; a seed search labels each edge by
 the facet its two ends share, and steps each edge once.
+Every search counts the edges it reports (``Search.edges`` and
+``Search.loops``), so a caller that only needs their number passes no
+``on_edge``.
 """
 
 from __future__ import annotations
@@ -31,19 +34,24 @@ class Search:
     admitted key to its discovery index, and ``size`` counts them;
     ``depth`` is the word length of the last node taken from the queue;
     ``refused`` counts the neighbours refused by the node limit plus the
-    nodes left unexpanded by the depth limit.
+    nodes left unexpanded by the depth limit.  ``edges`` counts the
+    ``on_edge`` reports, made or not (a search with ``commutes`` or
+    ``edge`` reports each undirected edge once), and ``loops`` those whose
+    two ends are one node.
     """
 
-    __slots__ = ("status", "visited", "depth", "refused", "witness", "word")
+    __slots__ = ("status", "visited", "depth", "refused", "witness", "word", "edges", "loops")
 
     def __init__(self, status: str, visited: dict, depth: int, refused: int,
-                 witness=None, word: tuple | None = None):
+                 witness=None, word: tuple | None = None, edges: int = 0, loops: int = 0):
         self.status = status
         self.visited = visited
         self.depth = depth
         self.refused = refused
         self.witness = witness
         self.word = word
+        self.edges = edges
+        self.loops = loops
 
     size = property(lambda self: len(self.visited))
 
@@ -79,10 +87,11 @@ def bfs(
     ``commutes(node, j, k)`` (moves ``range(n)``) declares that every move
     is an involution (``step(step(u, m), m)`` has the key of ``u``) and
     returns True only where ``step(node, j)`` has the key of
-    ``step(step(step(node, k), j), k)``, whatever node is given.  The
-    engine then keeps, per admitted node, the target of each move it
-    knows: the way back along the move that admitted the node, each step
-    from an earlier node that reached it, and its own edges.  A known move
+    ``step(step(step(node, k), j), k)``, for every node the engine
+    expands, the only nodes it is asked about.  The engine then keeps,
+    per admitted node, the target of each move it knows: the way back
+    along the move that admitted the node, each step from an earlier
+    node that reached it, and its own edges.  A known move
     is not stepped again, and a move j of node u whose square u -k-> p
     -j-> c -k-> t is known is taken as the edge u -j-> t, with no step,
     once ``commutes(node, j, k)`` holds.  Either target is already
@@ -101,19 +110,20 @@ def bfs(
     AssertionError.
     """
     visited = {key(start): 0}
+    width = len(moves)
     # by discovery index: the target of each known move of the node, else None
-    table = [[None] * len(moves)] if commutes else None
+    table = [[None] * width] if commutes else None
     labels = {}  # edge label -> the nodes it names: discovery indices, None if refused
 
     def index(node, name):  # add name to the name list of each label of node; those lists
-        lists = [labels.setdefault(edge(node, move), []) for move in moves] if edge else None
-        for names in lists or ():
+        lists = [labels.setdefault(edge(node, move), []) for move in moves]
+        for names in lists:
             assert len(names) < 2, "an edge label names three nodes"
             names.append(name)
         return lists
 
-    queue = deque([(start, (), 0, index(start, 0))])
-    depth = refused = 0
+    queue = deque([(start, (), 0, edge and index(start, 0))])
+    depth = refused = edges = loops = 0
     try:
         while queue:
             node, word, source, lists = queue.popleft()
@@ -134,6 +144,8 @@ def bfs(
                                 if t is not None and commutes(node, move, via):
                                     row[move] = t
                                     table[t][move] = source
+                                    edges += 1
+                                    loops += t == source
                                     if on_edge is not None:
                                         on_edge(source, t)
                                     break
@@ -143,8 +155,10 @@ def bfs(
                     other = lists[move][lists[move][0] == source]
                     if other is None:
                         refused += 1
-                    elif other > source and on_edge is not None:  # the end expanded first
-                        on_edge(source, other)
+                    elif other > source:  # the end expanded first
+                        edges += 1
+                        if on_edge is not None:
+                            on_edge(source, other)
                     continue
                 neighbour = step(node, move)
                 k = key(neighbour)
@@ -154,6 +168,8 @@ def bfs(
                     if row:
                         row[move] = target
                         table[target][move] = source
+                    edges += 1
+                    loops += target == source
                     if on_edge is not None:
                         on_edge(source, target)
                     continue
@@ -161,22 +177,27 @@ def bfs(
                 if on_new is not None:
                     witness = on_new(neighbour, new_word)
                     if witness is not None:
-                        return Search("witness", visited, depth, refused, witness, new_word)
-                if len(visited) >= limit:
+                        return Search("witness", visited, depth, refused, witness, new_word,
+                                      edges, loops)
+                target = len(visited)
+                if target >= limit:
                     refused += 1
                     if not drain:
-                        return Search("limit-exceeded", visited, depth, refused)
-                    index(neighbour, None)
+                        return Search("limit-exceeded", visited, depth, refused,
+                                      edges=edges, loops=loops)
+                    if edge:
+                        index(neighbour, None)
                     continue
-                target = len(visited)
                 visited[k] = target
                 if row:
                     row[move] = target
-                    table.append([None] * len(moves))
+                    table.append([None] * width)
                     table[target][move] = source
+                edges += 1
                 if on_edge is not None:
                     on_edge(source, target)
-                queue.append((neighbour, new_word, target, index(neighbour, target)))
+                queue.append((neighbour, new_word, target, edge and index(neighbour, target)))
     except EntryOverflowError:
-        return Search("overflow", visited, depth, refused)
-    return Search("limit-exceeded" if refused else "closed", visited, depth, refused)
+        return Search("overflow", visited, depth, refused, edges=edges, loops=loops)
+    return Search("limit-exceeded" if refused else "closed", visited, depth, refused,
+                  edges=edges, loops=loops)

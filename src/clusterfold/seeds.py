@@ -18,7 +18,7 @@ binomial less those of x (see :mod:`clusterfold.laurent`), so a variable
 stored there is a candidate, accepted only if its product with x is the
 binomial.  Every new cluster variable still comes from an exact, checked
 division; a known one is met again through an exact product identity.
-A mutation that needs a product past ``laurent.MAX_WORK`` raises
+A mutation that needs a product or a division past ``laurent.MAX_WORK`` raises
 LimitExceededError, re-exported here; the CLI reports it with exit code 3.
 """
 

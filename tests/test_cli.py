@@ -374,6 +374,18 @@ class TestEnumerate:
         assert captured.out.startswith("error: a product of ")
         assert "Traceback" not in captured.out + captured.err
 
+    def test_a_division_past_the_work_bound_is_a_limit(self, capsys, tmp_path, monkeypatch):
+        # G2's fourth variable is a division to 4 quotient terms by 2 divisor terms
+        path = tmp_path / "g2.txt"
+        path.write_text("n = 2\n0 -3\n1 0\n")
+        monkeypatch.setattr("clusterfold.laurent.MAX_WORK", 6)
+        code = main(["enumerate", "--matrix", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ("error: a division to 4 quotient terms by 2 divisor terms "
+                                "passes the bound of 6 multiply-adds\n")
+        assert captured.err == ""
+
     def test_emit_dot(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"
         code, out = run_cli(

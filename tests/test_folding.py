@@ -385,6 +385,18 @@ class TestOrbitMutation:
             compose_orbit_mutations(compose_orbit_mutations(b, orbits, k), orbits, j), orbits, k)
         assert compose_orbit_mutations(b, orbits, j) == composed
 
+    @given(bounded_skew_symmetrizable_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_an_admissible_matrix_is_zero_within_each_orbit(self, rows, data):
+        # why check_stability reads only the cross entries of a block
+        n = len(rows)
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        orbits = tuple(tuple(i for i in range(n) if labels[i] == label)
+                       for label in sorted(set(labels)))
+        b = ExchangeMatrix(rows)
+        if admissibility_witness(b, orbits) is None:
+            assert not any(b.entries[u][v] for orbit in orbits for u in orbit for v in orbit)
+
     @pytest.mark.parametrize("entries, orbits", [
         # b_JK != 0 on the path A3: J = {1}, K = {2}
         ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], ((0,), (1,), (2,))),

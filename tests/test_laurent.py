@@ -216,6 +216,17 @@ class TestWorkBound:
         with pytest.raises(LimitExceededError):
             self.run(3) ** 2  # a square of 3 terms counts 9
 
+    def test_a_division_at_the_bound_is_formed_and_one_past_it_is_refused(self, monkeypatch):
+        at, past = self.run(3) * self.run(2), self.run(4) * self.run(2)
+        monkeypatch.setattr("clusterfold.laurent.MAX_WORK", 6)
+        assert divide_exact(at, self.run(2)) == self.run(3)  # 3 quotient by 2 divisor terms
+        with pytest.raises(LimitExceededError,
+                           match="division to 4 quotient terms by 2 divisor terms passes "
+                                 "the bound of 6 multiply-adds"):
+            divide_exact(past, self.run(2))
+        shifted = LaurentPolynomial(1, {(i + 3,): 1 for i in range(7)})
+        assert divide_exact(self.run(7), poly("u1^-3", 1)) == shifted  # a monomial divisor is free
+
 
 class TestRendering:
     def test_render_canonical(self):

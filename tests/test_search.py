@@ -289,6 +289,50 @@ def test_pinned_outcomes_under_edge_reuse():
     }
 
 
+STABILITY_PAIRS = {
+    **{name: catalog.folding_pair(name).pair for name in catalog.list_names()
+       if not name.endswith("(n)")},
+    **{f"{family}({smallest})": catalog.folding_pair(family, smallest).pair
+       for family, (_, smallest, _) in catalog._PARAMETRIC.items()},
+}
+
+
+@pytest.mark.parametrize("name", [name for name, pair in STABILITY_PAIRS.items() if pair.admissible])
+def test_the_stability_search_is_the_plain_search(name):
+    # squares read off the cross block of admissible members, and the
+    # orbit-pair table, leave the search exactly as stepping every move
+    pair = STABILITY_PAIRS[name]
+    verdict = check_stability(pair, 2_000)
+    expected, _ = reference_bfs(
+        pair.matrix, range(pair.orbit_count),
+        lambda matrix, idx: compose_orbit_mutations(matrix, pair.orbits, idx),
+        attrgetter("entries"), 2_000,
+        on_new=lambda matrix, word: admissibility_witness(matrix, pair.orbits))
+    assert fields(verdict.search) == fields(expected)
+    assert list(verdict.search.visited) == list(expected.visited)
+
+
+@pytest.mark.parametrize("name", LABELED_CASES)
+def test_the_engine_counts_the_edges_it_reports(name):
+    case, limit = LABELED_CASES[name]
+    result, edges, _ = table_search(case, limit)
+    assert (result.edges, result.loops) == (len(edges), sum(s == t for s, t in edges))
+    bare = bfs(case["start"], case["moves"], case["step"], attrgetter("entries"), limit,
+               on_new=case.get("on_new"), commutes=case["commutes"])
+    assert (bare.edges, bare.loops) == (result.edges, result.loops)
+    # mu_3 fixes both members of the isolated-vertex class; nothing else has a loop
+    assert result.loops == (2 if name == "isolated vertex" else 0)
+
+
+def test_a_drained_seed_search_counts_the_edges_it_reports():
+    edges = []
+    result = search_seeds(initial_seed(catalog.folding_pair("D4t-A1t2").pair.matrix), 450,
+                          on_edge=lambda *edge: edges.append(edge))
+    assert result.status == "limit-exceeded" and result.refused
+    assert (result.edges, result.loops) == (len(edges), 0)
+    assert result.edges == len({(min(edge), max(edge)) for edge in edges})  # each edge once
+
+
 # the finite-type catalog pairs; the parametric families repeat them at small rank
 FINITE_PAIRS = ("A3toB2", "A5toC3", "D4toB3", "D4toG2", "E6toF4")
 
