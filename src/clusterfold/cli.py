@@ -286,8 +286,8 @@ def _verify_commutation(args, report: _Report) -> int:
     if code is not None:
         return code
     search = check_commutation(pair, args.depth)
-    if search.status == "overflow":  # limit-exceeded only says the depth bound was reached
-        report.add("status", "overflow")
+    if search.status in ("overflow", "work-limit"):  # limit-exceeded: the depth was reached
+        report.add("status", search.status)
         return _exit_code(search)
     word = search.word if search.status == "witness" else next(
         (w for w in _random_words(args.random_words, pair.orbit_count)

@@ -102,7 +102,9 @@ def verify_monotonicity_chain(pair: FoldingPair, limit: int = 10_000) -> Monoton
 
 def find_variable_by_denominator(matrix: ExchangeMatrix, target, max_seeds: int = 100_000):
     """BFS over seeds until a variable with the given denominator vector
-    appears; returns (polynomial, shortest word) or None."""
+    appears; returns (polynomial, shortest word) or None.  None means not
+    found, so a search stopped by the work bound raises its
+    LimitExceededError."""
     target = tuple(target)
     if len(target) != matrix.n:
         raise ValueError("target length must match matrix size")
@@ -118,6 +120,8 @@ def find_variable_by_denominator(matrix: ExchangeMatrix, target, max_seeds: int 
         return x if x.denominator_vector() == target else None
 
     search = search_seeds(start, max_seeds, on_new=new_variable_hit)
+    if search.status == "work-limit":
+        raise search.witness
     return (search.witness, search.word) if search.status == "witness" else None
 
 

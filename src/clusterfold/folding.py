@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 from itertools import permutations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .exchange import ExchangeMatrix
 from .search import Search, bfs
@@ -104,10 +104,22 @@ class PermutationGroup:
         return len(self.elements())
 
 
+@functools.cache
+def _reindex(g):
+    """row -> (row[g[0]], row[g[1]], ...), built once per permutation tuple g."""
+    if len(g) > 1:
+        return itemgetter(*g)
+    return lambda row: tuple(row[i] for i in g)  # itemgetter gives a scalar for one index
+
+
 def is_automorphism(matrix: ExchangeMatrix, g) -> bool:
+    """b[g[i]][g[j]] == b[i][j] for all i, j: B re-indexed by g, compared with B at once."""
     b = matrix.entries
     n = matrix.n
-    return all(b[g[i]][g[j]] == b[i][j] for i in range(n) for j in range(n))
+    if len(g) != n:  # the definition, which reads g[:n] and raises IndexError on a shorter g
+        return all(b[g[i]][g[j]] == b[i][j] for i in range(n) for j in range(n))
+    get = _reindex(tuple(g))
+    return tuple(map(get, get(b))) == b
 
 
 def is_automorphism_group(matrix: ExchangeMatrix, group: PermutationGroup) -> bool:

@@ -80,6 +80,20 @@ def _layout(n: int, w: int) -> tuple[tuple[int, ...], int, int]:
     return shifts, sum(half << s for s in shifts), (1 << w) - 1
 
 
+@lru_cache(maxsize=None)
+def _projection(n: int, w: int, orbits: tuple[tuple[int, ...], ...], target_w: int):
+    """(moves, offset, mask) of the projection of n fields of w bits onto one field
+    of target_w bits per orbit; ValueError, on every call, unless the orbits
+    partition 0..n-1.  Each field moves, unbiased, to its orbit's field and adds
+    there: a key maps to offset + sum of ((key >> source) & mask) << target."""
+    if sorted(i for orbit in orbits for i in orbit) != list(range(n)):
+        raise ValueError("orbits must partition the variable indices")
+    shifts, _, mask = _layout(n, w)
+    targets, zero, _ = _layout(len(orbits), target_w)
+    moves = tuple((shifts[i], t) for t, orbit in zip(targets, orbits) for i in orbit)
+    return moves, zero - sum((1 << (w - 1)) << t for _, t in moves), mask
+
+
 class LaurentPolynomial:
     """An immutable Laurent polynomial with integer coefficients.
 
@@ -91,7 +105,7 @@ class LaurentPolynomial:
     largest first, which is decreasing key order.
     """
 
-    __slots__ = ("n", "_w", "_m", "_terms", "_box", "_hash")
+    __slots__ = ("n", "_w", "_m", "_terms", "_box", "_ends", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if n < 0:
@@ -112,8 +126,7 @@ class LaurentPolynomial:
         self._w = w
         self._m = bound
         self._terms = terms
-        self._box = None
-        self._hash = None
+        self._box = self._ends = self._hash = None
 
     @classmethod
     def _from_keys(cls, n: int, w: int, bound: int, terms: dict[int, int]) -> "LaurentPolynomial":
@@ -178,12 +191,14 @@ class LaurentPolynomial:
         return _unpacked(self.n, self._w, self._terms)
 
     def ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The lex-largest and lex-smallest exponent vectors; needs a nonzero polynomial."""
-        shifts, _, mask = _layout(self.n, self._w)
-        half = 1 << (self._w - 1)
-        lead, trail = max(self._terms), min(self._terms)
-        return (tuple([((lead >> s) & mask) - half for s in shifts]),
-                tuple([((trail >> s) & mask) - half for s in shifts]))
+        """The lex-largest and lex-smallest exponent vectors (cached); needs a nonzero polynomial."""
+        if self._ends is None:
+            shifts, _, mask = _layout(self.n, self._w)
+            half = 1 << (self._w - 1)
+            lead, trail = max(self._terms), min(self._terms)
+            self._ends = (tuple([((lead >> s) & mask) - half for s in shifts]),
+                          tuple([((trail >> s) & mask) - half for s in shifts]))
+        return self._ends
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -309,18 +324,10 @@ class LaurentPolynomial:
         variable of its orbit; the image exponent of an orbit is the sum
         of the exponents of its members.  Colliding monomials add.
         """
-        orbit_list = [tuple(o) for o in orbits]
-        covered = sorted(i for o in orbit_list for i in o)
-        if covered != list(range(self.n)):
-            raise ValueError("orbits must partition the variable indices")
-        # each field moves, unbiased, to its orbit's field and adds there
-        size = len(orbit_list)
-        bound = self._m * max((len(o) for o in orbit_list), default=0)
+        orbits = tuple(map(tuple, orbits))
+        bound = self._m * max(map(len, orbits), default=0)
         w = _width(bound)
-        shifts, _, mask = _layout(self.n, self._w)
-        targets, zero, _ = _layout(size, w)
-        moves = [(shifts[i], t) for t, orbit in zip(targets, orbit_list) for i in orbit]
-        offset = zero - sum((1 << (self._w - 1)) << t for _, t in moves)
+        moves, offset, mask = _projection(self.n, self._w, orbits, w)
         terms: dict[int, int] = {}
         for key, coeff in self._terms.items():
             new = offset
@@ -329,7 +336,7 @@ class LaurentPolynomial:
             terms[new] = terms.get(new, 0) + coeff
         for key in [key for key, c in terms.items() if not c]:
             del terms[key]
-        return LaurentPolynomial._result(size, w, bound, terms)
+        return LaurentPolynomial._result(len(orbits), w, bound, terms)
 
     # -- rendering and parsing ---------------------------------------
 

@@ -7,7 +7,8 @@ holds the :class:`Search` it returned as ``.search``:
 its status is the one stopping vocabulary, and the reports' own words
 (finite, stable-exhaustive, unstable, complete) are views of it.
 The engine owns the visited map, the FIFO queue, shortest words, the
-node and depth limits and the mapping of entry overflow to a verdict;
+node and depth limits and the mapping of entry overflow and of the
+Laurent work bound to a verdict;
 callers supply the moves, the step function and the deduplication key.
 A caller whose moves are involutions passes a ``commutes`` predicate, and
 the engine then steps each edge at most once and reads the edges of
@@ -23,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 
 from .exchange import EntryOverflowError
+from .laurent import LimitExceededError
 
 
 class Search:
@@ -30,7 +32,9 @@ class Search:
 
     status is "closed" (the queue drained with nothing refused),
     "witness" (``on_new`` returned ``witness`` for the node reached by
-    ``word``), "limit-exceeded" or "overflow".  ``visited`` maps each
+    ``word``), "limit-exceeded", "overflow" or "work-limit" (a product or
+    a division past ``laurent.MAX_WORK``; ``witness`` holds its
+    LimitExceededError).  ``visited`` maps each
     admitted key to its discovery index, and ``size`` counts them;
     ``depth`` is the word length of the last node taken from the queue;
     ``refused`` counts the neighbours refused by the node limit plus the
@@ -82,7 +86,8 @@ def bfs(
     expanded; each counts as refused.  ``on_edge(source, target)``
     receives the discovery indices of every admitted edge.  An
     EntryOverflowError from ``step`` ends the search with status
-    "overflow".
+    "overflow", and a LimitExceededError with status "work-limit"; either
+    keeps the counts of the search so far.
 
     ``commutes(node, j, k)`` (moves ``range(n)``) declares that every move
     is an involution (``step(step(u, m), m)`` has the key of ``u``) and
@@ -199,5 +204,7 @@ def bfs(
                 queue.append((neighbour, new_word, target, edge and index(neighbour, target)))
     except EntryOverflowError:
         return Search("overflow", visited, depth, refused, edges=edges, loops=loops)
+    except LimitExceededError as exc:
+        return Search("work-limit", visited, depth, refused, exc, edges=edges, loops=loops)
     return Search("limit-exceeded" if refused else "closed", visited, depth, refused,
                   edges=edges, loops=loops)

@@ -19,7 +19,8 @@ stored there is a candidate, accepted only if its product with x is the
 binomial.  Every new cluster variable still comes from an exact, checked
 division; a known one is met again through an exact product identity.
 A mutation that needs a product or a division past ``laurent.MAX_WORK`` raises
-LimitExceededError, re-exported here; the CLI reports it with exit code 3.
+LimitExceededError, re-exported here; a search it stops ends with status
+"work-limit", and the CLI exits 3 on either.
 """
 
 from __future__ import annotations

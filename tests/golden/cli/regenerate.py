@@ -1,18 +1,26 @@
 """Rewrite the CLI golden corpus: one JSON file per argv in this directory.
 
 Each file holds the argv, the exit code, and stdout and stderr as lists of
-lines, as ``cli.main`` gives them in-process.  Run from the repository root:
+lines, as ``cli.main`` gives them in-process, run from this directory so
+that the input files under ``inputs/`` are named by relative paths.  Run
+from the repository root:
 
-    PYTHONPATH=src python3 tests/golden/cli/regenerate.py
+    PYTHONPATH=src python3 tests/golden/cli/regenerate.py           # rewrite
+    PYTHONPATH=src python3 tests/golden/cli/regenerate.py --check   # compare
 
-``tests/test_cli_golden.py`` replays every file and compares the bytes.  Any
-golden that changes is a change of the CLI's output, so say why it changed.
+``--check`` writes nothing: it prints the argv of every golden that would
+change (a missing file included) and every file no argv writes, and exits 1
+when there is any.  ``tests/test_cli_golden.py`` replays every file and
+compares the bytes.  Any golden that changes is a change of the CLI's
+output, so say why it changed.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 from clusterfold import catalog, cli
@@ -20,6 +28,7 @@ from clusterfold import catalog, cli
 HERE = Path(__file__).resolve().parent
 
 FIXED_PAIRS = [name for name in catalog.list_names() if not name.endswith("(n)")]
+FINITE_PAIRS = ["A3toB2", "A5toC3", "D4toB3", "D4toG2", "E6toF4"]
 
 ARGVS = [
     *(["verify", "commutation", "--pair", name, "--depth", "2", "--random-words", "20"]
@@ -30,6 +39,23 @@ ARGVS = [
     ["verify", "affine-finiteness", "--max-rank", "4"],
     ["verify", "affine-finiteness", "--max-rank", "4", "--json"],
     ["verify", "commutation", "--pair", "E7t-F4t2", "--limit", "100"],
+    *(["fold", "--pair", name] for name in FIXED_PAIRS),
+    *(["fold", "--pair", name, "--json"] for name in FIXED_PAIRS),
+    ["catalog", "list"],
+    *(["catalog", "show", name] for name in FIXED_PAIRS),
+    *(["verify", target, "--pair", name, *limit] for name in FINITE_PAIRS
+      for target, limit in (("roots", ()), ("fibers", ()),
+                            ("finite-type-equality", ("--limit", "2000")))),
+    ["enumerate", "--pair", "A3toB2"],
+    ["enumerate", "--pair", "A3toB2", "--json"],  # a repeated key
+    ["orbit-mutate", "--pair", "E6toF4", "--word", "1 2 1"],
+    ["mutate", "--pair", "A3toB2", "--word", "1 2"],
+    # error paths
+    ["mutate", "--pair", "A3toB2", "--word", "1 x"],
+    ["fold", "--pair", "A3toB9"],
+    ["fold", "--matrix", "inputs/triangle-rotation.txt"],
+    ["enumerate", "--matrix", "inputs/rank2-wild.txt", "--limit", "30"],  # the work bound
+    ["explore", "--matrix", "inputs/indefinite-control.txt"],  # an entry overflow
 ]
 
 
@@ -46,14 +72,40 @@ def run(argv) -> dict:
             "stdout": out.getvalue().split("\n"), "stderr": err.getvalue().split("\n")}
 
 
-def main():
+def render(argv) -> str:
+    """The text of the golden of one argv, run from this directory."""
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        return json.dumps(run(argv), indent=1) + "\n"
+    finally:
+        os.chdir(cwd)
+
+
+def main(args) -> int:
+    check = args == ["--check"]
+    if args and not check:
+        print("usage: regenerate.py [--check]", file=sys.stderr)
+        return 2
+    texts = {file_name(argv): (argv, render(argv)) for argv in ARGVS}
+    if check:
+        changed = [argv for name, (argv, text) in texts.items()
+                   if not (HERE / name).is_file()
+                   or (HERE / name).read_text(encoding="utf-8") != text]
+        strays = [path.name for path in sorted(HERE.glob("*.json")) if path.name not in texts]
+        for argv in changed:
+            print("would change:", json.dumps(argv))
+        for name in strays:
+            print("no argv writes:", name)
+        print(f"{len(changed)} of {len(texts)} goldens would change, {len(strays)} files have no argv")
+        return 1 if changed or strays else 0
     for old in HERE.glob("*.json"):
         old.unlink()
-    for argv in ARGVS:
-        text = json.dumps(run(argv), indent=1) + "\n"
-        (HERE / file_name(argv)).write_text(text, encoding="utf-8")
-    print(f"wrote {len(ARGVS)} goldens to {HERE}")
+    for name, (_, text) in texts.items():
+        (HERE / name).write_text(text, encoding="utf-8")
+    print(f"wrote {len(texts)} goldens to {HERE}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

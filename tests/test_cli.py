@@ -17,7 +17,7 @@ import pytest
 from clusterfold import cli, explorer, folding, roots, seeds
 from clusterfold.cli import main
 from clusterfold.exchange import EntryOverflowError
-from clusterfold.laurent import LaurentPolynomial
+from clusterfold.laurent import LaurentPolynomial, LimitExceededError
 from clusterfold.search import Search
 
 A3_FILE = """\
@@ -371,8 +371,10 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert time.perf_counter() - started < budget
         assert code == 3
-        assert captured.out.startswith("error: a product of ")
-        assert "Traceback" not in captured.out + captured.err
+        status, seeds_line, exit_line = captured.out.splitlines()
+        assert (status, exit_line) == ("status: work-limit", "exit: 3")
+        assert 0 < int(seeds_line.removeprefix("seeds: ")) < int(limit)
+        assert captured.err == ""
 
     def test_a_division_past_the_work_bound_is_a_limit(self, capsys, tmp_path, monkeypatch):
         # G2's fourth variable is a division to 4 quotient terms by 2 divisor terms
@@ -382,8 +384,7 @@ class TestEnumerate:
         code = main(["enumerate", "--matrix", str(path)])
         captured = capsys.readouterr()
         assert code == 3
-        assert captured.out == ("error: a division to 4 quotient terms by 2 divisor terms "
-                                "passes the bound of 6 multiply-adds\n")
+        assert captured.out == "status: work-limit\nseeds: 5\nexit: 3\n"
         assert captured.err == ""
 
     def test_emit_dot(self, capsys, tmp_path):
@@ -499,8 +500,8 @@ def _enumeration(search):
 
 
 class TestSearchExits:
-    """Every searching leaf prints the status of a search that a limit or an
-    overflow stopped, and exits 3."""
+    """Every searching leaf prints the status of a search that a limit, an
+    overflow or the work bound stopped, and exits 3."""
 
     # leaf -> argv, (owner, name) of its library call, the call's result over
     # the search, and the lines printed before the exit line
@@ -521,7 +522,7 @@ class TestSearchExits:
                               explorer.MutationClassReport, "~A1: {0} size=2\nstatus: {0}"),
     }
 
-    @pytest.mark.parametrize("status", ["limit-exceeded", "overflow"])
+    @pytest.mark.parametrize("status", ["limit-exceeded", "overflow", "work-limit"])
     @pytest.mark.parametrize("leaf", LEAVES)
     def test_a_stopped_search_exits_3_with_its_status(self, capsys, monkeypatch, leaf, status):
         argv, (owner, name), result, lines = self.LEAVES[leaf]
@@ -644,6 +645,14 @@ class TestVerify:
         assert run_cli(capsys, "verify", "commutation", "--pair", "A3toB2") == (
             3, "stability: stable-exhaustive\nstatus: overflow\nexit: 3\n")
 
+    def test_commutation_work_limit_in_the_node_search_exits_3(self, capsys, monkeypatch):
+        def past_the_bound(*args, **kwargs):
+            raise LimitExceededError("a product of 3 by 3 terms passes the bound of 6 multiply-adds")
+
+        monkeypatch.setattr(folding, "orbit_mutate_seed", past_the_bound)
+        assert run_cli(capsys, "verify", "commutation", "--pair", "A3toB2") == (
+            3, "stability: stable-exhaustive\nstatus: work-limit\nexit: 3\n")
+
     def test_commutation_limit_is_not_verified(self, capsys):
         # the E6toF4 orbit-mutation class has 120 members
         code, out = run_cli(capsys, "verify", "commutation", "--pair", "E6toF4", "--limit", "5")
@@ -754,6 +763,12 @@ class TestVerify:
                             "--json")
         assert code == 3
         assert json.loads(out) == {"status": "limit-exceeded", "exit": "3"}
+
+    @pytest.mark.parametrize("target", ["denominators", "finite-type-equality"])
+    def test_a_search_past_the_work_bound_reports_work_limit(self, capsys, monkeypatch, target):
+        monkeypatch.setattr("clusterfold.laurent.MAX_WORK", 6)
+        assert run_cli(capsys, "verify", target, "--pair", "D4toG2") == (
+            3, "status: work-limit\nexit: 3\n")
 
     def test_finite_type_equality(self, capsys):
         code, out = run_cli(

@@ -9,7 +9,7 @@ from clusterfold.explorer import (
     rank2_denominators_below,
     verify_monotonicity_chain,
 )
-from clusterfold.laurent import parse_polynomial
+from clusterfold.laurent import LimitExceededError, parse_polynomial
 from clusterfold.seeds import enumerate_cluster_variables
 from clusterfold import catalog, cli, explorer, folding
 from clusterfold.folding import FoldingPair, PermutationGroup, check_stability, quotient_matrix
@@ -246,6 +246,12 @@ class TestDenominatorSearch:
 
     def test_not_found(self):
         assert find_variable_by_denominator(A3, (5, 0, 0)) is None
+
+    def test_a_search_past_the_work_bound_raises_because_none_means_not_found(self, monkeypatch):
+        # G2's fourth variable is a division to 4 quotient terms by 2 divisor terms
+        monkeypatch.setattr("clusterfold.laurent.MAX_WORK", 6)
+        with pytest.raises(LimitExceededError, match="passes the bound of 6 multiply-adds"):
+            find_variable_by_denominator(ExchangeMatrix([[0, -3], [1, 0]]), (5, 5))
 
 
 class TestRank2Box:

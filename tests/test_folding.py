@@ -193,6 +193,34 @@ class TestAutomorphisms:
         assert is_automorphism(A3, SWAP13)
         assert not is_automorphism(A3, (1, 0, 2))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_automorphism_is_the_entrywise_definition(self, data):
+        n = data.draw(st.integers(0, 6))
+        g = tuple(data.draw(st.permutations(range(n))))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = data.draw(st.integers(-2, 2))
+                rows[j][i] = -rows[i][j]
+        if data.draw(st.booleans()):  # the sum of B over the powers of g is g-invariant
+            power, total = g, [row[:] for row in rows]
+            while power != tuple(range(n)):
+                total = [[total[i][j] + rows[power[i]][power[j]] for j in range(n)]
+                         for i in range(n)]
+                power = compose(g, power)
+            rows = total
+        matrix = ExchangeMatrix(rows)
+        for h in (g, list(g)):
+            assert is_automorphism(matrix, h) == all(
+                rows[g[i]][g[j]] == rows[i][j] for i in range(n) for j in range(n))
+
+    def test_is_automorphism_reads_every_index_of_g(self):
+        assert is_automorphism(ExchangeMatrix([[0]]), (0,))
+        with pytest.raises(IndexError):
+            is_automorphism(A3, (2, 1))
+        assert is_automorphism(A3, (2, 1, 0, 3))  # the definition reads g[:n]
+
     def test_group_check(self):
         assert is_automorphism_group(A3, PermutationGroup(3, [SWAP13]))
         with pytest.raises(ValueError):

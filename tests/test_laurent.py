@@ -567,3 +567,37 @@ class TestAgainstTupleKernel:
             assert p.denominator_vector() == rp.denominator_vector()
         assert p.render() == rp.render()
         assert parse_polynomial(rp.render(), [f"u{i + 1}" for i in range(n)]) == p
+
+
+class TestCachedFacts:
+    """The projection layout and the ends are computed once, and read the same."""
+
+    @given(laurent_polys(), st.permutations(range(3)), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_project_reads_list_and_tuple_orbits_alike(self, p, order, cut):
+        orbits = [order[:cut], order[cut:]] if cut < 3 else [order]
+        assert p.project([list(o) for o in orbits]) == p.project(tuple(map(tuple, orbits)))
+        assert p.project(iter(orbits)) == p.project(orbits)
+
+    @pytest.mark.parametrize("orbits", [[(0, 1)], [(0, 1), (1, 2)], [(0, 1, 2, 3)], [(0,), (2,)]])
+    def test_a_non_partition_raises_on_every_call(self, orbits):
+        p = poly("u1 + u2*u3^-1")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="orbits must partition the variable indices"):
+                p.project(orbits)
+
+    @given(laurent_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_ends_are_the_lex_largest_and_smallest_exponents(self, p):
+        if p.is_zero():
+            return
+        expected = (max(p.terms), min(p.terms))
+        assert p.ends() == expected  # filling the slot
+        assert p.ends() == expected  # read from it
+        assert p._ends is not None
+        assert (p * p).ends() == tuple(tuple(2 * e for e in end) for end in expected)
+
+    def test_the_zero_polynomial_has_no_ends(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                LaurentPolynomial.zero(2).ends()

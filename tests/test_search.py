@@ -8,6 +8,7 @@ import pytest
 
 from clusterfold import catalog, cli, seeds
 from clusterfold.exchange import EntryOverflowError, ExchangeMatrix
+from clusterfold.laurent import LimitExceededError
 from clusterfold.explorer import MutationClassReport, mutation_class
 from clusterfold.folding import (StabilityVerdict, admissibility_witness, check_stability,
                                  compose_orbit_mutations, quotient_matrix)
@@ -106,6 +107,19 @@ def test_entry_overflow_is_a_verdict():
     assert list(result.visited) == ["a", "b", "c", "d", "e"]
 
 
+def test_the_work_bound_is_a_verdict_that_keeps_its_error():
+    error = LimitExceededError("a product of 3 by 3 terms passes the bound of 6 multiply-adds")
+
+    def past_the_bound(node, move):
+        if node == "d":
+            raise error
+        return step(node, move)
+
+    result = bfs("a", MOVES, past_the_bound, key, 100)
+    assert (result.status, result.witness) == ("work-limit", error)
+    assert list(result.visited) == ["a", "b", "c", "d", "e"]
+
+
 # stopping status -> what the reports read off it: MutationClassReport (verdict,
 # finite), StabilityVerdict (status, stable) and EnumerationResult complete
 REPORT_WORDS = {
@@ -113,6 +127,7 @@ REPORT_WORDS = {
     "witness": (("witness", False), ("unstable", False), False),
     "limit-exceeded": (("limit-exceeded", False), ("limit-exceeded", False), False),
     "overflow": (("overflow", False), ("overflow", False), False),
+    "work-limit": (("work-limit", False), ("work-limit", False), False),
 }
 
 
