@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 verified/success, 1 a verification found a witness,
-2 usage or input error, 3 a limit was exceeded or an entry overflowed.
+2 usage or input error, 3 a limit or the work bound was exceeded or an
+entry overflowed.
 ``--expect-fail`` swaps 0 and 1 so expected counterexamples read as
 green in CI.
 Reports are plain ``key: value`` lines; ``--json`` mirrors the same
@@ -53,7 +54,7 @@ WORD_CAP = 1_000_000  # the most words ``verify commutation`` checks
 
 
 def _exit_code(search) -> int:
-    """A search's exit code: closed 0, witness 1, stopped by a limit or an overflow 3."""
+    """A search's exit code: closed 0, witness 1, stopped by a limit, the work bound or an overflow 3."""
     return {"closed": EXIT_OK, "witness": EXIT_WITNESS}.get(search.status, EXIT_LIMIT)
 
 

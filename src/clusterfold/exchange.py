@@ -200,7 +200,7 @@ class ExchangeMatrix:
 
     @classmethod
     def from_symmetrizer(cls, entries, symmetrizer) -> "ExchangeMatrix":
-        """An n x n matrix of int rows, kept as tuples, checked against a known symmetrizer D.
+        """An n x n matrix given as a tuple of int tuples, checked against a known symmetrizer D.
 
         For matrices derived from a validated one whose D is known, such as
         the projection of a seed onto a quotient's mutation class: every
@@ -209,7 +209,7 @@ class ExchangeMatrix:
         ascending order, else :class:`NotSkewSymmetrizableError`.  D is
         carried as given, not re-derived, and read by :func:`classify`.
         """
-        rows = tuple(map(tuple, entries))
+        rows = tuple(entries)
         for i, row in enumerate(rows):
             di = symmetrizer[i]
             for j in range(i, len(rows)):

@@ -116,9 +116,9 @@ def is_automorphism(matrix: ExchangeMatrix, g) -> bool:
     """b[g[i]][g[j]] == b[i][j] for all i, j: B re-indexed by g, compared with B at once."""
     b = matrix.entries
     n = matrix.n
-    if len(g) != n:  # the definition, which reads g[:n] and raises IndexError on a shorter g
-        return all(b[g[i]][g[j]] == b[i][j] for i in range(n) for j in range(n))
-    get = _reindex(tuple(g))
+    if len(g) < n:
+        raise IndexError(f"permutation of length {len(g)} for {n} vertices")
+    get = _reindex(tuple(g[:n]))  # the definition reads only g[:n]
     return tuple(map(get, get(b))) == b
 
 
