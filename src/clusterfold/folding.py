@@ -1,12 +1,12 @@
 """Folding: automorphism groups, admissible pairs, quotients, orbit mutations.
 
 A folding pair is an exchange matrix together with a permutation group
-acting on its vertices by automorphisms.  The pair is admissible when no
-two distinct vertices of one orbit are joined by a directed path of
-length at most two; admissibility makes orbit mutation well defined and
-the quotient matrix skew-symmetrizable.  Stability (every member of the
-orbit-mutation class stays admissible), orbits and group closure run on
-the BFS engine in :mod:`clusterfold.search`.
+acting on its vertices by automorphisms, each of which relabels through
+:func:`clusterfold.seeds.reindex`.  The pair is admissible when no two
+distinct vertices of one orbit are joined by a directed path of length at
+most two; admissibility makes orbit mutation well defined and the quotient
+matrix skew-symmetrizable.  Stability (every member of the orbit-mutation
+class stays admissible), orbits and group closure run on the BFS engine.
 
 There is one orbit step on seeds, :func:`orbit_mutate_seed`: it composes
 the mutations of one orbit, checks that the group still preserves the
@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import functools
 from itertools import permutations
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .exchange import ExchangeMatrix
 from .search import Search, bfs
-from .seeds import LimitExceededError, Seed, initial_seed, is_invariant_seed, mutate_seed
+from .seeds import (LimitExceededError, Seed, initial_seed, is_automorphism, is_invariant_seed,
+                    mutate_seed, reindex)
 
 GROUP_ORDER_CAP = 10_080
 
@@ -70,13 +71,9 @@ class PermutationGroup:
 
     def __init__(self, n: int, generators):
         self.n = n
-        gens = []
-        for g in generators:
-            g = tuple(g)
-            if sorted(g) != list(range(n)):
-                raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
-            gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(map(tuple, generators))
+        for g in self.generators:
+            reindex(g, n)  # ValueError unless g permutes the n vertices
         self._elements: tuple[tuple[int, ...], ...] | None = None
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -102,24 +99,6 @@ class PermutationGroup:
 
     def order(self) -> int:
         return len(self.elements())
-
-
-@functools.cache
-def _reindex(g):
-    """row -> (row[g[0]], row[g[1]], ...), built once per permutation tuple g."""
-    if len(g) > 1:
-        return itemgetter(*g)
-    return lambda row: tuple(row[i] for i in g)  # itemgetter gives a scalar for one index
-
-
-def is_automorphism(matrix: ExchangeMatrix, g) -> bool:
-    """b[g[i]][g[j]] == b[i][j] for all i, j: B re-indexed by g, compared with B at once."""
-    b = matrix.entries
-    n = matrix.n
-    if len(g) < n:
-        raise IndexError(f"permutation of length {len(g)} for {n} vertices")
-    get = _reindex(tuple(g[:n]))  # the definition reads only g[:n]
-    return tuple(map(get, get(b))) == b
 
 
 def is_automorphism_group(matrix: ExchangeMatrix, group: PermutationGroup) -> bool:

@@ -6,8 +6,8 @@ mutation must be exact (the Laurent phenomenon); a failed division is a
 library bug and raises LaurentPhenomenonError.  Enumeration and the
 denominator search run on the BFS engine in :mod:`clusterfold.search`
 through :func:`search_seeds`, which mutates only to reach a seed it has
-not met.  A search passes :func:`mutate_seed` an exchange table: a dict
-from (the variable exchanged, its two exchange monomials) to the exact
+not met.  :func:`mutate_seed` runs on the caller's exchange table or a new
+one: a dict from (variable exchanged, its exchange monomials) to the exact
 quotient.  The division x' = (M+ + M-)/x is stored both ways, because
 x' * x is the same binomial and an exact quotient in the Laurent ring is
 unique; so any seed that exchanges x or x' over those monomials, on any
@@ -21,11 +21,16 @@ division; a known one is met again through an exact product identity.
 A mutation that needs a product or a division past ``laurent.MAX_WORK`` raises
 LimitExceededError, re-exported here; a search it stops ends with status
 "work-limit", and the CLI exits 3 on either.
+
+:func:`reindex`, one checked re-index per permutation, serves every
+relabeling: is_automorphism, permute_seed, is_invariant_seed and
+PermutationGroup refuse a g that is not a permutation of the n vertices.
 """
 
 from __future__ import annotations
 
-from operator import sub
+import functools
+from operator import itemgetter, sub
 
 from .exchange import ExchangeMatrix
 from .laurent import LaurentPolynomial, LimitExceededError, NotDivisibleError, divide_exact
@@ -104,8 +109,8 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPolynomial:
 def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
     """Seed mutation in direction k: u_k' = (binomial at k) / u_k, exactly.
 
-    ``exchanges`` is an exchange table owned by the caller.  Its key is
-    (u_k, {P, M}), where P maps each cluster variable to its summed
+    ``exchanges`` is the caller's exchange table, a fresh one if None.  Its
+    key is (u_k, {P, M}), where P maps each cluster variable to its summed
     exponents b_ik > 0 and M does the same for b_ik < 0, so the key
     determines the binomial even when a variable repeats in the cluster.
     A hit does no arithmetic.  A miss builds the binomial B; if u_k is
@@ -119,28 +124,26 @@ def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
     n = seed.matrix.n
     if not 0 <= k < n:
         raise IndexError(f"mutation vertex {k} out of range")
+    exchanges = {} if exchanges is None else exchanges
     x = seed.cluster[k]
-    new_var = key = None
-    if exchanges is not None:
-        plus: dict = {}
-        minus: dict = {}
-        for v, row in zip(seed.cluster, seed.matrix.entries):
-            if row[k] > 0:
-                plus[v] = plus.get(v, 0) + row[k]
-            elif row[k] < 0:
-                minus[v] = minus.get(v, 0) - row[k]
-        key = frozenset((frozenset(plus.items()), frozenset(minus.items())))
-        new_var = exchanges.get((x, key))
+    plus: dict = {}
+    minus: dict = {}
+    for v, row in zip(seed.cluster, seed.matrix.entries):
+        if row[k] > 0:
+            plus[v] = plus.get(v, 0) + row[k]
+        elif row[k] < 0:
+            minus[v] = minus.get(v, 0) - row[k]
+    key = frozenset((frozenset(plus.items()), frozenset(minus.items())))
+    new_var = exchanges.get((x, key))
     if new_var is None:
         binomial = exchange_binomial(seed, k)
-        if exchanges is not None:
-            x_lead, x_trail = x.ends()
-            if x_lead != x_trail:  # a monomial x divides no dearer than a product checks
-                b_lead, b_trail = binomial.ends()
-                new_var = exchanges.get((n, tuple(map(sub, b_lead, x_lead)),
-                                         tuple(map(sub, b_trail, x_trail))))
-                if new_var is not None and new_var * x != binomial:
-                    new_var = None
+        x_lead, x_trail = x.ends()
+        if x_lead != x_trail:  # a monomial x divides no dearer than a product checks
+            b_lead, b_trail = binomial.ends()
+            new_var = exchanges.get((n, tuple(map(sub, b_lead, x_lead)),
+                                     tuple(map(sub, b_trail, x_trail))))
+            if new_var is not None and new_var * x != binomial:
+                new_var = None
         if new_var is None:
             try:
                 new_var = divide_exact(binomial, x)
@@ -148,11 +151,9 @@ def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
                 raise LaurentPhenomenonError(
                     f"exchange at vertex {k + 1} produced a non-Laurent quotient: {exc}"
                 ) from exc
-            if exchanges is not None:
-                exchanges.setdefault((n, *new_var.ends()), new_var)
-        if exchanges is not None:
-            exchanges[x, key] = new_var
-            exchanges[new_var, key] = x
+            exchanges.setdefault((n, *new_var.ends()), new_var)
+        exchanges[x, key] = new_var
+        exchanges[new_var, key] = x
     cluster = list(seed.cluster)
     cluster[k] = new_var
     return Seed(seed.matrix.mutate(k), tuple(cluster))
@@ -170,6 +171,24 @@ def apply_mutation_word(seed: Seed, word) -> Seed:
     return seed
 
 
+@functools.cache
+def reindex(g: tuple[int, ...], n: int):
+    """row -> (row[g[0]], ..., row[g[n-1]]), built once per (g, n) after checking that g is a
+    permutation of 0..n-1 (else ValueError, on every call: a failure is not cached)."""
+    if sorted(g) != list(range(n)):
+        raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
+    return itemgetter(*g) if n > 1 else tuple  # the identity; itemgetter needs 2 indices
+
+
+def is_automorphism(matrix: ExchangeMatrix, g) -> bool:
+    """b[g[i]][g[j]] == b[i][j] for all i, j: B re-indexed by g, compared with B at once."""
+    b, n = matrix.entries, matrix.n
+    if len(g) != n:
+        raise IndexError(f"permutation of length {len(g)} for {n} vertices")
+    get = reindex(tuple(g), n)
+    return tuple(map(get, get(b))) == b
+
+
 def permute_seed(g, seed: Seed) -> Seed:
     """Action of a vertex permutation g (0-based mapping) on a seed.
 
@@ -177,21 +196,23 @@ def permute_seed(g, seed: Seed) -> Seed:
     cluster entry i becomes the old entry g^-1 i with variables relabeled
     u_j -> u_{g j}.  The matrix carries the permuted symmetrizer.
     """
-    g = tuple(g)
-    n = seed.matrix.n
-    if sorted(g) != list(range(n)):
-        raise ValueError("g must be a permutation of the vertices")
-    inv = sorted(range(n), key=g.__getitem__)
-    b = seed.matrix.entries
-    entries = tuple(tuple(b[inv[i]][inv[j]] for j in range(n)) for i in range(n))
-    cluster = tuple(seed.cluster[inv[i]].permute_variables(g) for i in range(n))
-    d = seed.matrix.symmetrizer
-    return Seed(ExchangeMatrix.from_symmetrizer(entries, [d[i] for i in inv]), cluster)
+    g, n = tuple(g), seed.matrix.n
+    reindex(g, n)  # ValueError unless g permutes the n vertices
+    get = reindex(tuple(sorted(range(n), key=g.__getitem__)), n)  # re-index by g^-1
+    cluster = tuple(x.permute_variables(g) for x in get(seed.cluster))
+    entries = tuple(map(get, get(seed.matrix.entries)))
+    return Seed(ExchangeMatrix.from_symmetrizer(entries, get(seed.matrix.symmetrizer)), cluster)
 
 
 def is_invariant_seed(seed: Seed, generators) -> bool:
-    """True iff every generator fixes the seed (matrix and cluster entrywise)."""
-    return all(permute_seed(g, seed) == seed for g in generators)
+    """True iff every generator g fixes the seed, as ``permute_seed(g, seed) == seed``: g is an
+    automorphism of B and cluster entry g i is entry i relabeled by g.  Builds no matrix or seed."""
+    for g in map(tuple, generators):
+        get = reindex(g, seed.matrix.n)  # ValueError unless g permutes the n vertices
+        if not is_automorphism(seed.matrix, g) or get(seed.cluster) != tuple(
+                x.permute_variables(g) for x in seed.cluster):
+            return False
+    return True
 
 
 def search_seeds(start: Seed, limit: int, *, max_depth: int | None = None,

@@ -1,9 +1,11 @@
 """Rewrite the CLI golden corpus: one JSON file per argv in this directory.
 
 Each file holds the argv, the exit code, and stdout and stderr as lists of
-lines, as ``cli.main`` gives them in-process, run from this directory so
-that the input files under ``inputs/`` are named by relative paths.  Run
-from the repository root:
+lines, as ``cli.main`` gives them in-process.  An argv with ``--emit-dot``
+also keeps the lines of the file it writes, under "dot".  Each argv runs in
+a fresh temporary directory holding a copy of ``inputs/``, so the input
+files are named by relative paths and nothing is written here but the
+goldens.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/golden/cli/regenerate.py           # rewrite
     PYTHONPATH=src python3 tests/golden/cli/regenerate.py --check   # compare
@@ -20,15 +22,22 @@ import io
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from clusterfold import catalog, cli
 
 HERE = Path(__file__).resolve().parent
+INPUTS = HERE / "inputs"
 
 FIXED_PAIRS = [name for name in catalog.list_names() if not name.endswith("(n)")]
 FINITE_PAIRS = ["A3toB2", "A5toC3", "D4toB3", "D4toG2", "E6toF4"]
+FAMILIES = [name[:-len("(n)")] for name in catalog.list_names() if name.endswith("(n)")]
+# each parametric family at its two smallest ranks
+FAMILY_RANKS = [(family, str(catalog._PARAMETRIC[family][1] + step))
+                for family in FAMILIES for step in (0, 1)]
 
 ARGVS = [
     *(["verify", "commutation", "--pair", name, "--depth", "2", "--random-words", "20"]
@@ -50,10 +59,22 @@ ARGVS = [
     ["enumerate", "--pair", "A3toB2", "--json"],  # a repeated key
     ["orbit-mutate", "--pair", "E6toF4", "--word", "1 2 1"],
     ["mutate", "--pair", "A3toB2", "--word", "1 2"],
+    *(argv for family, n in FAMILY_RANKS for argv in (
+        ["fold", "--pair", family, "--rank", n],
+        ["catalog", "show", family, "--rank", n],
+        ["verify", "commutation", "--pair", family, "--rank", n, "--depth", "2",
+         "--random-words", "20"])),
+    *(["verify", "denominators", "--pair", name] for name in FINITE_PAIRS),
+    ["verify", "commutation", "--pair", "E6toF4"],  # depth 4 and 200 random words
+    ["mutate", "--pair", "A3toB2", "--word", "1 1 2 2"],  # a step back
+    ["orbit-mutate", "--matrix", "inputs/triangle-rotation.txt"],  # the initial seed
+    ["enumerate", "--pair", "A3toB2", "--emit-dot", "exchange.dot"],
+    ["fold", "--pair", "D4toG2", "--emit-dot", "quotient.dot"],
     # error paths
     ["mutate", "--pair", "A3toB2", "--word", "1 x"],
     ["fold", "--pair", "A3toB9"],
     ["fold", "--matrix", "inputs/triangle-rotation.txt"],
+    ["orbit-mutate", "--matrix", "inputs/triangle-rotation.txt", "--word", "1"],
     ["enumerate", "--matrix", "inputs/rank2-wild.txt", "--limit", "30"],  # the work bound
     ["explore", "--matrix", "inputs/indefinite-control.txt"],  # an entry overflow
 ]
@@ -64,22 +85,28 @@ def file_name(argv) -> str:
 
 
 def run(argv) -> dict:
-    """The argv, exit code, stdout and stderr of one in-process ``cli.main`` run."""
+    """The argv, exit code, stdout and stderr of one in-process ``cli.main`` run
+    from the current directory, and the lines of the file ``--emit-dot`` names."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return {"argv": list(argv), "exit": code,
-            "stdout": out.getvalue().split("\n"), "stderr": err.getvalue().split("\n")}
+    golden = {"argv": list(argv), "exit": code,
+              "stdout": out.getvalue().split("\n"), "stderr": err.getvalue().split("\n")}
+    if "--emit-dot" in argv:
+        golden["dot"] = Path(argv[argv.index("--emit-dot") + 1]).read_text().split("\n")
+    return golden
 
 
 def render(argv) -> str:
-    """The text of the golden of one argv, run from this directory."""
+    """The text of the golden of one argv, run in a scratch copy of ``inputs/``."""
     cwd = os.getcwd()
-    os.chdir(HERE)
-    try:
-        return json.dumps(run(argv), indent=1) + "\n"
-    finally:
-        os.chdir(cwd)
+    with tempfile.TemporaryDirectory() as scratch:
+        shutil.copytree(INPUTS, Path(scratch) / "inputs")
+        os.chdir(scratch)
+        try:
+            return json.dumps(run(argv), indent=1) + "\n"
+        finally:
+            os.chdir(cwd)
 
 
 def main(args) -> int:

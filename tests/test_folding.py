@@ -217,9 +217,35 @@ class TestAutomorphisms:
 
     def test_is_automorphism_reads_every_index_of_g(self):
         assert is_automorphism(ExchangeMatrix([[0]]), (0,))
+        assert is_automorphism(ExchangeMatrix([]), ())
         with pytest.raises(IndexError):
             is_automorphism(A3, (2, 1))
-        assert is_automorphism(A3, (2, 1, 0, 3))  # the definition reads g[:n]
+        with pytest.raises(IndexError):  # not a permutation of A3's three vertices
+            is_automorphism(A3, (2, 1, 0, 3))
+
+    @pytest.mark.parametrize("g", [(0, 0, 2), (0, 1, 5), (2, 1, -1)])
+    def test_a_non_permutation_is_refused_on_every_call(self, g):
+        # a failed check is not cached, so the second call raises as the first
+        seed = initial_seed(A3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a permutation"):
+                is_automorphism(A3, g)
+            with pytest.raises(ValueError, match="not a permutation"):
+                seeds.permute_seed(g, seed)
+            with pytest.raises(ValueError, match="not a permutation"):
+                seeds.is_invariant_seed(seed, [g])
+            with pytest.raises(ValueError, match="not a permutation"):
+                PermutationGroup(3, [g])
+
+    @pytest.mark.parametrize("g", [(1, 0), (2, 1, 0, 3)])
+    def test_a_permutation_of_the_wrong_length_is_refused(self, g):
+        seed = initial_seed(A3)
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            seeds.permute_seed(g, seed)
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            seeds.is_invariant_seed(seed, [SWAP13, g])
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            PermutationGroup(3, [g])
 
     def test_group_check(self):
         assert is_automorphism_group(A3, PermutationGroup(3, [SWAP13]))

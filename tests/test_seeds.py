@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_exchange import bounded_skew_symmetrizable_rows
+
 from clusterfold import catalog, exchange, seeds
 from clusterfold.exchange import ExchangeMatrix
+from clusterfold.folding import orbit_mutate_word
 from clusterfold.explorer import find_variable_by_denominator
 from clusterfold.laurent import LaurentPolynomial, NotDivisibleError, divide_exact, parse_polynomial
 from clusterfold.seeds import (
@@ -144,6 +147,32 @@ class TestMutationProperties:
         assert all(x.is_positive() for x in seed.cluster)
 
 
+FINITE_PAIRS = ["A3toB2", "A5toC3", "D4toB3", "D4toG2", "E6toF4"]
+
+
+def reference_permute_seed(g, seed):
+    """The relabeling of a seed by g, entry by entry, kept as a reference."""
+    g = tuple(g)
+    n = seed.matrix.n
+    if sorted(g) != list(range(n)):
+        raise ValueError("g must be a permutation of the vertices")
+    inv = sorted(range(n), key=g.__getitem__)
+    b = seed.matrix.entries
+    entries = tuple(tuple(b[inv[i]][inv[j]] for j in range(n)) for i in range(n))
+    cluster = tuple(seed.cluster[inv[i]].permute_variables(g) for i in range(n))
+    d = seed.matrix.symmetrizer
+    return Seed(ExchangeMatrix.from_symmetrizer(entries, [d[i] for i in inv]), cluster)
+
+
+def assert_same_action(g, seed):
+    """permute_seed and is_invariant_seed agree with the reference on (g, seed)."""
+    permuted, reference = permute_seed(g, seed), reference_permute_seed(g, seed)
+    assert permuted.matrix.entries == reference.matrix.entries
+    assert permuted.matrix.symmetrizer == reference.matrix.symmetrizer
+    assert permuted.cluster == reference.cluster
+    assert is_invariant_seed(seed, [g]) == (reference == seed)
+
+
 class TestPermutationAction:
     def test_permute_matrix_and_cluster(self):
         g = (2, 1, 0)
@@ -177,6 +206,44 @@ class TestPermutationAction:
         assert is_invariant_seed(initial_seed(A3), [(2, 1, 0)])
         mutated = mutate_seed(initial_seed(A3), 0)
         assert not is_invariant_seed(mutated, [(2, 1, 0)])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_action_as_the_reference_on_random_seeds(self, data):
+        rows = data.draw(st.one_of(st.just([[0]]), bounded_skew_symmetrizable_rows(max_n=6)))
+        n = len(rows)
+        word = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        seed = apply_mutation_word(initial_seed(ExchangeMatrix(rows)), word)
+        g = data.draw(st.one_of(st.just(tuple(range(n))), st.permutations(range(n)).map(tuple)))
+        assert_same_action(g, seed)
+
+    @given(st.sampled_from(FINITE_PAIRS), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_same_action_as_the_reference_on_invariant_seeds(self, name, data):
+        pair = catalog.folding_pair(name).pair
+        word = data.draw(st.lists(st.integers(0, pair.orbit_count - 1), max_size=3))
+        seed, _ = orbit_mutate_word(pair, initial_seed(pair.matrix), word)
+        for g in pair.group.generators:
+            assert is_invariant_seed(seed, [g])
+            assert_same_action(g, seed)
+        assert_same_action(tuple(data.draw(st.permutations(range(pair.matrix.n)))), seed)
+
+    def test_the_invariance_check_builds_no_matrix_and_no_seed(self, monkeypatch):
+        pair = catalog.folding_pair("E6toF4").pair
+        start = initial_seed(pair.matrix)
+        stepped, _ = orbit_mutate_word(pair, start, (0, 1))
+        skewed = mutate_seed(start, 0)
+        assert reference_permute_seed(pair.group.generators[0], skewed) != skewed
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("is_invariant_seed built a matrix or a seed")
+
+        monkeypatch.setattr(ExchangeMatrix, "__init__", forbidden)
+        monkeypatch.setattr(ExchangeMatrix, "from_symmetrizer", forbidden)
+        monkeypatch.setattr(Seed, "__init__", forbidden)
+        assert is_invariant_seed(start, pair.group.generators)
+        assert is_invariant_seed(stepped, pair.group.generators)
+        assert not is_invariant_seed(skewed, pair.group.generators)
 
 
 class TestEnumeration:
@@ -387,6 +454,10 @@ def binomial_of_key(key, n):
     return total if len(key) == 2 else total + total
 
 
+WALKED = [catalog.dynkin("A", 5), catalog.dynkin("C", 3), catalog.dynkin("G", 2),
+          catalog.folding_pair("D4t-A1t2").pair.matrix]
+
+
 class TestExchangeTable:
     @pytest.mark.parametrize("family, n", [("A", 5), ("D", 4), ("G", 2)])
     def test_same_seeds_with_and_without_a_table(self, family, n):
@@ -425,6 +496,31 @@ class TestExchangeTable:
         initial = set(initial_seed(catalog.dynkin("A", 5)).cluster)
         assert set(ends.values()) == set(exchanged.values()) - initial
         assert len(ends) == 15
+
+    @given(st.sampled_from(WALKED) | bounded_skew_symmetrizable_rows(max_n=4, max_entry=1)
+           .map(ExchangeMatrix), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_walk_steps_as_a_table_less_walk_and_every_entry_divides_back(self, matrix, data):
+        # steps in any order, back and forth, and walks that share one table,
+        # so the key hits and the ends candidates also run where no search
+        # ordered the steps
+        words = data.draw(st.lists(st.lists(st.integers(0, matrix.n - 1), max_size=8),
+                                   min_size=1, max_size=4))
+        exchanges = {}
+        for word in words:
+            shared = alone = initial_seed(matrix)
+            for k in word:
+                shared = mutate_seed(shared, k, exchanges=exchanges)
+                alone = mutate_seed(alone, k)
+                assert shared == alone, word
+        exchanged = {key: y for key, y in exchanges.items() if len(key) == 2}
+        for (variable, key), quotient in exchanged.items():
+            assert exchanged[quotient, key] == variable
+
+    def test_no_table_is_a_fresh_table(self):
+        for seed in (initial_seed(A3), self.BACK):
+            for k in range(3):
+                assert mutate_seed(seed, k) == mutate_seed(seed, k, exchanges={})
 
     def test_repeated_variable_sums_its_exponents(self):
         # u1 twice against u1 once: binomials 1 + u1^2 and 1 + u1, the same variable set
