@@ -4,6 +4,9 @@ Entries are kept within signed 64-bit range with checked arithmetic:
 mutation of indefinite-type matrices can blow entries up, and explorers
 must see a clean error instead of silent wraparound.
 
+Mutation splits a pivot row once per process, in ``_pivot``: a bounded
+table of a pure function of (row k, k).
+
 Vertices are 0-based throughout the library; files and reports number
 them from 1.  Diagram names live in :mod:`clusterfold.catalog`: this
 module imports no other clusterfold module.
@@ -11,6 +14,7 @@ module imports no other clusterfold module.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, repeat
 from math import gcd
 from operator import neg
@@ -112,6 +116,21 @@ def find_symmetrizer(entries) -> tuple[int, ...]:
     return tuple(d)
 
 
+@lru_cache(maxsize=512)
+def _pivot(row_k: tuple[int, ...], k: int):
+    """The pairs (j, b_kj) with b_kj > 0 and with b_kj < 0, the rows to rebuild
+    (k and its neighbours, ascending) and -row k; k picks the diagonal zero."""
+    # the update adds |b_ik|*b_kj exactly where b_ik and b_kj share a sign
+    positive, negative, rebuilt = [], [], []
+    for j, x in enumerate(row_k):
+        if x:
+            (positive if x > 0 else negative).append((j, x))
+        elif j != k:
+            continue
+        rebuilt.append(j)
+    return tuple(positive), tuple(negative), tuple(rebuilt), tuple([-x for x in row_k])
+
+
 class ExchangeMatrix:
     """A skew-symmetrizable square integer matrix: its entries and its D.
 
@@ -157,22 +176,17 @@ class ExchangeMatrix:
         :class:`NotSkewSymmetrizableError`.  Every other pair keeps both its
         entries, so the result satisfies D whenever this matrix does.
         Changed entries are range-checked (:class:`EntryOverflowError`).
+        Row k is split by :func:`_pivot`, a pure function of (row k, k),
+        after the range check; its table is bounded, as an indefinite class
+        meets new pivot rows without end.
         """
         n = self.n
         if not 0 <= k < n:
             raise IndexError(f"mutation vertex {k} out of range")
         b = self.entries
-        row_k = b[k]
-        # the update adds |b_ik|*b_kj exactly where b_ik and b_kj share a sign
-        positive, negative, rebuilt = [], [], []
-        for j, x in enumerate(row_k):
-            if x:
-                (positive if x > 0 else negative).append((j, x))
-            elif j != k:
-                continue
-            rebuilt.append(j)
+        positive, negative, rebuilt, negated = _pivot(b[k], k)
         rows = list(b)
-        rows[k] = tuple([-x for x in row_k])
+        rows[k] = negated
         for i in rebuilt:
             row = b[i]
             bik = row[k]

@@ -134,7 +134,7 @@ def rank2_denominators_below(matrix: ExchangeMatrix, bound) -> set[tuple[int, in
     keeps producing, at each vertex, componentwise-increasing denominator
     vectors (checked at every step); in the increasing regime the branch
     stops soundly once both current cluster entries strictly dominate the
-    bound.
+    bound.  Each branch steps on one exchange table.
     """
     if matrix.n != 2:
         raise ValueError("rank-2 enumeration needs a 2x2 matrix")
@@ -146,11 +146,12 @@ def rank2_denominators_below(matrix: ExchangeMatrix, bound) -> set[tuple[int, in
             found.add(delta)
     for first in (0, 1):
         seed = initial_seed(matrix)
+        exchanges: dict = {}
         previous = {0: (-1, -1), 1: (-1, -1)}
         monotone = True
         k = first
         for _ in range(1000):
-            seed = mutate_seed(seed, k)
+            seed = mutate_seed(seed, k, exchanges=exchanges)
             delta = seed.cluster[k].denominator_vector()
             if any(d < 0 for d in delta):
                 # back at an initial variable: the branch wrapped around a

@@ -160,14 +160,16 @@ def mutate_seed(seed: Seed, k: int, *, exchanges: dict | None = None) -> Seed:
 
 
 def apply_mutation_word(seed: Seed, word) -> Seed:
-    """Left-to-right composition of seed mutations; a vertex out of range
-    raises ValueError, naming it 1-based, before any step."""
+    """Left-to-right composition of seed mutations on one exchange table, so
+    a step back divides nothing; a vertex out of range raises ValueError,
+    naming it 1-based, before any step."""
     word = tuple(word)
     for k in word:
         if not 0 <= k < seed.matrix.n:
             raise ValueError(f"vertex {k + 1} out of range")
+    exchanges: dict = {}
     for k in word:
-        seed = mutate_seed(seed, k)
+        seed = mutate_seed(seed, k, exchanges=exchanges)
     return seed
 
 

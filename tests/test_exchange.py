@@ -17,6 +17,7 @@ from clusterfold.exchange import (
     ExchangeMatrix,
     NotSkewSymmetrizableError,
     _definiteness,
+    _pivot,
     canonical_form,
     cartan_counterpart,
     classify,
@@ -505,8 +506,62 @@ class TestMutation:
         assert m.mutate(0).entries == ((0, 2), (-1, 0))
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            ExchangeMatrix(A3).mutate(3)
+        m = ExchangeMatrix(A3)
+        before = _pivot.cache_info()
+        # b[-1] is the last row: a pivot split read before the range check would use it
+        for k in (3, -1):
+            with pytest.raises(IndexError):
+                m.mutate(k)
+        after = _pivot.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_a_pivot_row_shared_at_two_indices_is_split_per_index(self):
+        # row (0, 1, 0) is the pivot row of `first` at 0 and of `last` at 2; the
+        # rebuilt rows differ ({0, 1} and {1, 2}) though the entries would not, so
+        # only the checked pairs of a corrupted D tell a split keyed by the row alone
+        row = (0, 1, 0)
+        first = ExchangeMatrix.from_symmetrizer((row, (-1, 0, 1), (0, -1, 0)), (1, 1, 1))
+        last = ExchangeMatrix.from_symmetrizer(((0, -1, 0), (1, 0, -1), row), (1, 1, 1))
+        cases = [(first, 0, (2, 1, 1)), (last, 2, (1, 1, 2))]
+        for order in (cases, cases[::-1]):
+            _pivot.cache_clear()
+            for m, k, corrupt in order:
+                hits = _pivot.cache_info().hits
+                mutated = m.mutate(k)
+                assert (mutated.entries, mutated.symmetrizer) == full_check_mutate(m, k)
+                assert (mutated.entries, mutated.symmetrizer) == rebuilt_rows_mutate(m, k)
+                bad = ExchangeMatrix.from_symmetrizer(m.entries, m.symmetrizer)
+                bad._symmetrizer = corrupt
+                expected = outcome(rebuilt_rows_mutate, bad, k)
+                assert expected == outcome(full_check_mutate, bad, k)
+                assert expected[0] is NotSkewSymmetrizableError
+                assert outcome(ExchangeMatrix.mutate, bad, k) == expected
+                assert _pivot.cache_info().hits >= hits + 1  # the corrupted copy reused the split
+            assert _pivot.cache_info().misses == 2
+
+    def test_children_at_equal_pivot_rows_share_one_negated_row(self):
+        a = ExchangeMatrix(((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+        b = ExchangeMatrix(((0, 1, 0), (-1, 0, -1), (0, 1, 0)))
+        assert a.entries[0] == b.entries[0] and a.entries[1] != b.entries[1]
+        x, y = a.mutate(0), b.mutate(0)
+        assert x.entries[0] == (0, -1, 0) and x.entries[0] is y.entries[0]
+        assert x.entries[1:] != y.entries[1:]
+
+    def test_class_search_makes_the_same_calls_cold_and_warm(self, monkeypatch):
+        calls = []
+        mutate = ExchangeMatrix.mutate
+
+        def counted(self, k):
+            calls.append(k)
+            return mutate(self, k)
+
+        monkeypatch.setattr(ExchangeMatrix, "mutate", counted)
+        matrix = catalog.folding_pair("A5toC3").pair.matrix
+        _pivot.cache_clear()
+        for _ in ("cold", "warm"):
+            calls.clear()
+            report = mutation_class(matrix)
+            assert (report.verdict, report.size, len(calls)) == ("finite", 1980, 2710)
 
     def test_rows_without_an_edge_to_k_are_reused(self):
         m = ExchangeMatrix(((0, -2, 0, 0), (1, 0, 1, 0), (0, -1, 0, 3), (0, 0, -1, 0)))
@@ -524,8 +579,9 @@ class TestMutation:
         m = ExchangeMatrix(
             ((0, big, 0, 0), (-big, 0, big, 0), (0, -big, 0, 1), (0, 0, -1, 0))
         )
-        with pytest.raises(EntryOverflowError):
-            m.mutate(1)
+        for _ in range(2):  # the second split comes from the pivot table and raises again
+            with pytest.raises(EntryOverflowError):
+                m.mutate(1)
         assert m.entries[0] == (0, big, 0, 0)
 
     def test_rejects_result_inconsistent_with_carried_symmetrizer(self):

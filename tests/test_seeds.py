@@ -140,6 +140,13 @@ class TestMutationProperties:
             apply_mutation_word(initial_seed(A3), (0, 1)))
         assert steps == [0, 1, 0, 1]
 
+    def test_a_step_back_along_a_word_divides_nothing(self, monkeypatch):
+        # the word steps on one exchange table, so each step back is a hit on it
+        start = initial_seed(catalog.folding_pair("A3toB2").pair.matrix)
+        divisions = counting_divisions(monkeypatch)
+        assert apply_mutation_word(start, (0, 0, 1, 1)) == start
+        assert len(divisions) == 2
+
     @given(st.lists(st.integers(0, 2), min_size=0, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_positivity_along_words(self, word):
